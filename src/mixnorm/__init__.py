@@ -25,6 +25,7 @@ from .differences import (
     all_direction_sets,
     besov_norm_diff,
     besov_norm_integral,
+    difference_table,
     directional_difference,
     isotropic_besov_norm,
     leibniz_difference,

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import concurrent.futures
 import dataclasses
+import functools
 import json
 import math
 import os
@@ -301,8 +302,12 @@ def _family_member_1d(cfg: ExperimentConfig, n: int) -> GridFunction:
     )
 
 
-def _companion_1d(cfg: ExperimentConfig) -> GridFunction:
-    return companion_bump(cfg.box1(), cfg.resolution, cfg.companion_plateau, cfg.companion_support)
+@functools.lru_cache(maxsize=4)
+def _companion_terms(box_lo, box_hi, resolution, plateau, support, r, p, m_diff, d):
+    # the companion factor does not depend on the member: once per process
+    g = companion_bump(Box((box_lo,), (box_hi,)), resolution, plateau, support)
+    bgg = besov_norm_diff(pointwise_multiply(g, g), r, p, m_diff) if d == 3 else 1.0
+    return g, besov_norm_diff(g, r, p, m_diff), bgg, sup_norm(g)
 
 
 def _random_member(cfg: ExperimentConfig, i: int) -> GridFunction:
@@ -321,23 +326,13 @@ def _tensor_norms(cfg: ExperimentConfig, n: int) -> dict:
     # exact cross-norm factorization: the d-dimensional norms of the tensor
     # members equal products of 1-d factor norms in this discretization
     f = _family_member_1d(cfg, n)
-    g = _companion_1d(cfg)
-    bf, bg = _besov1(cfg, f), _besov1(cfg, g)
-    fg = pointwise_multiply(f, g)
-    bfg = _besov1(cfg, fg)
-    bgg = _besov1(cfg, pointwise_multiply(g, g)) if cfg.d == 3 else 1.0
-    sup_f, sup_g = sup_norm(f), sup_norm(g)
-    norm_big_f = bf * bg ** (cfg.d - 1)
-    norm_big_g = norm_big_f
-    norm_product = bfg * bfg * (bgg if cfg.d == 3 else 1.0)
-    sup_big = sup_f * sup_g ** (cfg.d - 1)
-    return {
-        "norm_f": norm_big_f,
-        "norm_g": norm_big_g,
-        "norm_fg": norm_product,
-        "sup_f": sup_big,
-        "sup_g": sup_big,
-    }
+    g, bg, bgg, sup_g = _companion_terms(cfg.box_lo, cfg.box_hi, cfg.resolution, cfg.companion_plateau,
+                                         cfg.companion_support, cfg.r, cfg.p, cfg.m_diff, cfg.d)
+    bfg = _besov1(cfg, pointwise_multiply(f, g))
+    norm_big = _besov1(cfg, f) * bg ** (cfg.d - 1)
+    sup_big = sup_norm(f) * sup_g ** (cfg.d - 1)
+    return {"norm_f": norm_big, "norm_g": norm_big, "norm_fg": bfg * bfg * bgg,
+            "sup_f": sup_big, "sup_g": sup_big}
 
 
 def _member_task(payload: tuple) -> tuple[str, dict, float]:
@@ -571,8 +566,13 @@ def _format_value(v) -> str:
     return format(float(v), ".17g")
 
 
-def emit(rows: list[ResultRow], fmt: str, path: str, cfg: ExperimentConfig | None = None) -> None:
-    """Write rows as CSV or JSON (deterministic bytes), timings to a sidecar."""
+def emit(rows: list[ResultRow], fmt: str, path: str, cfg: ExperimentConfig | None = None,
+         elapsed: float | None = None) -> None:
+    """Write rows as CSV or JSON (deterministic bytes), timings to a sidecar.
+
+    The sidecar's total_wall_time is `elapsed`, the caller's wall time of the
+    run (null when not given); member_time_sum adds up the per-member times.
+    """
     if not rows:
         raise ValidationError("rows", "no results")
     exp = rows[0].experiment
@@ -604,7 +604,8 @@ def emit(rows: list[ResultRow], fmt: str, path: str, cfg: ExperimentConfig | Non
     meta = {
         "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S"),
         "wall_times": {row.member: row.wall_time for row in rows},
-        "total_wall_time": sum(row.wall_time for row in rows),
+        "total_wall_time": elapsed,
+        "member_time_sum": sum(row.wall_time for row in rows),
         "workers": worker_count(),
     }
     with open(path + ".meta.json", "w", encoding="utf-8", newline="\n") as fh:
@@ -657,8 +658,9 @@ def main(argv: list[str] | None = None) -> int:
         cfg = load_config(experiment, config_path, overrides)
         if not cfg.output:
             cfg.output = f"mixnorm_{experiment}.{cfg.format}"
+        t0 = time.perf_counter()
         rows = run(cfg)
-        emit(rows, cfg.format, cfg.output, cfg)
+        emit(rows, cfg.format, cfg.output, cfg, elapsed=time.perf_counter() - t0)
     except ValidationError as err:
         print(f"config error: {err}", file=sys.stderr)
         return 2

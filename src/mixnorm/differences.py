@@ -6,6 +6,10 @@ maximum over a small log-spaced probe set per dyadic scale; identical probe
 sampling on both sides of every compared ratio cancels the induced bias.
 
 The direction-set sum runs exactly over all 2^d subsets of the axes (d <= 3).
+
+Difference norms read a zero-extended field as extended by zero to all of
+Z^d and a periodic one on the torus; under both, the steps +s and -s give
+equal norms, so the norm tables run over positive step magnitudes only.
 """
 
 from __future__ import annotations
@@ -111,33 +115,6 @@ def mixed_difference(
     return out
 
 
-def _mixed_diff_cells(
-    values: np.ndarray,
-    axes: Sequence[int],
-    orders: Sequence[int],
-    cells: Sequence[int],
-    extension: str,
-) -> np.ndarray:
-    out = values
-    for axis, m, s in zip(axes, orders, cells):
-        out = _diff_values(out, axis, m, s, extension)
-    return out
-
-
-def _interior_slices(
-    shape: tuple[int, ...], axes: Sequence[int], orders: Sequence[int], cells: Sequence[int]
-) -> tuple[slice, ...] | None:
-    # nodes whose whole difference stencil stays inside the box
-    slices = [slice(None)] * len(shape)
-    for axis, m, s in zip(axes, orders, cells):
-        n = shape[axis]
-        reach = m * abs(s)
-        if reach >= n:
-            return None
-        slices[axis] = slice(reach, n) if s < 0 else slice(0, n - reach)
-    return tuple(slices)
-
-
 def admissible_cells(t: float, dx: float) -> list[int]:
     """Whole-cell step magnitudes probing the modulus at scale t.
 
@@ -167,6 +144,78 @@ def ladder_cells(t: float, dx: float) -> list[int]:
     return sorted(out)
 
 
+def _parseval_tables(values, sets, orders, magnitudes, pad, cell_volume):
+    # one power spectrum of the values, zero-padded so that circular
+    # differences equal the zero-extended ones, contracted per axis with the
+    # difference symbol |e^{i theta s} - 1|^{2m} = (4 sin^2(theta s / 2))^m
+    shape = [n + q for n, q in zip(values.shape, pad)]
+    spec = np.fft.rfftn(values, s=shape, axes=range(len(shape)))
+    power = spec.real**2 + spec.imag**2
+    # rfftn keeps half of the last axis: count the mirrored bins twice
+    power[..., 1 : (shape[-1] + 1) // 2] *= 2.0
+    weights = []
+    for axis, n in enumerate(shape):
+        k = np.arange(power.shape[axis])
+        sin2 = np.sin(np.pi / n * np.arange(n)) ** 2
+        weights.append(np.array([(4.0 * sin2[k * s % n]) ** orders[axis] for s in magnitudes[axis]]))
+    out = {}
+    for e in sets:
+        t = power
+        for axis in range(len(shape)):
+            # the leading axis of t is always the next original axis
+            t = np.tensordot(t, weights[axis], axes=(0, 1)) if axis in e else t.sum(axis=0)
+        out[e] = cell_volume / math.prod(shape) * t
+    return out
+
+
+def difference_table(
+    u: GridFunction,
+    direction_sets: Iterable[Iterable[int]],
+    orders: int | Sequence[int],
+    magnitudes: Sequence[Sequence[int]],
+    p: float,
+) -> dict[tuple[int, ...], np.ndarray]:
+    """Powered L_p norms of mixed differences over positive step magnitudes.
+
+    For each direction set e (keyed as a sorted tuple), entry [i_a for a in e]
+    is sum |Delta^{m, e}_s u|^p * cell volume (max |.| when p = inf) with step
+    s_a = magnitudes[a][i_a] cells and order orders[a].  Zero extension reads
+    u extended by zero to all of Z^d, periodic reads it on the torus.  A
+    zero-extended field is cropped to the bounding box of its nonzero values
+    and padded by the difference reach; p = 2 then goes through one power
+    spectrum for every direction set (Parseval), other p difference directly.
+    """
+    sets = [tuple(sorted(set(int(a) for a in e))) for e in direction_sets]
+    orders = [int(m) for m in _as_axis_vector(orders, u.d, "orders")]
+    values, pad, vol = u.values, [0] * u.d, u.cell_volume
+    if u.extension == "zero":
+        nz = np.nonzero(values)
+        if not nz[0].size:
+            return {e: np.zeros([len(magnitudes[a]) for a in e]) for e in sets}
+        values = values[tuple(slice(i.min(), i.max() + 1) for i in nz)]
+        pad = [m * max(mags, default=0) for m, mags in zip(orders, magnitudes)]
+    if p == 2.0:
+        return _parseval_tables(values, sets, orders, magnitudes, pad, vol)
+    out = {}
+    for e in sets:
+        out[e] = np.empty([len(magnitudes[a]) for a in e])
+        # forward differences reach m * s cells below the support: pad there
+        arr = np.pad(values, [(pad[a] if a in e else 0, 0) for a in range(u.d)])
+        _fill_direct(out[e], arr, e, orders, magnitudes, p, vol, u.extension, ())
+    return out
+
+
+def _fill_direct(table, arr, e, orders, magnitudes, p, vol, extension, index) -> None:
+    # depth first over the axes of e, so each partial difference is made once
+    if len(index) == len(e):
+        table[index] = lp_norm_pow(arr, p, vol)
+        return
+    axis = e[len(index)]
+    for i, s in enumerate(magnitudes[axis]):
+        diff = _diff_values(arr, axis, orders[axis], s, extension)
+        _fill_direct(table, diff, e, orders, magnitudes, p, vol, extension, index + (i,))
+
+
 def modulus(
     u: GridFunction,
     e: Iterable[int],
@@ -180,42 +229,41 @@ def modulus(
     Maximum over the sampled step set of the L_p norm of the mixed difference;
     the empty direction set returns the plain L_p norm.  With interior=True
     the norm is restricted to nodes whose difference stencil stays inside the
-    box (boundary handled by the support margin in normal use).
+    box, over steps of both signs (boundary handled by the support margin in
+    normal use).
     """
     axes = sorted(set(int(a) for a in e))
     if not axes:
         return lp_norm(u, p)
-    mv = _as_axis_vector(m, u.d, "m")
+    orders = [int(v) for v in _as_axis_vector(m, u.d, "m")]
     tv = _as_axis_vector(t, u.d, "t")
+    mags: list[list[int]] = [[] for _ in range(u.d)]
     for axis in axes:
         if not 0 < tv[axis] <= 1.0:
             raise GridError(f"scale t must lie in (0, 1], got {tv[axis]} on axis {axis}")
-    sets = []
     for axis in axes:
-        mags = ladder_cells(float(tv[axis]), u.dx[axis])
-        if not mags:
+        mags[axis] = ladder_cells(float(tv[axis]), u.dx[axis])
+        if not mags[axis]:
             warnings.warn(
                 f"scale t={tv[axis]} is below one grid cell on axis {axis}; modulus degenerates to 0",
                 DegenerateStepWarning,
                 stacklevel=2,
             )
             return 0.0
-        sets.append([s for mag in mags for s in (mag, -mag)])
-    orders = [int(mv[axis]) for axis in axes]
-    best = 0.0
-    vol = u.cell_volume
-    for combo in itertools.product(*sets):
-        arr = _mixed_diff_cells(u.values, axes, orders, combo, u.extension)
-        if interior:
-            sl = _interior_slices(u.n, axes, orders, combo)
-            if sl is None:
+    if not interior:
+        best = float(np.max(difference_table(u, [axes], orders, mags, p)[tuple(axes)]))
+    else:
+        best = 0.0
+        signed = [[s for mag in mags[a] for s in (mag, -mag)] for a in axes]
+        for combo in itertools.product(*signed):
+            # nodes whose whole difference stencil stays inside the box
+            if any(orders[a] * abs(s) >= u.n[a] for a, s in zip(axes, combo)):
                 continue
-            arr = arr[sl]
-            if arr.size == 0:
-                continue
-        val = lp_norm_pow(arr, p, vol)
-        if val > best:
-            best = val
+            arr, sl = u.values, [slice(None)] * u.d
+            for a, s in zip(axes, combo):
+                arr = _diff_values(arr, a, orders[a], s, u.extension)
+                sl[a] = slice(-orders[a] * s, None) if s < 0 else slice(0, u.n[a] - orders[a] * s)
+            best = max(best, lp_norm_pow(arr[tuple(sl)], p, u.cell_volume))
     if math.isinf(p):
         return best
     return best ** (1.0 / p)
@@ -227,41 +275,20 @@ def dyadic_level_count(u: GridFunction) -> tuple[int, ...]:
     return tuple(int(math.floor(math.log2(1.0 / d))) - 1 for d in u.dx)
 
 
-def _check_levels(u: GridFunction) -> tuple[int, ...]:
+def _check_norm_args(u: GridFunction, r: float, p: float, m_diff: int) -> tuple[int, ...]:
+    # preconditions shared by the difference norms; returns the level counts
+    if not r > 0:
+        raise GridError(f"r must be positive, got {r}")
+    if not m_diff > r:
+        raise GridError(f"difference order m_diff={m_diff} must exceed r={r}")
+    if not p >= 1.0:
+        raise GridError(f"p must lie in [1, inf], got {p}")
     ks = dyadic_level_count(u)
     if min(ks) < 2:
         raise GridError(
             f"grid too coarse for dyadic analysis: levels {ks} per axis, need >= 2"
         )
     return ks
-
-
-def _signed(mags: Iterable[int]) -> list[int]:
-    return [s for mag in mags for s in (mag, -mag)]
-
-
-def _norm_table(
-    u: GridFunction,
-    axes: Sequence[int],
-    orders: Sequence[int],
-    signed_sets: Sequence[Sequence[int]],
-    p: float,
-) -> dict[tuple[int, ...], float]:
-    # powered L_p norms of every composed difference over the signed-step
-    # product set; partial compositions are cached along the recursion
-    vol = u.cell_volume
-    table: dict[tuple[int, ...], float] = {}
-
-    def rec(depth: int, arr: np.ndarray, prefix: tuple[int, ...]) -> None:
-        if depth == len(axes):
-            table[prefix] = lp_norm_pow(arr, p, vol)
-            return
-        axis, m = axes[depth], orders[depth]
-        for s in signed_sets[depth]:
-            rec(depth + 1, _diff_values(arr, axis, m, s, u.extension), prefix + (s,))
-
-    rec(0, u.values, ())
-    return table
 
 
 def besov_norm_diff(u: GridFunction, r: float, p: float, m_diff: int) -> float:
@@ -272,52 +299,29 @@ def besov_norm_diff(u: GridFunction, r: float, p: float, m_diff: int) -> float:
     count; the l_p sum over k becomes a sup when p = inf.  Requires the
     difference order to exceed the smoothness r.
     """
-    if not r > 0:
-        raise GridError(f"r must be positive, got {r}")
-    if not m_diff > r:
-        raise GridError(f"difference order m_diff={m_diff} must exceed r={r}")
-    if not p >= 1.0:
-        raise GridError(f"p must lie in [1, inf], got {p}")
-    ks = _check_levels(u)
-    d = u.d
-    scale_sets: list[list[list[int]]] = []
-    for axis in range(d):
-        per_axis = [admissible_cells(2.0**-k, u.dx[axis]) for k in range(ks[axis] + 1)]
-        scale_sets.append(per_axis)
-
-    total = 0.0
-    for e in all_direction_sets(d):
-        if not e:
-            total += lp_norm(u, p)
-            continue
-        axes = list(e)
-        orders = [m_diff] * len(axes)
-        signed_sets = []
-        for axis in axes:
-            union = sorted({s for mags in scale_sets[axis] for s in mags})
-            signed_sets.append(_signed(union))
-        table = _norm_table(u, axes, orders, signed_sets, p)
-        shape_k = tuple(ks[a] + 1 for a in axes)
-        exact = np.empty(shape_k)
-        for kvec in itertools.product(*(range(s) for s in shape_k)):
-            exact[kvec] = max(
-                table[combo]
-                for combo in itertools.product(
-                    *(_signed(scale_sets[a][k]) for a, k in zip(axes, kvec))
-                )
-            )
+    ks = _check_norm_args(u, r, p, m_diff)
+    scale_sets = [[admissible_cells(2.0**-k, dx) for k in range(kmax + 1)] for dx, kmax in zip(u.dx, ks)]
+    mags = [sorted(set().union(*levels)) for levels in scale_sets]
+    sets = all_direction_sets(u.d)[1:]
+    tables = difference_table(u, sets, m_diff, mags, p)
+    total = lp_norm(u, p)
+    for e in sets:
+        # per axis of e and level k: the table positions of the level's steps
+        where = [[[mags[a].index(s) for s in cells] for cells in scale_sets[a]] for a in e]
+        shape_k = tuple(ks[a] + 1 for a in e)
+        omega = np.empty(shape_k)
+        for kvec in np.ndindex(*shape_k):
+            omega[kvec] = np.max(tables[e][np.ix_(*(w[k] for w, k in zip(where, kvec)))])
         # steps admissible at finer scales stay admissible: the modulus at
         # level k is the max over the upper orthant of exact-level maxima,
         # which keeps the discrete modulus monotone across scales
-        omega = exact
-        for pos in range(len(axes)):
+        for pos in range(len(e)):
             omega = np.flip(np.maximum.accumulate(np.flip(omega, axis=pos), axis=pos), axis=pos)
         ksum = np.indices(shape_k).sum(axis=0)
         if math.isinf(p):
-            term = float(np.max(2.0 ** (r * ksum) * omega))
+            total += float(np.max(2.0 ** (r * ksum) * omega))
         else:
-            term = float(np.sum(2.0 ** (r * ksum * p) * omega)) ** (1.0 / p)
-        total += term
+            total += float(np.sum(2.0 ** (r * ksum * p) * omega)) ** (1.0 / p)
     return total
 
 
@@ -337,18 +341,10 @@ def besov_norm_integral(u: GridFunction, r: float, p: float, m_diff: int) -> flo
     [2^-k-1, 2^-k], matching the scale set of the discrete norm; the panel
     mass of the singular weight is used exactly.
     """
-    if not r > 0:
-        raise GridError(f"r must be positive, got {r}")
-    if not m_diff > r:
-        raise GridError(f"difference order m_diff={m_diff} must exceed r={r}")
-    if not p >= 1.0:
-        raise GridError(f"p must lie in [1, inf], got {p}")
-    ks = _check_levels(u)
-    d = u.d
-
-    # per axis: panel list of (cells, weight or |h| value)
+    ks = _check_norm_args(u, r, p, m_diff)
+    # per axis: panel list of (cells, weight mass, or |h|^-r at p = inf)
     panels: list[list[tuple[int, float]]] = []
-    for axis in range(d):
+    for axis in range(u.d):
         dxv = u.dx[axis]
         entries = []
         for k in range(ks[axis]):
@@ -359,36 +355,23 @@ def besov_norm_integral(u: GridFunction, r: float, p: float, m_diff: int) -> flo
                 continue
             s = min(max(int(np.rint(0.75 * t_hi / dxv)), s_lo), s_hi)
             if math.isinf(p):
-                entries.append((s, s * dxv))
+                entries.append((s, (s * dxv) ** (-r)))
             else:
-                mass = (2.0 ** (r * p * (k + 1)) - 2.0 ** (r * p * k)) / (r * p)
-                entries.append((s, mass))
+                entries.append((s, (2.0 ** (r * p * (k + 1)) - 2.0 ** (r * p * k)) / (r * p)))
         panels.append(entries)
 
+    sets = all_direction_sets(u.d)[1:]
+    tables = difference_table(u, sets, m_diff, [[s for s, _ in entries] for entries in panels], p)
     total = lp_norm(u, p)
-    for e in all_direction_sets(d):
-        if not e:
-            continue
-        axes = list(e)
-        orders = [m_diff] * len(axes)
-        signed_sets = [_signed(sorted({s for s, _ in panels[a]})) for a in axes]
-        table = _norm_table(u, axes, orders, signed_sets, p)
+    for e in sets:
+        weight = np.ones(())
+        for a in e:
+            weight = np.multiply.outer(weight, [w for _, w in panels[a]])
         if math.isinf(p):
-            t_e = 0.0
-            for choice in itertools.product(*(panels[a] for a in axes)):
-                weight = float(np.prod([h ** (-r) for _, h in choice]))
-                for signs in itertools.product((1, -1), repeat=len(axes)):
-                    combo = tuple(sg * s for sg, (s, _) in zip(signs, choice))
-                    t_e = max(t_e, weight * table[combo])
+            total += float(np.max(weight * tables[e]))
         else:
-            acc = 0.0
-            for choice in itertools.product(*(panels[a] for a in axes)):
-                weight = float(np.prod([w for _, w in choice]))
-                for signs in itertools.product((1, -1), repeat=len(axes)):
-                    combo = tuple(sg * s for sg, (s, _) in zip(signs, choice))
-                    acc += weight * table[combo]
-            t_e = acc ** (1.0 / p)
-        total += t_e
+            # +s and -s contribute equally: 2^|e| sign choices per step vector
+            total += float(2 ** len(e) * np.sum(weight * tables[e])) ** (1.0 / p)
     return total
 
 

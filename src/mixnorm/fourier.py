@@ -198,7 +198,11 @@ def besov_norm_fourier(
         return best
     acc = 0.0
     for k, block in _blocks(u, sys):
-        acc += 2.0 ** (r * sum(k) * p) * float(np.sum(np.abs(block) ** p) * vol)
+        try:
+            weight = 2.0 ** (r * sum(k) * p)
+        except OverflowError:
+            raise NumericalAnomalyError(f"dyadic weight 2^{r * sum(k) * p:g} overflows a float") from None
+        acc += weight * float(np.sum(np.abs(block) ** p) * vol)
     return acc ** (1.0 / p)
 
 

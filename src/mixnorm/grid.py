@@ -324,9 +324,8 @@ def coarsen(u: GridFunction, factor: int) -> GridFunction:
 def crop(u: GridFunction, index_ranges: Sequence[tuple[int, int]]) -> GridFunction:
     """Restrict to a cell-aligned sub-box; node alignment and dx are preserved.
 
-    With zero extension the restriction is norm-exact for any functional that
-    only reads values where the field (or its difference reach) lives inside
-    the window.
+    With zero extension a window that holds the whole support keeps every
+    difference norm: those read the field extended by zero to all of Z^d.
     """
     if len(index_ranges) != u.d:
         raise GridError(f"need {u.d} index ranges, got {len(index_ranges)}")

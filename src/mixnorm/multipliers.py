@@ -6,8 +6,9 @@ construction (minimal overlap: two bumps per axis cover every point).  The
 d-dimensional bump is the tensor power of the 1-d base.
 
 Besov norms of localized pieces psi_mu * u are evaluated on a cell-aligned
-crop of the grid around the translate; with zero extension and a crop pad
-covering the full difference reach this is exact, not an approximation.
+crop of the grid to the translate's support; difference norms read a
+zero-extended field as extended by zero to all of Z^d, so this is exact, not
+an approximation.
 """
 
 from __future__ import annotations
@@ -179,7 +180,7 @@ def partition_deviation(pou: PartitionOfUnity) -> float:
 
 
 def _cropped_translate_product(
-    pou: PartitionOfUnity, u: GridFunction, mu: Sequence[int], pad_units: int
+    pou: PartitionOfUnity, u: GridFunction, mu: Sequence[int]
 ) -> GridFunction | None:
     sl = _support_slices(pou, mu)
     if sl is None:
@@ -187,12 +188,7 @@ def _cropped_translate_product(
     sub = u.values[tuple(gs for gs, _ in sl)]
     if not np.any(sub):
         return None
-    prod = apply_translate(pou, u, mu)
-    ranges = []
-    for i, (gs, _) in enumerate(sl):
-        pad = pad_units * pou.cells_per_unit[i]
-        ranges.append((max(0, gs.start - pad), min(pou.shape[i], gs.stop + pad)))
-    return crop(prod, ranges)
+    return crop(apply_translate(pou, u, mu), [(gs.start, gs.stop) for gs, _ in sl])
 
 
 def uniform_norm(u: GridFunction, space: SpaceSpec, pou: PartitionOfUnity) -> float:
@@ -201,9 +197,8 @@ def uniform_norm(u: GridFunction, space: SpaceSpec, pou: PartitionOfUnity) -> fl
         raise GridError("uniform norms require zero extension")
     best = 0.0
     if space.kind == "besov":
-        pad = int(space.m_diff) + 1
         for mu in pou.centers():
-            piece = _cropped_translate_product(pou, u, mu, pad)
+            piece = _cropped_translate_product(pou, u, mu)
             if piece is None:
                 continue
             best = max(best, besov_norm_diff(piece, space.r, space.p, space.m_diff))
@@ -221,18 +216,17 @@ def localization_ratio(
 ) -> float:
     """Whole-domain Besov norm over the l_p aggregate of localized norms.
 
-    The input must be compactly supported in the inner box so every localized
-    piece keeps its difference reach inside the grid.
+    The input should be compactly supported in the inner box, where the
+    translates sum to 1.
     """
     if u.extension != "zero":
         raise GridError("localization requires zero extension")
     numer = besov_norm_diff(u, r, p, m_diff)
     if numer == 0.0:
         raise GridError("localization ratio undefined for the zero function")
-    pad = int(m_diff) + 1
     pieces = []
     for mu in pou.centers():
-        piece = _cropped_translate_product(pou, u, mu, pad)
+        piece = _cropped_translate_product(pou, u, mu)
         if piece is not None:
             pieces.append(besov_norm_diff(piece, r, p, m_diff))
     if not pieces:

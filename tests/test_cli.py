@@ -129,6 +129,14 @@ def test_emit_writes_metadata_sidecar(tmp_path):
     emit(rows, "csv", str(out), cfg)
     meta = json.loads((tmp_path / "r.csv.meta.json").read_text())
     assert "timestamp" in meta and "wall_times" in meta
+    assert meta["total_wall_time"] is None
+    assert meta["member_time_sum"] == pytest.approx(sum(meta["wall_times"].values()))
+    before = out.read_bytes()
+    emit(rows, "csv", str(out), cfg, elapsed=1.25)
+    meta = json.loads((tmp_path / "r.csv.meta.json").read_text())
+    assert meta["total_wall_time"] == 1.25
+    assert meta["member_time_sum"] == pytest.approx(sum(meta["wall_times"].values()))
+    assert out.read_bytes() == before
 
 
 def test_rows_carry_parameter_snapshot(tmp_path):
@@ -171,6 +179,21 @@ def test_main_reports_numerical_anomaly(monkeypatch, tmp_path):
     monkeypatch.chdir(tmp_path)
     monkeypatch.setattr(cli_mod, "_member_task", poisoned)
     assert cli_mod.main(["localize", "--count", "1", "--resolution", "64"]) == 3
+
+
+def test_main_reports_weight_overflow_as_numerical_anomaly(tmp_path, monkeypatch):
+    # at p = 400 the Littlewood-Paley weight 2^(r |k| p) exceeds the float range
+    monkeypatch.chdir(tmp_path)
+    assert main(["norm", "--family", "random", "--d", "2", "--resolution", "64",
+                 "--count", "1", "--p", "400"]) == 3
+
+
+def test_main_sidecar_records_elapsed_time(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    assert main(["equiv", "--count", "2", "--resolution", "64", "--output", "e.csv"]) == 0
+    meta = json.loads((tmp_path / "e.csv.meta.json").read_text())
+    assert 0.0 < meta["total_wall_time"]
+    assert meta["member_time_sum"] == pytest.approx(sum(meta["wall_times"].values()))
 
 
 def test_cli_subprocess_end_to_end(tmp_path):

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -11,6 +12,7 @@ from mixnorm import (
     all_direction_sets,
     besov_norm_diff,
     besov_norm_integral,
+    difference_table,
     directional_difference,
     isotropic_besov_norm,
     leibniz_difference,
@@ -259,3 +261,91 @@ def test_besov_sup_modification_runs():
     val = besov_norm_diff(u, 0.5, math.inf, 1)
     assert val >= lp_norm(u, math.inf)
     assert math.isfinite(val)
+
+
+# --- the difference-table kernel against direct oracles ---------------------
+
+TABLE_SHAPES = {1: (40,), 2: (18, 14), 3: (9, 10, 8)}
+TABLE_MAGS = [1, 2, 5]
+
+
+def _sparse_field(d, extension, seed):
+    # random values in a block that leaves a zero margin on every side, so the
+    # zero-extended kernel crops before it pads
+    rng = np.random.default_rng(seed)
+    shape = TABLE_SHAPES[d]
+    values = np.zeros(shape)
+    values[tuple(slice(2, n - 3) for n in shape)] = rng.standard_normal([n - 5 for n in shape])
+    return GridFunction(Box((0.0,) * d, tuple(n / 8.0 for n in shape)), values, extension)
+
+
+def _oracle_pow(u, e, m, steps, p):
+    # direct mixed difference on the values zero-padded by the full reach on
+    # both sides (zero extension) or on the torus itself (periodic)
+    if u.extension == "zero":
+        reach = m * max(abs(s) for s in steps)
+        values = np.pad(u.values, reach)
+        lo = tuple(a - reach * dx for a, dx in zip(u.box.lower, u.dx))
+        hi = tuple(b + reach * dx for b, dx in zip(u.box.upper, u.dx))
+        u = GridFunction(Box(lo, hi), values, "zero")
+    h = [0.0] * u.d
+    for a, s in zip(e, steps):
+        h[a] = s * u.dx[a]
+    norm = lp_norm(mixed_difference(u, e, m, h), p)
+    return norm if math.isinf(p) else norm**p
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+@pytest.mark.parametrize("extension", ["zero", "periodic"])
+@pytest.mark.parametrize("m", [1, 2])
+def test_parseval_table_matches_padded_oracle(d, extension, m):
+    u = _sparse_field(d, extension, 40 + d)
+    sets = all_direction_sets(d)[1:]
+    tables = difference_table(u, sets, m, [TABLE_MAGS] * d, 2.0)
+    for e in sets:
+        assert tables[e].shape == (len(TABLE_MAGS),) * len(e)
+        for idx in np.ndindex(*tables[e].shape):
+            steps = [TABLE_MAGS[i] for i in idx]
+            want = _oracle_pow(u, e, m, steps, 2.0)
+            assert tables[e][idx] == pytest.approx(want, rel=1e-12)
+
+
+@pytest.mark.parametrize("d", [1, 2])
+@pytest.mark.parametrize("extension", ["zero", "periodic"])
+@pytest.mark.parametrize("p", [1.0, 3.0, math.inf])
+def test_direct_table_equal_for_both_step_signs(d, extension, p):
+    u = _sparse_field(d, extension, 50 + d)
+    sets = all_direction_sets(d)[1:]
+    tables = difference_table(u, sets, 2, [TABLE_MAGS] * d, p)
+    for e in sets:
+        for idx in np.ndindex(*tables[e].shape):
+            steps = [TABLE_MAGS[i] for i in idx]
+            for signs in itertools.product((1, -1), repeat=len(e)):
+                signed = [sg * s for sg, s in zip(signs, steps)]
+                want = _oracle_pow(u, e, 2, signed, p)
+                assert tables[e][idx] == pytest.approx(want, rel=1e-12)
+
+
+def test_table_of_zero_function_is_zero():
+    z = GridFunction(BOX2, np.zeros((32, 32)))
+    tables = difference_table(z, [(0,), (0, 1)], 2, [[1, 3], [2]], 2.0)
+    assert tables[(0,)].tolist() == [0.0, 0.0]
+    assert tables[(0, 1)].tolist() == [[0.0], [0.0]]
+
+
+@pytest.mark.parametrize("p", [1.0, 2.0, 3.0, math.inf])
+def test_besov_norm_reads_zero_extension_on_the_whole_line(p):
+    # cos x cos y reaches the edge of [-4, 4]^2; its differences there read
+    # zeros beyond the box, exactly as in a box twice as wide, and as on a
+    # torus wide enough that no difference wraps around
+    u = sample(lambda x, y: np.cos(x) * np.cos(y), BOX2, (128, 128))
+    wide = np.zeros((256, 256))
+    wide[64:192, 64:192] = u.values
+    big = Box((-8.0, -8.0), (8.0, 8.0))
+    narrow = besov_norm_diff(u, 1.0, p, 2)
+    assert besov_norm_diff(GridFunction(big, wide), 1.0, p, 2) == pytest.approx(narrow, rel=1e-12)
+    torus = besov_norm_diff(GridFunction(big, wide, "periodic"), 1.0, p, 2)
+    assert torus == pytest.approx(narrow, rel=1e-12)
+    if p == 2.0:
+        # box-restricted differences would give about 32.6
+        assert narrow == pytest.approx(46.27, rel=1e-3)

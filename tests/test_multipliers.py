@@ -104,12 +104,12 @@ def test_uniform_norm_bounded_by_whole_norm():
 
 
 def test_cropped_translate_norm_matches_full_grid():
-    # the localized pieces are norm-evaluated on a crop; with zero extension
-    # and pad covering the difference reach this must be exact
+    # the localized pieces are norm-evaluated on a crop to the translate's
+    # support; with zero extension this must be exact
     pou = build_partition(1.0, BOX2, 128)
     u = random_smooth_field((82, 0), BOX2, 128)
     mu = (0, -1)
-    piece = _cropped_translate_product(pou, u, mu, 3)
+    piece = _cropped_translate_product(pou, u, mu)
     full = apply_translate(pou, u, mu)
     a = besov_norm_diff(piece, 1.0, 2.0, 2)
     b = besov_norm_diff(full, 1.0, 2.0, 2)
