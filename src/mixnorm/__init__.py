@@ -11,6 +11,7 @@ from .grid import (
     GridFunction,
     GridMismatchError,
     NormParams,
+    NumericalAnomalyError,
     coarsen,
     crop,
     dyadic_dilate,
@@ -35,7 +36,6 @@ from .differences import (
 )
 from .fourier import (
     DyadicSystem,
-    NumericalAnomalyError,
     Spectrum,
     bandlimit,
     besov_norm_fourier,
@@ -50,7 +50,6 @@ from .fourier import (
     system_for,
 )
 from .sobolev import (
-    DerivativeSpec,
     cmix_norm,
     derivative,
     embedding_ratio,

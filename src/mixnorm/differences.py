@@ -25,9 +25,11 @@ import numpy as np
 from .grid import (
     GridError,
     GridFunction,
+    NumericalAnomalyError,
     lp_norm,
     lp_norm_pow,
     pointwise_multiply,
+    power_table,
     require_same_grid,
     shift_values,
 )
@@ -149,23 +151,13 @@ def _parseval_tables(values, sets, orders, magnitudes, pad, cell_volume):
     # differences equal the zero-extended ones, contracted per axis with the
     # difference symbol |e^{i theta s} - 1|^{2m} = (4 sin^2(theta s / 2))^m
     shape = [n + q for n, q in zip(values.shape, pad)]
-    spec = np.fft.rfftn(values, s=shape, axes=range(len(shape)))
-    power = spec.real**2 + spec.imag**2
-    # rfftn keeps half of the last axis: count the mirrored bins twice
-    power[..., 1 : (shape[-1] + 1) // 2] *= 2.0
     weights = []
-    for axis, n in enumerate(shape):
-        k = np.arange(power.shape[axis])
+    for axis, (n, m, mags) in enumerate(zip(shape, orders, magnitudes)):
+        k = np.arange(n // 2 + 1 if axis == len(shape) - 1 else n)  # the bins power_table reads
         sin2 = np.sin(np.pi / n * np.arange(n)) ** 2
-        weights.append(np.array([(4.0 * sin2[k * s % n]) ** orders[axis] for s in magnitudes[axis]]))
-    out = {}
-    for e in sets:
-        t = power
-        for axis in range(len(shape)):
-            # the leading axis of t is always the next original axis
-            t = np.tensordot(t, weights[axis], axes=(0, 1)) if axis in e else t.sum(axis=0)
-        out[e] = cell_volume / math.prod(shape) * t
-    return out
+        weights.append(np.array([(4.0 * sin2[k * s % n]) ** m for s in mags]))
+    weight_sets = [[w if a in e else None for a, w in enumerate(weights)] for e in sets]
+    return dict(zip(sets, power_table(values, weight_sets, cell_volume, shape)))
 
 
 def difference_table(
@@ -322,6 +314,8 @@ def besov_norm_diff(u: GridFunction, r: float, p: float, m_diff: int) -> float:
             total += float(np.max(2.0 ** (r * ksum) * omega))
         else:
             total += float(np.sum(2.0 ** (r * ksum * p) * omega)) ** (1.0 / p)
+    if not math.isfinite(total):  # the p-th power sums are not scale-safe
+        raise NumericalAnomalyError(f"difference norm at p={p:g} overflows a float")
     return total
 
 
@@ -372,6 +366,8 @@ def besov_norm_integral(u: GridFunction, r: float, p: float, m_diff: int) -> flo
         else:
             # +s and -s contribute equally: 2^|e| sign choices per step vector
             total += float(2 ** len(e) * np.sum(weight * tables[e])) ** (1.0 / p)
+    if not math.isfinite(total):  # the p-th power sums are not scale-safe
+        raise NumericalAnomalyError(f"difference norm at p={p:g} overflows a float")
     return total
 
 

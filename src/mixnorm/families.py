@@ -305,20 +305,18 @@ def random_smooth_field(
     flip = tuple(slice(None, None, -1) for _ in range(d))
     sym = 0.5 * (draw + np.conj(draw[flip]))
     coeffs = np.zeros(shape, dtype=complex)
-    for offset in np.ndindex(*(side,) * d):
-        kappa = tuple(o - band_cells for o in offset)
-        coeffs[tuple(k % n for k, n in zip(kappa, shape))] = sym[offset]
+    kappa = np.arange(-band_cells, band_cells + 1)
+    coeffs[np.ix_(*(kappa % n for n in shape))] = sym
     mass = float(np.sqrt(np.sum(np.abs(sym) ** 2)))
     values = np.fft.ifftn(coeffs).real * (np.prod(shape) / mass)
     u = GridFunction(box, values, "zero")
     if window is not None:
         plateau, support = window
-        win = sample(
-            lambda *xs: math.prod(plateau_bump(x, plateau, support) for x in xs),
-            box,
-            shape,
+        win = math.prod(
+            plateau_bump(u.nodes(a), plateau, support).reshape([-1 if i == a else 1 for i in range(d)])
+            for a in range(d)
         )
-        u = u.with_values(u.values * win.values)
+        u = u.with_values(u.values * win)
     return u
 
 

@@ -20,18 +20,23 @@ from typing import Sequence
 
 import numpy as np
 
-from .grid import GridError, GridFunction, lp_norm, shift_values
+from .grid import (GridError, GridFunction, NumericalAnomalyError, lp_norm, lp_norm_pow,
+                   power_table, shift_values)
 from .differences import mixed_difference, snap_step, _as_axis_vector
 from .profiles import smoothstep
 
 
-class NumericalAnomalyError(ArithmeticError):
-    """A computation produced values outside its asserted numerical envelope."""
-
-
-def _angular_freqs(u_or_box, shape=None) -> list[np.ndarray]:
-    u = u_or_box
+def _angular_freqs(u: GridFunction) -> list[np.ndarray]:
     return [2.0 * np.pi * np.fft.fftfreq(n, d=dxv) for n, dxv in zip(u.n, u.dx)]
+
+
+def _derivative_symbol(xi: np.ndarray, a: int) -> np.ndarray:
+    # (i xi)^a; odd orders zero the unpaired Nyquist mode of an even grid
+    mult = (1j * xi) ** a
+    n = xi.shape[0]
+    if a % 2 == 1 and n % 2 == 0:
+        mult[n // 2] = 0.0
+    return mult
 
 
 @dataclass(frozen=True)
@@ -179,11 +184,21 @@ def _blocks(u: GridFunction, sys: DyadicSystem):
         yield k, _real_part_checked(block, scale)
 
 
+def _block_energies(u: GridFunction, sys: DyadicSystem) -> np.ndarray:
+    # squared L_2 norm of every block, indexed by level, from one spectrum; the
+    # blocks of a real field are real exactly when the windows are mirror-symmetric
+    windows = [np.array(w) for w in sys.axis_windows]
+    for axis, w in enumerate(windows):
+        if np.max(np.abs(w - w[:, -np.arange(w.shape[1]) % w.shape[1]])) > 1e-10:
+            raise NumericalAnomalyError(f"axis {axis}: a window is not mirror-symmetric, so blocks are complex")
+    return power_table(u.values, [[w**2 for w in windows]], u.cell_volume)[0]
+
+
 def besov_norm_fourier(
     u: GridFunction, r: float, p: float, sys: DyadicSystem | None = None
 ) -> float:
     """Littlewood-Paley Besov norm: dyadically weighted l_p aggregate of block
-    L_p norms, with the max modification at p = inf."""
+    L_p norms, with the max modification at p = inf; p = 2 forms no block."""
     if not r > 0:
         raise GridError(f"r must be positive, got {r}")
     if not p >= 1.0:
@@ -196,13 +211,18 @@ def besov_norm_fourier(
         for k, block in _blocks(u, sys):
             best = max(best, 2.0 ** (r * sum(k)) * float(np.max(np.abs(block))))
         return best
+    if p == 2.0:
+        energy = _block_energies(u, sys)
+        terms = ((k, energy[k]) for k in sys.levels())
+    else:
+        terms = ((k, lp_norm_pow(block, p, vol)) for k, block in _blocks(u, sys))
     acc = 0.0
-    for k, block in _blocks(u, sys):
+    for k, term in terms:
         try:
             weight = 2.0 ** (r * sum(k) * p)
         except OverflowError:
             raise NumericalAnomalyError(f"dyadic weight 2^{r * sum(k) * p:g} overflows a float") from None
-        acc += weight * float(np.sum(np.abs(block) ** p) * vol)
+        acc += weight * term
     return acc ** (1.0 / p)
 
 
@@ -211,7 +231,7 @@ def sobolev_norm_fourier(
 ) -> float:
     """Square-function Sobolev norm: L_p norm of the weighted block square sum.
 
-    The square-function characterization needs 1 < p < infinity.
+    The square-function characterization needs 1 < p < infinity; p = 2 forms no block.
     """
     if m < 0:
         raise GridError(f"m must be >= 0, got {m}")
@@ -219,6 +239,9 @@ def sobolev_norm_fourier(
         raise GridError(f"square-function norm requires 1 < p < inf, got {p}")
     if sys is None:
         sys = system_for(u, "smooth")
+    if p == 2.0:
+        energy = _block_energies(u, sys)
+        return math.sqrt(sum(4.0 ** (sum(k) * m) * energy[k] for k in sys.levels()))
     acc = np.zeros(u.n)
     for k, block in _blocks(u, sys):
         acc += 4.0 ** (sum(k) * m) * block * block
@@ -241,13 +264,9 @@ def bandlimit(u: GridFunction, b: Sequence[float] | float) -> GridFunction:
 def band_energy_fraction(u: GridFunction, b: Sequence[float] | float) -> float:
     """Fraction of spectral energy outside the band (0 for band-limited input)."""
     bv = _as_axis_vector(b, u.d, "b")
-    coeffs = np.fft.fftn(u.values, norm="ortho")
-    total = float(np.sum(np.abs(coeffs) ** 2))
-    if total == 0.0:
-        return 0.0
-    masks = [(np.abs(xi) <= bi).astype(float) for xi, bi in zip(_angular_freqs(u), bv)]
-    inside = float(np.sum(np.abs(_apply_mask(coeffs, masks)) ** 2))
-    return max(0.0, 1.0 - inside / total)
+    masks = [(np.abs(xi[None]) <= bi).astype(float) for xi, bi in zip(_angular_freqs(u), bv)]
+    inside, total = (float(t.sum()) for t in power_table(u.values, [masks, [None] * u.d], 1.0))
+    return 0.0 if total == 0.0 else max(0.0, 1.0 - inside / total)
 
 
 MAX_SPECTRAL_ORDER = 4
@@ -274,14 +293,7 @@ def spectral_derivative(
     for axis, (a, xi) in enumerate(zip(av, _angular_freqs(u))):
         if a == 0:
             continue
-        mult = (1j * xi) ** a
-        n = xi.shape[0]
-        if a % 2 == 1 and n % 2 == 0:
-            mult = mult.copy()
-            mult[n // 2] = 0.0
-        shape = [1] * u.d
-        shape[axis] = n
-        coeffs = coeffs * mult.reshape(shape)
+        coeffs = coeffs * _derivative_symbol(xi, a).reshape([-1 if i == axis else 1 for i in range(u.d)])
     out = np.fft.ifftn(coeffs, norm="ortho")
     scale = float(np.max(np.abs(out))) if out.size else 0.0
     return u.with_values(_real_part_checked(out, scale))

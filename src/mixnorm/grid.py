@@ -30,6 +30,10 @@ class GridMismatchError(GridError):
     """Two grid functions do not share a compatible grid."""
 
 
+class NumericalAnomalyError(ArithmeticError):
+    """A computation produced values outside its asserted numerical envelope."""
+
+
 @dataclass(frozen=True)
 class Box:
     """Axis-aligned box: product of intervals [lower[i], upper[i])."""
@@ -211,6 +215,34 @@ def lp_norm_pow(values: np.ndarray, p: float, cell_volume: float) -> float:
     if math.isinf(p):
         return float(np.max(a))
     return float(np.sum(a**p) * cell_volume)
+
+
+def power_table(values: np.ndarray, weight_sets: Sequence[Sequence[np.ndarray | None]],
+                cell_volume: float, shape: Sequence[int] | None = None) -> list[np.ndarray]:
+    """Weighted L_2 energies of real values from one power spectrum (Parseval).
+
+    values are zero-padded to shape and transformed once.  Each entry of weight_sets gives per
+    axis a matrix of rows over the frequency indices 0..shape[a]-1, or None to sum the axis; its
+    table is cell_volume / N * sum_xi |F(xi)|^2 prod_a w_a[i_a, xi_a] over the N transform points.
+    Only the bins 0..n//2 of the last axis are transformed and read (its rows may stop there),
+    with the mirrored bins counted twice; so every row must be mirror-symmetric, w[k] = w[-k mod n].
+    """
+    shape = tuple(values.shape if shape is None else shape)
+    spec = np.fft.rfftn(values, s=shape, axes=range(len(shape)))
+    power = spec.real**2 + spec.imag**2
+    # count the mirrored bins of the last axis twice
+    power[..., 1 : (shape[-1] + 1) // 2] *= 2.0
+    tables = []
+    for weights in weight_sets:
+        t = power
+        for axis, w in enumerate(weights):
+            # the leading axis of t is always the next original axis
+            if w is None:
+                t = t.sum(axis=0)
+            else:
+                t = np.tensordot(t, np.ascontiguousarray(w[:, : power.shape[axis]]), axes=(0, 1))
+        tables.append(cell_volume / math.prod(shape) * t)
+    return tables
 
 
 def pointwise_multiply(u: GridFunction, v: GridFunction) -> GridFunction:

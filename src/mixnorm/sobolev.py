@@ -12,29 +12,16 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-from .grid import GridError, GridFunction, lp_norm
-from .fourier import spectral_derivative
+from .grid import GridError, GridFunction, lp_norm, power_table
+from .fourier import MAX_SPECTRAL_ORDER, _angular_freqs, _derivative_symbol, spectral_derivative
 from .differences import _as_axis_vector
 from .spaces import SpaceSpec, space_norm, sup_norm
 
 _REALIZATIONS = ("spectral", "central")
-
-
-@dataclass(frozen=True)
-class DerivativeSpec:
-    """Multi-index plus realization choice for D^alpha."""
-
-    alpha: tuple[int, ...]
-    realization: str = "spectral"
-
-    def __post_init__(self):
-        if self.realization not in _REALIZATIONS:
-            raise GridError(f"realization must be one of {_REALIZATIONS}")
 
 
 def _central_first(values: np.ndarray, axis: int, dx: float) -> np.ndarray:
@@ -79,15 +66,24 @@ def _check_sobolev_params(m: int, p: float) -> None:
         raise GridError(f"sobolev norms require 1 < p < inf, got {p}")
 
 
+def _derivative_norm_sum(u: GridFunction, m: int, p: float, realization: str, alphas) -> float:
+    # spectral at p = 2: every ||D^alpha u||_2^2 from one power spectrum (Parseval)
+    if p == 2.0 and realization == "spectral":
+        if m > MAX_SPECTRAL_ORDER:
+            raise GridError(f"order {m} exceeds configured maximum {MAX_SPECTRAL_ORDER}")
+        weights = [np.array([np.abs(_derivative_symbol(xi, a)) ** 2 for a in range(m + 1)])
+                   for xi in _angular_freqs(u)]
+        energy = power_table(u.values, [weights], u.cell_volume)[0]
+        return sum(math.sqrt(energy[alpha]) for alpha in alphas)
+    return sum(lp_norm(derivative(u, alpha, realization), p) for alpha in alphas)
+
+
 def sobolev_norm_full(
     u: GridFunction, m: int, p: float, realization: str = "spectral"
 ) -> float:
     """Sum of L_p norms of all D^alpha u with |alpha|_inf <= m."""
     _check_sobolev_params(m, p)
-    total = 0.0
-    for alpha in itertools.product(range(m + 1), repeat=u.d):
-        total += lp_norm(derivative(u, alpha, realization), p)
-    return total
+    return _derivative_norm_sum(u, m, p, realization, itertools.product(range(m + 1), repeat=u.d))
 
 
 def sobolev_norm_reduced(
@@ -96,10 +92,7 @@ def sobolev_norm_reduced(
     """Corner-index norm: sum over alpha in {0, m}^d only."""
     _check_sobolev_params(m, p)
     corners = {tuple(c) for c in itertools.product((0, m), repeat=u.d)}
-    total = 0.0
-    for alpha in sorted(corners):
-        total += lp_norm(derivative(u, alpha, realization), p)
-    return total
+    return _derivative_norm_sum(u, m, p, realization, sorted(corners))
 
 
 def cmix_norm(u: GridFunction, m: int, realization: str = "spectral") -> float:

@@ -182,7 +182,8 @@ def test_main_reports_numerical_anomaly(monkeypatch, tmp_path):
 
 
 def test_main_reports_weight_overflow_as_numerical_anomaly(tmp_path, monkeypatch):
-    # at p = 400 the Littlewood-Paley weight 2^(r |k| p) exceeds the float range
+    # at p = 400 the dyadic weights 2^(r |k| p) of the difference and the
+    # Littlewood-Paley norms exceed the float range
     monkeypatch.chdir(tmp_path)
     assert main(["norm", "--family", "random", "--d", "2", "--resolution", "64",
                  "--count", "1", "--p", "400"]) == 3

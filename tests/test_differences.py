@@ -9,6 +9,7 @@ from mixnorm import (
     DegenerateStepWarning,
     GridError,
     GridFunction,
+    NumericalAnomalyError,
     all_direction_sets,
     besov_norm_diff,
     besov_norm_integral,
@@ -155,6 +156,14 @@ def test_besov_dominates_lp():
         u = random_smooth_field((24, i), BOX1, 256)
         for p in (1.0, 2.0, math.inf):
             assert besov_norm_diff(u, 0.5, p, 1) >= lp_norm(u, p)
+
+
+@pytest.mark.parametrize("norm", [besov_norm_diff, besov_norm_integral])
+def test_difference_norm_overflow_raises(norm):
+    # 2^(r k p) at p = 400 leaves the float range, as in the Fourier norm
+    u = random_smooth_field((58, 0), BOX2, 64)
+    with pytest.raises(NumericalAnomalyError, match="overflows"):
+        norm(u, 1.0, 400.0, 2)
 
 
 def test_besov_integral_brackets_diff_norm():

@@ -21,6 +21,7 @@ from mixnorm.families import (
     dilated_family,
     oscillatory_family,
     oscillatory_profile,
+    plateau_bump,
     random_smooth_field,
     random_trig_field,
     tensor_pair_family,
@@ -239,6 +240,24 @@ def test_random_smooth_field_deterministic_and_windowed():
     xs = a.nodes(0)
     outside = np.abs(xs) >= 2.0
     assert not np.any(a.values[outside][:, None] * np.ones((1, 64)))
+
+
+@pytest.mark.parametrize("shape", [(96,), (64, 48), (40, 48, 36)])
+def test_random_smooth_field_matches_offset_loop_and_meshgrid_window(shape):
+    d, band = len(shape), 8
+    box = Box((-4.0,) * d, (4.0,) * d)
+    u = random_smooth_field((12, d), box, shape, band_cells=band)
+    # reference: one coefficient per offset in a Python loop, window sampled on the meshgrid
+    rng = np.random.default_rng((12, d))
+    side = 2 * band + 1
+    draw = rng.standard_normal((side,) * d) + 1j * rng.standard_normal((side,) * d)
+    sym = 0.5 * (draw + np.conj(draw[(slice(None, None, -1),) * d]))
+    coeffs = np.zeros(shape, dtype=complex)
+    for offset in np.ndindex(*(side,) * d):
+        coeffs[tuple((o - band) % n for o, n in zip(offset, shape))] = sym[offset]
+    values = np.fft.ifftn(coeffs).real * (np.prod(shape) / float(np.sqrt(np.sum(np.abs(sym) ** 2))))
+    win = sample(lambda *xs: math.prod(plateau_bump(x, 1.5, 2.0) for x in xs), box, shape)
+    assert np.array_equal(u.values, values * win.values)
 
 
 def test_random_trig_field_band_limited():

@@ -5,7 +5,9 @@ import pytest
 
 from mixnorm import (
     Box,
+    DyadicSystem,
     GridError,
+    NumericalAnomalyError,
     bandlimit,
     besov_norm_fourier,
     build_system,
@@ -116,6 +118,41 @@ def test_sobolev_fourier_parseval():
     u = random_smooth_field((52, 0), BOX2, 64)
     sysk = system_for(u, "sharp")
     assert sobolev_norm_fourier(u, 0, 2.0, sysk) == pytest.approx(lp_norm(u, 2.0), rel=1e-10)
+
+
+@pytest.mark.parametrize("kind", ["smooth", "sharp"])
+@pytest.mark.parametrize("shape", [(256,), (64, 32), (16, 32, 16)])
+def test_p2_fourier_norms_match_block_oracle(shape, kind):
+    # p = 2 reads block norms off one power spectrum; the oracle forms every block
+    d = len(shape)
+    u = random_smooth_field((54, d), Box((-4.0,) * d, (4.0,) * d), shape, band_cells=6)
+    sysk = system_for(u, kind)
+    energy = {k: lp_norm(lp_block(u, k, sysk), 2.0) ** 2 for k in sysk.levels()}
+    besov = math.sqrt(sum(2.0 ** (2 * 0.7 * sum(k)) * e for k, e in energy.items()))
+    sobolev = math.sqrt(sum(4.0 ** (2 * sum(k)) * e for k, e in energy.items()))
+    assert besov_norm_fourier(u, 0.7, 2.0, sysk) == pytest.approx(besov, rel=1e-12)
+    assert sobolev_norm_fourier(u, 2, 2.0, sysk) == pytest.approx(sobolev, rel=1e-12)
+
+
+def test_asymmetric_window_raises_at_p2_as_blocks_do():
+    # blocks of a real field are real only for mirror-symmetric windows
+    u = random_smooth_field((55, 0), BOX2, 64)
+    sysk = system_for(u, "smooth")
+    tilted = list(sysk.axis_windows[0])
+    tilted[2] = tilted[2] * np.where(sysk.freqs[0] > 0, 1.5, 1.0)
+    bad = DyadicSystem("smooth", sysk.shape, sysk.j_max, (tuple(tilted),) + sysk.axis_windows[1:], sysk.freqs)
+    with pytest.raises(NumericalAnomalyError):
+        besov_norm_fourier(u, 1.0, 3.0, bad)
+    with pytest.raises(NumericalAnomalyError):
+        besov_norm_fourier(u, 1.0, 2.0, bad)
+    with pytest.raises(NumericalAnomalyError):
+        sobolev_norm_fourier(u, 1, 2.0, bad)
+
+
+def test_p2_fourier_weight_overflow_raises():
+    u = random_smooth_field((56, 0), BOX2, 64)
+    with pytest.raises(NumericalAnomalyError, match="overflows"):
+        besov_norm_fourier(u, 1e6, 2.0)
 
 
 def test_sobolev_fourier_requires_open_p_range():

@@ -7,6 +7,7 @@ import pytest
 from mixnorm import (
     Box,
     GridError,
+    GridFunction,
     SpaceSpec,
     cmix_norm,
     derivative,
@@ -18,6 +19,7 @@ from mixnorm import (
     sample,
     sobolev_norm_full,
     sobolev_norm_reduced,
+    spectral_derivative,
     tensor_product,
 )
 from mixnorm.families import base_bump, random_smooth_field
@@ -61,6 +63,20 @@ def test_full_reduced_bracket_family():
         ratios.append(sobolev_norm_full(u, 2, 2.0) / sobolev_norm_reduced(u, 2, 2.0))
     # subset structure bounds the ratio between 1 and the term-count quotient
     assert all(1.0 <= rho <= 9.0 / 4.0 for rho in ratios)
+
+
+@pytest.mark.parametrize("shape", [(64,), (63,), (32, 31), (31, 32), (15, 16, 17)])
+def test_p2_spectral_norms_match_derivative_oracle(shape):
+    # white noise fills every bin, the Nyquist bin of even axes included, so
+    # the odd-order Nyquist rule and the folding of the rfft half axis both show
+    d = len(shape)
+    box = Box((-4.0,) * d, (4.0,) * d)
+    u = GridFunction(box, np.random.default_rng(71).standard_normal(shape))
+    m = 2 if d < 3 else 1
+    full = sum(lp_norm(spectral_derivative(u, a), 2.0) for a in itertools.product(range(m + 1), repeat=d))
+    reduced = sum(lp_norm(spectral_derivative(u, a), 2.0) for a in itertools.product((0, m), repeat=d))
+    assert sobolev_norm_full(u, m, 2.0) == pytest.approx(full, rel=1e-12)
+    assert sobolev_norm_reduced(u, m, 2.0) == pytest.approx(reduced, rel=1e-12)
 
 
 def test_sobolev_p_range_enforced():
