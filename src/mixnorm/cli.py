@@ -22,7 +22,7 @@ import math
 import os
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -34,8 +34,6 @@ from .spaces import SpaceSpec, space_norm, sup_norm
 from .multipliers import build_partition, localization_ratio
 from .families import (
     companion_bump,
-    DILATED_BOX,
-    OSCILLATORY_BOX,
     oscillatory_profile,
     random_smooth_field,
     random_trig_field,

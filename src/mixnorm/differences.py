@@ -310,10 +310,13 @@ def besov_norm_diff(u: GridFunction, r: float, p: float, m_diff: int) -> float:
         for pos in range(len(e)):
             omega = np.flip(np.maximum.accumulate(np.flip(omega, axis=pos), axis=pos), axis=pos)
         ksum = np.indices(shape_k).sum(axis=0)
-        if math.isinf(p):
-            total += float(np.max(2.0 ** (r * ksum) * omega))
-        else:
-            total += float(np.sum(2.0 ** (r * ksum * p) * omega)) ** (1.0 / p)
+        # 2^{r|k|p} may leave the float range: the total is then not finite
+        # and raises below
+        with np.errstate(over="ignore", invalid="ignore"):
+            if math.isinf(p):
+                total += float(np.max(2.0 ** (r * ksum) * omega))
+            else:
+                total += float(np.sum(2.0 ** (r * ksum * p) * omega)) ** (1.0 / p)
     if not math.isfinite(total):  # the p-th power sums are not scale-safe
         raise NumericalAnomalyError(f"difference norm at p={p:g} overflows a float")
     return total
@@ -351,21 +354,27 @@ def besov_norm_integral(u: GridFunction, r: float, p: float, m_diff: int) -> flo
             if math.isinf(p):
                 entries.append((s, (s * dxv) ** (-r)))
             else:
-                entries.append((s, (2.0 ** (r * p * (k + 1)) - 2.0 ** (r * p * k)) / (r * p)))
+                try:
+                    entries.append((s, (2.0 ** (r * p * (k + 1)) - 2.0 ** (r * p * k)) / (r * p)))
+                except OverflowError:
+                    raise NumericalAnomalyError(f"dyadic weight 2^{r * p * (k + 1):g} overflows a float") from None
         panels.append(entries)
 
     sets = all_direction_sets(u.d)[1:]
     tables = difference_table(u, sets, m_diff, [[s for s, _ in entries] for entries in panels], p)
     total = lp_norm(u, p)
     for e in sets:
-        weight = np.ones(())
-        for a in e:
-            weight = np.multiply.outer(weight, [w for _, w in panels[a]])
-        if math.isinf(p):
-            total += float(np.max(weight * tables[e]))
-        else:
-            # +s and -s contribute equally: 2^|e| sign choices per step vector
-            total += float(2 ** len(e) * np.sum(weight * tables[e])) ** (1.0 / p)
+        # products of panel weights may leave the float range: the total is
+        # then not finite and raises below
+        with np.errstate(over="ignore", invalid="ignore"):
+            weight = np.ones(())
+            for a in e:
+                weight = np.multiply.outer(weight, [w for _, w in panels[a]])
+            if math.isinf(p):
+                total += float(np.max(weight * tables[e]))
+            else:
+                # +s and -s contribute equally: 2^|e| sign choices per step vector
+                total += float(2 ** len(e) * np.sum(weight * tables[e])) ** (1.0 / p)
     if not math.isfinite(total):  # the p-th power sums are not scale-safe
         raise NumericalAnomalyError(f"difference norm at p={p:g} overflows a float")
     return total

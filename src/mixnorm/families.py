@@ -15,7 +15,7 @@ from typing import Sequence
 import numpy as np
 
 from .grid import Box, GridError, GridFunction, sample, tensor_product
-from .profiles import plateau_bump, smoothstep
+from .profiles import plateau_bump
 
 DILATED_BOX = (-6.0, 6.0)
 OSCILLATORY_BOX = (-2.25, 3.75)

@@ -20,8 +20,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .grid import (GridError, GridFunction, NumericalAnomalyError, lp_norm, lp_norm_pow,
-                   power_table, shift_values)
+from .grid import GridError, GridFunction, NumericalAnomalyError, lp_norm, lp_norm_pow, power_table
 from .differences import mixed_difference, snap_step, _as_axis_vector
 from .profiles import smoothstep
 
@@ -330,33 +329,95 @@ def nikolskij_ratio(
     return num / (scale * denom_norm)
 
 
+_STOP_EVERY = 8  # offsets between two tests of the per-line early stop
+
+
+def _neighbour_max(src: np.ndarray, k: int, periodic: bool, out: np.ndarray) -> None:
+    # out[:, j] = max(src[:, j - k], src[:, j + k]) over the indices that exist
+    # (wrapped when periodic, k <= n // 2), 0 where neither does
+    n = src.shape[1]
+    if periodic:
+        np.maximum(src[:, n - k:], src[:, k:2 * k], out=out[:, :k])
+        np.maximum(src[:, :n - 2 * k], src[:, 2 * k:], out=out[:, k:n - k])
+        np.maximum(src[:, n - 2 * k:n - k], src[:, :k], out=out[:, n - k:])
+    elif 2 * k <= n:
+        out[:, :k] = src[:, k:2 * k]
+        np.maximum(src[:, :n - 2 * k], src[:, 2 * k:], out=out[:, k:n - k])
+        out[:, n - k:] = src[:, n - 2 * k:n - k]
+    else:
+        out[:, :n - k] = src[:, k:]
+        out[:, n - k:k] = 0.0
+        out[:, k:] = src[:, :n - k]
+
+
+def _max_convolve_lines(src: np.ndarray, weights: Sequence[float], periodic: bool) -> np.ndarray:
+    """Rows of max over |s| < len(weights) of weights[|s|] * src[:, j - s].
+
+    src (rows, n), nonnegative, is overwritten.  A row stops as soon as
+    tail[k] * max(row of src) <= min(row of out), tail[k] being the largest
+    weight at distance k or more: rounding is monotone, so no farther offset
+    can raise any node of the row and the result is exact.  Finished rows
+    are swapped behind the active ones, which stay one contiguous block.
+    """
+    rows = src.shape[0]
+    tail = np.maximum.accumulate(np.asarray(weights, dtype=float)[::-1])[::-1]
+    out = np.multiply(src, weights[0])
+    tmp = np.empty_like(src)
+    row = np.empty_like(src[0])
+    top = src.max(axis=1)
+    order = np.arange(rows)
+    live = rows
+    for k in range(1, len(weights)):
+        if (k - 1) % _STOP_EVERY == 0:
+            done = tail[k] * top[:live] <= out[:live].min(axis=1)
+            keep = live - int(np.count_nonzero(done))
+            holes = np.flatnonzero(done[:keep])
+            movers = keep + np.flatnonzero(~done[keep:])
+            for h, m in zip(holes, movers):
+                row[:] = out[h]
+                out[h] = out[m]
+                out[m] = row
+                src[h] = src[m]
+            top[holes] = top[movers]
+            order[holes], order[movers] = order[movers], order[holes]
+            live = keep
+            if live == 0:
+                break
+        t = tmp[:live]
+        # +s and -s share a weight, and w * max(x, y) == max(w * x, w * y) in floats
+        _neighbour_max(src[:live], k, periodic, t)
+        np.multiply(t, weights[k], out=t)
+        np.maximum(out[:live], t, out=out[:live])
+    if np.array_equal(order, np.arange(rows)):
+        return out
+    src[order] = out
+    return src
+
+
 def peetre_maximal(u: GridFunction, b: Sequence[float] | float, a: float) -> GridFunction:
     """Weighted sliding supremum sup_z |u(x - z)| / prod (1 + |b_i z_i|)^a.
 
     The offset search runs over all grid offsets within the box span (the
     field vanishes outside, so exterior offsets cannot win).  The separable
-    weight makes the joint maximum a sequence of per-axis max-convolutions.
+    weight makes the joint maximum a sequence of per-axis max-convolutions,
+    each run on contiguous lines with an exact per-line early stop.
     """
     if not a > 0:
         raise GridError(f"decay exponent a must be positive, got {a}")
     bv = _as_axis_vector(b, u.d, "b")
+    periodic = u.extension == "periodic"
     acc = np.abs(u.values)
     for axis in range(u.d):
         n = u.n[axis]
         dxv = u.dx[axis]
-        if u.extension == "periodic":
-            # wrapped twins repeat the same values at larger |z|, so the
-            # nearest representative per residue suffices
-            offsets = range(-(n // 2), n // 2 + 1)
-        else:
-            offsets = range(-(n - 1), n)
-        out = np.zeros_like(acc)
-        for si in offsets:
-            w = (1.0 + abs(bv[axis] * dxv * si)) ** (-a)
-            # z = si * dx, candidate value |u|(x - z): index j - si
-            cand = shift_values(acc, axis, -si, u.extension)
-            np.maximum(out, w * cand, out=out)
-        acc = out
+        # periodic: wrapped twins repeat the same values at larger |z|, so the
+        # nearest representative per residue suffices
+        reach = n // 2 if periodic else n - 1
+        weights = [(1.0 + abs(bv[axis] * dxv * s)) ** (-a) for s in range(reach + 1)]
+        lines = np.ascontiguousarray(np.moveaxis(acc, axis, -1))
+        shape = lines.shape
+        del acc  # frees the previous axis's result while this axis runs
+        acc = np.moveaxis(_max_convolve_lines(lines.reshape(-1, n), weights, periodic).reshape(shape), -1, axis)
     return u.with_values(acc)
 
 
@@ -364,40 +425,44 @@ def difference_maximal_check(
     u: GridFunction,
     e: Sequence[int],
     m: int | Sequence[int],
-    h: float | Sequence[float],
+    steps: Sequence[float | Sequence[float]],
     b: Sequence[float] | float,
     a: float,
-) -> float:
-    """Worst-case ratio of a mixed difference against its maximal-function bound.
+) -> list[float]:
+    """Worst-case ratio of a mixed difference against its maximal-function bound,
+    one per step h of `steps`.
 
     max over nodes of |D_h^{m,e} u| / (prod_i max(1,|b_i h_i|^a) *
     min(1,|b_i h_i|^{m_i}) * P_{b,a} u); uniform boundedness over step and
-    band sweeps exhibits the difference-maximal inequality.
+    band sweeps exhibits the difference-maximal inequality.  P_{b,a} u is
+    built once for the whole sweep.
     """
     axes = sorted(set(int(x) for x in e))
     mv = _as_axis_vector(m, u.d, "m")
-    hv = _as_axis_vector(h, u.d, "h")
     bv = _as_axis_vector(b, u.d, "b")
     if band_energy_fraction(u, bv) > 1e-8:
         raise GridError("input is not band-limited to b (relative out-of-band energy > 1e-8)")
-    # the difference snaps each step to whole cells; the bound factor must use
-    # the same snapped step to stay consistent with the numerator
-    h_act = list(hv)
-    factor = 1.0
-    for axis in axes:
-        h_act[axis] = snap_step(float(hv[axis]), u.dx[axis]) * u.dx[axis]
-        bh = abs(bv[axis] * h_act[axis])
-        factor *= max(1.0, bh**a) * min(1.0, bh ** mv[axis])
-    if factor == 0.0:
-        return 0.0
-    num = np.abs(mixed_difference(u, axes, mv, h_act).values)
     pmax = peetre_maximal(u, bv, a).values
-    dead = (pmax <= 0.0) & (num > 1e-13 * max(float(np.max(num)), 1e-300))
-    if np.any(dead):
-        raise NumericalAnomalyError(
-            "maximal function vanishes where the difference does not"
-        )
     safe = pmax > 0.0
-    if not np.any(safe):
-        return 0.0
-    return float(np.max(num[safe] / (factor * pmax[safe])))
+    ratios = []
+    for h in steps:
+        hv = _as_axis_vector(h, u.d, "h")
+        # the difference snaps each step to whole cells; the bound factor must use
+        # the same snapped step to stay consistent with the numerator
+        h_act = list(hv)
+        factor = 1.0
+        for axis in axes:
+            h_act[axis] = snap_step(float(hv[axis]), u.dx[axis]) * u.dx[axis]
+            bh = abs(bv[axis] * h_act[axis])
+            factor *= max(1.0, bh**a) * min(1.0, bh ** mv[axis])
+        if factor == 0.0:
+            ratios.append(0.0)
+            continue
+        num = np.abs(mixed_difference(u, axes, mv, h_act).values)
+        dead = ~safe & (num > 1e-13 * max(float(np.max(num)), 1e-300))
+        if np.any(dead):
+            raise NumericalAnomalyError(
+                "maximal function vanishes where the difference does not"
+            )
+        ratios.append(float(np.max(num[safe] / (factor * pmax[safe]))) if np.any(safe) else 0.0)
+    return ratios

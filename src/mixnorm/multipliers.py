@@ -15,11 +15,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from .grid import Box, GridError, GridFunction, crop, lp_norm
+from .grid import Box, GridError, GridFunction, crop
 from .differences import besov_norm_diff
 from .profiles import smooth_partition_base
 from .spaces import SpaceSpec, space_norm, sup_norm

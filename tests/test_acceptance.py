@@ -346,9 +346,9 @@ def test_criterion_12_difference_maximal_stability():
         worst = {hb: 0.0 for hb in hbs}
         for i in range(6):
             u, b = random_trig_field((903, i), BOX2, resolution, kmax=2, modes=8)
-            for hb in hbs:
-                h = hb / b[0]
-                val = mx.difference_maximal_check(u, (0, 1), 2, (h, h), b, 1.0)
+            steps = [(hb / b[0], hb / b[0]) for hb in hbs]
+            vals = mx.difference_maximal_check(u, (0, 1), 2, steps, b, 1.0)
+            for hb, val in zip(hbs, vals):
                 worst[hb] = max(worst[hb], val)
         per_resolution[resolution] = worst
     base = per_resolution[256]

@@ -1,5 +1,6 @@
 import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -164,6 +165,19 @@ def test_difference_norm_overflow_raises(norm):
     u = random_smooth_field((58, 0), BOX2, 64)
     with pytest.raises(NumericalAnomalyError, match="overflows"):
         norm(u, 1.0, 400.0, 2)
+
+
+@pytest.mark.parametrize("n", [64, 256])
+@pytest.mark.parametrize("norm", [besov_norm_diff, besov_norm_integral])
+def test_difference_norm_weight_overflow_raises_without_warnings(norm, n):
+    # amplitude 1/4 keeps |u|^p and |D^2 u|^p in range at p = 400, so only the
+    # dyadic weights leave it; they raise, and no numpy warning comes first
+    u = random_smooth_field((58, 0), BOX2, n)
+    u = u.with_values(0.25 * u.values / np.max(np.abs(u.values)))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NumericalAnomalyError, match="overflows"):
+            norm(u, 1.0, 400.0, 2)
 
 
 def test_besov_integral_brackets_diff_norm():

@@ -24,6 +24,7 @@ from mixnorm import (
     tensor_product,
 )
 from mixnorm.families import random_smooth_field, random_trig_field
+from mixnorm.grid import GridFunction, shift_values
 
 BOX1 = Box((-4.0,), (4.0,))
 BOX2 = Box((-4.0, -4.0), (4.0, 4.0))
@@ -251,6 +252,76 @@ def test_peetre_lp_bound_over_family():
     assert max(ratios) < 5.0
 
 
+def peetre_per_offset(u, b, a):
+    # reference: the per-offset loop, one shifted copy of the field per offset
+    bv = tuple(b)
+    acc = np.abs(u.values)
+    for axis in range(u.d):
+        n = u.n[axis]
+        dxv = u.dx[axis]
+        if u.extension == "periodic":
+            offsets = range(-(n // 2), n // 2 + 1)
+        else:
+            offsets = range(-(n - 1), n)
+        out = np.zeros_like(acc)
+        for si in offsets:
+            w = (1.0 + abs(bv[axis] * dxv * si)) ** (-a)
+            cand = shift_values(acc, axis, -si, u.extension)
+            np.maximum(out, w * cand, out=out)
+        acc = out
+    return acc
+
+
+def peetre_fields(shape, seed):
+    # a generic field, one that is zero on most lines of every axis, one that
+    # is nonzero on a few scattered nodes only, and a constant one
+    rng = np.random.default_rng(seed)
+    generic = rng.standard_normal(shape)
+    zero_lines = generic.copy()
+    for axis in range(len(shape)):
+        keep = np.zeros(shape[axis], dtype=bool)
+        keep[rng.choice(shape[axis], size=(shape[axis] + 2) // 3, replace=False)] = True
+        zero_lines *= keep.reshape([-1 if i == axis else 1 for i in range(len(shape))])
+    sparse = np.where(rng.random(shape) < 0.03, generic, 0.0)
+    return {"generic": generic, "zero_lines": zero_lines, "sparse": sparse,
+            "constant": np.full(shape, -2.5)}
+
+
+@pytest.mark.parametrize("a", [0.5, 1.0, 3.0])
+@pytest.mark.parametrize("extension", ["periodic", "zero"])
+@pytest.mark.parametrize("shape", [(45,), (64,), (32, 32), (31, 17), (8, 9, 10), (33, 40, 17)],
+                         ids=lambda s: "x".join(map(str, s)))
+def test_peetre_matches_per_offset_loop(shape, extension, a):
+    d = len(shape)
+    box = Box((-4.0,) * d, (4.0,) * d)
+    b = (0.7, 6.0, 40.0)[:d]  # anisotropic: slow, medium and fast decay of the weight
+    for name, values in peetre_fields(shape, [*shape, extension == "periodic"]).items():
+        u = GridFunction(box, values, extension)
+        assert np.array_equal(peetre_maximal(u, b, a).values, peetre_per_offset(u, b, a)), name
+
+
+@pytest.mark.parametrize("periodic", [True, False])
+def test_line_max_convolution_with_rising_weights(periodic):
+    # the per-line stop bounds far offsets by the largest weight at that
+    # distance or beyond, so weights need not decrease
+    from mixnorm.fourier import _max_convolve_lines
+
+    rng = np.random.default_rng(61)
+    n = 40
+    reach = n // 2 if periodic else n - 1
+    weights = list(rng.uniform(0.0, 0.05, reach + 1))
+    weights[0] = 1.0
+    weights[reach - 2] = 0.9  # a far offset that still wins
+    src = np.abs(rng.standard_normal((12, n))) * rng.uniform(0.0, 3.0, (12, 1))
+    src[3] = 0.0
+    src[5] = 1.5
+    extension = "periodic" if periodic else "zero"
+    expected = np.zeros_like(src)
+    for s in range(-reach, reach + 1):
+        expected = np.maximum(expected, weights[abs(s)] * shift_values(src, 1, -s, extension))
+    assert np.array_equal(_max_convolve_lines(src.copy(), weights, periodic), expected)
+
+
 def test_peetre_rejects_bad_exponent():
     u, b = random_trig_field((58, 9), BOX1, 64, kmax=2, modes=3)
     with pytest.raises(GridError, match="positive"):
@@ -259,13 +330,13 @@ def test_peetre_rejects_bad_exponent():
 
 def test_difference_maximal_zero_step():
     u, b = random_trig_field((59, 0), BOX2, 64, kmax=2, modes=5)
-    assert difference_maximal_check(u, (0, 1), 2, (0.0, 0.0), b, 1.0) == 0.0
+    assert difference_maximal_check(u, (0, 1), 2, [(0.0, 0.0)], b, 1.0) == [0.0]
 
 
 def test_difference_maximal_one_dim_reduction():
     u, b = random_trig_field((59, 1), BOX1, 512, kmax=2, modes=5)
     h = 0.4 / b[0]
-    got = difference_maximal_check(u, (0,), 2, (h,), b, 1.0)
+    (got,) = difference_maximal_check(u, (0,), 2, [(h,)], b, 1.0)
     # manual form of the single-axis bound
     from mixnorm import mixed_difference
     from mixnorm.differences import snap_step
