@@ -62,13 +62,46 @@ def _as_axis_vector(value, d: int, name: str) -> tuple:
     return value
 
 
+def _along(ndim: int, axis: int, sl: slice) -> tuple:
+    return (slice(None),) * axis + (sl,) + (slice(None),) * (ndim - axis - 1)
+
+
 def _diff_values(values: np.ndarray, axis: int, m: int, cells: int, extension: str) -> np.ndarray:
-    # m-th forward difference with step `cells` grid cells along `axis`
-    out = np.zeros_like(values)
+    # m-th forward difference with step `cells` grid cells along `axis`: the
+    # terms l = 0..m, weight (-1)^(m-l) C(m, l), are added in that order onto
+    # slices of one output.  Periodic output is the torus itself; zero-extended
+    # output is the difference's whole support, n + m|cells| cells along the
+    # axis, with box node j at index j + max(m * cells, 0)
+    n, ndim = values.shape[axis], values.ndim
+    reach = 0 if extension == "periodic" else m * abs(cells)
+    out = np.zeros(values.shape[:axis] + (n + reach,) + values.shape[axis + 1:])
     for ell in range(m + 1):
         w = (-1.0) ** (m - ell) * comb(m, ell)
-        out += w * shift_values(values, axis, ell * cells, extension)
+        if extension == "periodic":
+            # out[j] += w values[j + c mod n]: two slice pairs
+            c = ell * cells % n
+            pieces = [(slice(0, n - c), slice(c, n)), (slice(n - c, n), slice(0, c))]
+        else:
+            lo = max(m * cells, 0) - ell * cells
+            pieces = [(slice(lo, lo + n), slice(None))]
+        for dst, src in pieces:
+            dst, src = out[_along(ndim, axis, dst)], values[_along(ndim, axis, src)]
+            if w == 1.0:
+                dst += src
+            elif w == -1.0:
+                dst -= src
+            else:
+                dst += w * src
     return out
+
+
+def _same_grid_diff(values: np.ndarray, axis: int, m: int, cells: int, extension: str) -> np.ndarray:
+    # the difference at the box's own nodes, as a view of _diff_values
+    out = _diff_values(values, axis, m, cells, extension)
+    if extension == "periodic":
+        return out
+    lo = max(m * cells, 0)
+    return out[_along(values.ndim, axis, slice(lo, lo + values.shape[axis]))]
 
 
 def directional_difference(u: GridFunction, axis: int, m: int, h: float) -> GridFunction:
@@ -89,7 +122,7 @@ def directional_difference(u: GridFunction, axis: int, m: int, h: float) -> Grid
             stacklevel=2,
         )
         return u.with_values(np.zeros_like(u.values))
-    return u.with_values(_diff_values(u.values, axis, m, cells, u.extension))
+    return u.with_values(_same_grid_diff(u.values, axis, m, cells, u.extension))
 
 
 def mixed_difference(
@@ -173,9 +206,10 @@ def difference_table(
     is sum |Delta^{m, e}_s u|^p * cell volume (max |.| when p = inf) with step
     s_a = magnitudes[a][i_a] cells and order orders[a].  Zero extension reads
     u extended by zero to all of Z^d, periodic reads it on the torus.  A
-    zero-extended field is cropped to the bounding box of its nonzero values
-    and padded by the difference reach; p = 2 then goes through one power
-    spectrum for every direction set (Parseval), other p difference directly.
+    zero-extended field is cropped to the bounding box of its nonzero values.
+    p = 2 then goes through one power spectrum for every direction set
+    (Parseval), zero-padded by the largest difference reach; other p difference
+    directly, each partial difference growing by its own reach.
     """
     sets = [tuple(sorted(set(int(a) for a in e))) for e in direction_sets]
     orders = [int(m) for m in _as_axis_vector(orders, u.d, "orders")]
@@ -191,9 +225,7 @@ def difference_table(
     out = {}
     for e in sets:
         out[e] = np.empty([len(magnitudes[a]) for a in e])
-        # forward differences reach m * s cells below the support: pad there
-        arr = np.pad(values, [(pad[a] if a in e else 0, 0) for a in range(u.d)])
-        _fill_direct(out[e], arr, e, orders, magnitudes, p, vol, u.extension, ())
+        _fill_direct(out[e], values, e, orders, magnitudes, p, vol, u.extension, ())
     return out
 
 
@@ -253,7 +285,7 @@ def modulus(
                 continue
             arr, sl = u.values, [slice(None)] * u.d
             for a, s in zip(axes, combo):
-                arr = _diff_values(arr, a, orders[a], s, u.extension)
+                arr = _same_grid_diff(arr, a, orders[a], s, u.extension)
                 sl[a] = slice(-orders[a] * s, None) if s < 0 else slice(0, u.n[a] - orders[a] * s)
             best = max(best, lp_norm_pow(arr[tuple(sl)], p, u.cell_volume))
     if math.isinf(p):
@@ -397,11 +429,11 @@ def leibniz_difference(
     for j in range(m + 1):
         left = psi.values
         if m - j > 0:
-            left = _diff_values(left, axis, m - j, cells, ext)
+            left = _same_grid_diff(left, axis, m - j, cells, ext)
         left = shift_values(left, axis, j * cells, ext)
         right = phi.values
         if j > 0:
-            right = _diff_values(right, axis, j, cells, ext)
+            right = _same_grid_diff(right, axis, j, cells, ext)
         out += comb(m, j) * left * right
     return psi.with_values(out)
 
@@ -440,12 +472,12 @@ def mixed_leibniz_terms(
         left = f.values
         for a, ui in zip(axes, u_e):
             if 2 * m - ui > 0:
-                left = _diff_values(left, a, 2 * m - ui, cells[a], ext)
+                left = _same_grid_diff(left, a, 2 * m - ui, cells[a], ext)
         for a, ui in zip(axes, u_e):
             left = shift_values(left, a, ui * cells[a], ext)
         right = g.values
         for a, ui in zip(axes, u_e):
             if ui > 0:
-                right = _diff_values(right, a, ui, cells[a], ext)
+                right = _same_grid_diff(right, a, ui, cells[a], ext)
         out.append((tuple(u_full), f.with_values(coeff * left * right)))
     return out

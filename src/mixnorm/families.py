@@ -347,17 +347,18 @@ def random_trig_field(
     phases = rng.uniform(0.0, 2.0 * np.pi, modes)
     base = [2.0 * np.pi / w for w in box.widths]
     scale = 2.0**octave
-
-    def expr(*coords):
-        out = np.zeros(np.broadcast_shapes(*(c.shape for c in coords)))
-        for a, kappa, theta in zip(amps, kappas, phases):
-            phase = np.zeros_like(out)
-            for axis in range(d):
-                phase = phase + scale * base[axis] * kappa[axis] * coords[axis]
-            out += a * np.cos(phase + theta)
-        return out
-
+    if len(shape) != d or min(shape) < 1:
+        raise GridError(f"resolution must be {d} positive sizes, got {shape}")
+    # u = Re sum_j a_j e^{i theta_j} prod_axis e^{i w kappa_j x_axis}: one
+    # (modes x n) factor per axis, contracted over the modes at once
+    factors = []
+    for axis, n in enumerate(shape):
+        nodes = box.lower[axis] + box.widths[axis] / n * np.arange(n)
+        factors.append(np.exp(1j * np.multiply.outer(scale * base[axis] * kappas[:, axis], nodes)))
+    axes = "abc"[:d]
+    spec = "j," + ",".join("j" + a for a in axes) + "->" + axes
+    values = np.einsum(spec, amps * np.exp(1j * phases), *factors, optimize=True).real
     # the modes are exactly box-periodic, so differences may wrap
-    u = sample(expr, box, shape, extension="periodic")
+    u = GridFunction(box, values, "periodic")
     b = tuple(scale * base[axis] * kmax * (1.0 + 1e-9) for axis in range(d))
     return u, b

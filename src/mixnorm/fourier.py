@@ -244,7 +244,7 @@ def sobolev_norm_fourier(
     acc = np.zeros(u.n)
     for k, block in _blocks(u, sys):
         acc += 4.0 ** (sum(k) * m) * block * block
-    return float(np.sum(np.sqrt(acc) ** p) * u.cell_volume) ** (1.0 / p)
+    return lp_norm_pow(np.sqrt(acc), p, u.cell_volume) ** (1.0 / p)
 
 
 def bandlimit(u: GridFunction, b: Sequence[float] | float) -> GridFunction:

@@ -200,21 +200,40 @@ def lp_norm(u: GridFunction, p: float) -> float:
     """Discrete L_p norm: (sum |u|^p * prod dx)^(1/p); max |u| when p = inf."""
     if not p >= 1.0:
         raise GridError(f"p must lie in [1, inf], got {p}")
-    a = np.abs(u.values)
-    if math.isinf(p):
-        return float(np.max(a))
-    return float(np.sum(a**p) * u.cell_volume) ** (1.0 / p)
+    total = lp_norm_pow(u.values, p, u.cell_volume)
+    return total if math.isinf(p) else total ** (1.0 / p)
+
+
+_MAX_CHAIN_POWER = 64
 
 
 def lp_norm_pow(values: np.ndarray, p: float, cell_volume: float) -> float:
     """sum |values|^p * cell_volume, or max |values| for p = inf.
 
     Powered form used by dyadic-scale accumulations to avoid repeated roots.
+    An integer p up to 64 forms |values|^p by square-and-multiply, whose
+    relative error grows like p rounding errors (exact at p = 1, and a*a at
+    p = 2 as `**` gives); other p use `**`.
     """
     a = np.abs(values)
     if math.isinf(p):
         return float(np.max(a))
-    return float(np.sum(a**p) * cell_volume)
+    if 1 <= p <= _MAX_CHAIN_POWER and p == int(p):
+        a = _integer_power(a, int(p))
+    else:
+        np.power(a, p, out=a)
+    return float(np.sum(a) * cell_volume)
+
+
+def _integer_power(a: np.ndarray, k: int) -> np.ndarray:
+    # left-to-right binary powering; a is overwritten when k is a power of two,
+    # since no multiply by a then follows the first square
+    acc = a if k & (k - 1) == 0 else a.copy()
+    for bit in bin(k)[3:]:
+        acc *= acc
+        if bit == "1":
+            acc *= a
+    return acc
 
 
 def power_table(values: np.ndarray, weight_sets: Sequence[Sequence[np.ndarray | None]],

@@ -19,7 +19,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .grid import Box, GridError, GridFunction, crop
+from .grid import Box, GridError, GridFunction, crop, lp_norm_pow
 from .differences import besov_norm_diff
 from .profiles import smooth_partition_base
 from .spaces import SpaceSpec, space_norm, sup_norm
@@ -231,12 +231,8 @@ def localization_ratio(
             pieces.append(besov_norm_diff(piece, r, p, m_diff))
     if not pieces:
         raise GridError("no translate overlaps the support of u")
-    arr = np.asarray(pieces)
-    if math.isinf(p):
-        denom = float(np.max(arr))
-    else:
-        denom = float(np.sum(arr**p)) ** (1.0 / p)
-    return numer / denom
+    denom = lp_norm_pow(np.asarray(pieces), p, 1.0)
+    return numer / (denom if math.isinf(p) else denom ** (1.0 / p))
 
 
 def algebra_ratio(f: GridFunction, g: GridFunction, space: SpaceSpec) -> float:

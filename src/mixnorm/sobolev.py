@@ -16,7 +16,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .grid import GridError, GridFunction, lp_norm, power_table
+from .grid import GridError, GridFunction, lp_norm, lp_norm_pow, power_table
 from .fourier import MAX_SPECTRAL_ORDER, _angular_freqs, _derivative_symbol, spectral_derivative
 from .differences import _as_axis_vector
 from .spaces import SpaceSpec, space_norm, sup_norm
@@ -125,13 +125,9 @@ def mixed_sup_lp(
     dv = derivative(u, tuple(int(b) for b in beta), realization)
     if n_split == u.d:
         return lp_norm(dv, p)
-    a = np.abs(dv.values)
-    sup_axes = tuple(range(n_split, u.d))
-    reduced = np.max(a, axis=sup_axes)
-    if math.isinf(p):
-        return float(np.max(reduced))
-    vol = float(np.prod(dv.dx[:n_split]))
-    return float(np.sum(reduced**p) * vol) ** (1.0 / p)
+    reduced = np.max(np.abs(dv.values), axis=tuple(range(n_split, u.d)))
+    total = lp_norm_pow(reduced, p, float(np.prod(dv.dx[:n_split])))
+    return total if math.isinf(p) else total ** (1.0 / p)
 
 
 def embedding_ratio(u: GridFunction, space: SpaceSpec) -> float:

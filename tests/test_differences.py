@@ -26,7 +26,9 @@ from mixnorm import (
     sample,
     tensor_product,
 )
+from mixnorm.differences import ladder_cells
 from mixnorm.families import random_smooth_field
+from mixnorm.grid import shift_values
 
 UNIT = Box((0.0,), (1.0,))
 BOX1 = Box((-4.0,), (4.0,))
@@ -372,3 +374,123 @@ def test_besov_norm_reads_zero_extension_on_the_whole_line(p):
     if p == 2.0:
         # box-restricted differences would give about 32.6
         assert narrow == pytest.approx(46.27, rel=1e-3)
+
+
+# --- the slice-based difference kernel against the shift loop it replaced ---
+
+
+def _shift_loop_diff(values, axis, m, cells, extension):
+    # m + 1 zero-filled (or rolled) shifted copies, summed in order l = 0..m
+    out = np.zeros_like(values)
+    for ell in range(m + 1):
+        w = (-1.0) ** (m - ell) * math.comb(m, ell)
+        out += w * shift_values(values, axis, ell * cells, extension)
+    return out
+
+
+def _shift_loop_table(u, sets, m, mags, p):
+    # the direct table over the crop padded by the largest reach below the
+    # support, differenced with the shift loop, reduced with `**`
+    values, pad = u.values, [0] * u.d
+    if u.extension == "zero":
+        nz = np.nonzero(values)
+        values = values[tuple(slice(i.min(), i.max() + 1) for i in nz)]
+        pad = [m * max(mags[a]) for a in range(u.d)]
+
+    def fill(table, arr, e, index):
+        if len(index) == len(e):
+            a = np.abs(arr)
+            table[index] = np.max(a) if math.isinf(p) else np.sum(a**p) * u.cell_volume
+            return
+        axis = e[len(index)]
+        for i, s in enumerate(mags[axis]):
+            fill(table, _shift_loop_diff(arr, axis, m, s, u.extension), e, index + (i,))
+
+    out = {}
+    for e in sets:
+        out[e] = np.empty([len(mags[a]) for a in e])
+        fill(out[e], np.pad(values, [(pad[a] if a in e else 0, 0) for a in range(u.d)]), e, ())
+    return out
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+@pytest.mark.parametrize("extension", ["zero", "periodic"])
+@pytest.mark.parametrize("m", [1, 2, 3])
+@pytest.mark.parametrize("p", [1.0, 1.5, 3.0, 4.0, math.inf])
+def test_direct_table_matches_shift_loop(d, extension, m, p):
+    u = _sparse_field(d, extension, 60 + d)
+    sets = all_direction_sets(d)[1:]
+    mags = [TABLE_MAGS] * d
+    got = difference_table(u, sets, m, mags, p)
+    want = _shift_loop_table(u, sets, m, mags, p)
+    for e in sets:
+        assert got[e].shape == want[e].shape
+        assert np.max(np.abs(got[e] - want[e]) / want[e]) <= 1e-14
+
+
+def _edge_field(d, extension, seed):
+    # random values up to every box edge, so windows and wraps carry mass
+    rng = np.random.default_rng(seed)
+    shape = TABLE_SHAPES[d]
+    return GridFunction(Box((0.0,) * d, tuple(n / 8.0 for n in shape)), rng.standard_normal(shape), extension)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+@pytest.mark.parametrize("extension", ["zero", "periodic"])
+def test_same_grid_differences_match_shift_loop(d, extension):
+    u = _edge_field(d, extension, 70 + d)
+    for axis, m, cells in itertools.product(range(d), (1, 2, 3), (1, 2, -1, -3, 7)):
+        got = directional_difference(u, axis, m, cells * u.dx[axis])
+        assert np.array_equal(got.values, _shift_loop_diff(u.values, axis, m, cells, extension))
+
+
+@pytest.mark.parametrize("extension", ["zero", "periodic"])
+@pytest.mark.parametrize("p", [2.0, 3.0, math.inf])
+def test_interior_modulus_matches_shift_loop(extension, p):
+    u = _edge_field(2, extension, 80)
+    m, t = 2, (0.5, 0.4)
+    signed = [[s for mag in ladder_cells(t[a], u.dx[a]) for s in (mag, -mag)] for a in range(2)]
+    want = 0.0
+    for combo in itertools.product(*signed):
+        if any(m * abs(s) >= u.n[a] for a, s in enumerate(combo)):
+            continue
+        arr, sl = u.values, [slice(None)] * 2
+        for a, s in enumerate(combo):
+            arr = _shift_loop_diff(arr, a, m, s, extension)
+            sl[a] = slice(-m * s, None) if s < 0 else slice(0, u.n[a] - m * s)
+        a = np.abs(arr[tuple(sl)])
+        want = max(want, np.max(a) if math.isinf(p) else np.sum(a**p) * u.cell_volume)
+    want = want if math.isinf(p) else want ** (1.0 / p)
+    got = modulus(u, (0, 1), m, t, p, interior=True)
+    if p == 3.0:  # the integer-power chain rounds apart from `**`
+        assert got == pytest.approx(want, rel=1e-14)
+    else:
+        assert got == want
+
+
+@pytest.mark.parametrize("extension", ["zero", "periodic"])
+def test_leibniz_expansions_match_shift_loop(extension):
+    f, g = _edge_field(2, extension, 90), _edge_field(2, extension, 91)
+    for m, cells in itertools.product((1, 2, 3), (2, -3)):
+        want = np.zeros(f.n)
+        for j in range(m + 1):
+            left = f.values if m == j else _shift_loop_diff(f.values, 1, m - j, cells, extension)
+            left = shift_values(left, 1, j * cells, extension)
+            right = g.values if j == 0 else _shift_loop_diff(g.values, 1, j, cells, extension)
+            want += math.comb(m, j) * left * right
+        got = leibniz_difference(f, g, m, cells * f.dx[1], axis=1)
+        assert np.array_equal(got.values, want)
+    m, cells = 1, (2, -3)
+    for u_e, term in mixed_leibniz_terms(f, g, (0, 1), m, [c * dx for c, dx in zip(cells, f.dx)]):
+        left, right = f.values, g.values
+        for a in (0, 1):
+            if 2 * m - u_e[a] > 0:
+                left = _shift_loop_diff(left, a, 2 * m - u_e[a], cells[a], extension)
+        for a in (0, 1):
+            left = shift_values(left, a, u_e[a] * cells[a], extension)
+            if u_e[a] > 0:
+                right = _shift_loop_diff(right, a, u_e[a], cells[a], extension)
+        coeff = 1.0
+        for ui in u_e:
+            coeff *= math.comb(2 * m, ui)
+        assert np.array_equal(term.values, coeff * left * right)

@@ -260,6 +260,38 @@ def test_random_smooth_field_matches_offset_loop_and_meshgrid_window(shape):
     assert np.array_equal(u.values, values * win.values)
 
 
+@pytest.mark.parametrize("d", [1, 2, 3])
+@pytest.mark.parametrize("octave", [0, 1, 2, 3, 4])
+def test_random_trig_field_matches_sampled_cosine_sum(d, octave):
+    box = Box((-4.0,) * d, (4.0,) * d)
+    shape = {1: (1024,), 2: (96, 80), 3: (24, 20, 28)}[d]
+    u, b = random_trig_field((13, d, octave), box, shape, octave=octave)
+    # reference: one full-grid cosine per mode, sampled on the meshgrid
+    rng = np.random.default_rng((13, d, octave))
+    kappas = rng.integers(-4, 5, size=(8, d))
+    for row in range(8):
+        if not np.any(kappas[row]):
+            kappas[row, 0] = 1
+    amps = rng.standard_normal(8)
+    phases = rng.uniform(0.0, 2.0 * np.pi, 8)
+    base = [2.0 * np.pi / w for w in box.widths]
+    scale = 2.0**octave
+
+    def expr(*coords):
+        out = np.zeros(np.broadcast_shapes(*(c.shape for c in coords)))
+        for a, kappa, theta in zip(amps, kappas, phases):
+            phase = np.zeros_like(out)
+            for axis in range(d):
+                phase = phase + scale * base[axis] * kappa[axis] * coords[axis]
+            out += a * np.cos(phase + theta)
+        return out
+
+    want = sample(expr, box, shape, extension="periodic")
+    assert u.extension == "periodic"
+    assert np.max(np.abs(u.values - want.values)) <= 1e-13 * np.max(np.abs(want.values))
+    assert b == tuple(scale * base[axis] * 4 * (1.0 + 1e-9) for axis in range(d))
+
+
 def test_random_trig_field_band_limited():
     from mixnorm.fourier import band_energy_fraction
 

@@ -19,6 +19,7 @@ from mixnorm import (
     shift,
     tensor_product,
 )
+from mixnorm.grid import lp_norm_pow
 
 UNIT = Box((0.0,), (1.0,))
 
@@ -220,3 +221,19 @@ def test_values_immutable():
         u.values[0] = 1.0
     with pytest.raises(AttributeError):
         u.extension = "periodic"
+
+
+@pytest.mark.parametrize("p", [1, 2, 3, 4, 5, 7, 8, 16, 33, 64])
+def test_lp_norm_pow_integer_chain_matches_power(p):
+    rng = np.random.default_rng(p)
+    values = rng.uniform(-3.0, 3.0, (37, 29))
+    kept = values.copy()
+    got = lp_norm_pow(values, p, 0.125)
+    want = float(np.sum(np.abs(values) ** float(p)) * 0.125)
+    assert np.array_equal(values, kept)
+    if p <= 2:
+        assert got == want
+    else:
+        assert got == pytest.approx(want, rel=1e-14)
+    u = GridFunction(Box((0.0, 0.0), (37 * 0.5, 29 * 0.25)), values)  # cell volume 0.125
+    assert lp_norm(u, float(p)) == got ** (1.0 / p)
