@@ -504,7 +504,7 @@ def _summary_rows(cfg: ExperimentConfig, rows: list[ResultRow]) -> list[ResultRo
         rs = [row.values["ratio"] for row in rows]
         out.append(ResultRow(exp, "C", {"ratio": max(max(rs), 1.0 / min(rs))}))
     elif exp in ("algebra", "moser", "embed"):
-        if cfg.family == "random" and exp == "algebra":
+        if cfg.family == "random":
             rs = [row.values["ratio"] for row in rows]
             vals = dict(blank)
             vals["ratio"] = max(rs)
