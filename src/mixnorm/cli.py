@@ -23,10 +23,11 @@ import os
 import sys
 import time
 from dataclasses import dataclass
+from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .grid import Box, GridError, GridFunction, lp_norm, pointwise_multiply, sample
+from .grid import Box, GridError, GridFunction, NormParams, lp_norm, pointwise_multiply
 from .differences import besov_norm_diff, besov_norm_integral
 from .fourier import NumericalAnomalyError, besov_norm_fourier, nikolskij_ratio, peetre_maximal
 from .sobolev import cmix_norm, embedding_ratio, mixed_sup_lp, sobolev_norm_full, sobolev_norm_reduced
@@ -34,12 +35,12 @@ from .spaces import SpaceSpec, space_norm, sup_norm
 from .multipliers import build_partition, localization_ratio
 from .families import (
     companion_bump,
-    oscillatory_profile,
+    dilated_member,
+    oscillatory_member,
     random_smooth_field,
     random_trig_field,
     rate_fit,
 )
-from .profiles import plateau_bump
 
 
 class ValidationError(ValueError):
@@ -48,20 +49,6 @@ class ValidationError(ValueError):
     def __init__(self, fields: str, message: str):
         self.fields = fields
         super().__init__(f"{fields}: {message}")
-
-
-EXPERIMENTS = (
-    "norm",
-    "equiv",
-    "algebra",
-    "moser",
-    "localize",
-    "nikolskij",
-    "peetre",
-    "trace",
-    "embed",
-    "report",
-)
 
 
 @dataclass
@@ -169,20 +156,16 @@ def _require(cond: bool, fields: str, message: str) -> None:
 
 def validate(cfg: ExperimentConfig) -> None:
     """Check every module precondition reachable from this configuration."""
-    _require(cfg.experiment in EXPERIMENTS, "experiment", f"must be one of {EXPERIMENTS}")
+    _require(cfg.experiment in EXPERIMENTS, "experiment", f"must be one of {tuple(EXPERIMENTS)}")
     _require(1 <= cfg.d <= 3, "d", "dimension must lie in 1..3")
     _require(cfg.box_lo < cfg.box_hi, "box_lo,box_hi", "need box_lo < box_hi")
     _require(cfg.resolution >= 16, "resolution", "need at least 16 samples per axis")
     try:
-        from .grid import NormParams
-
         NormParams(p=cfg.p, r=cfg.r, m=cfg.m, m_diff=cfg.m_diff)
     except GridError as err:
         raise ValidationError("p,r,m,m_diff", str(err)) from None
     _require(cfg.seed >= 0, "seed", "seed must be nonnegative")
     _require(cfg.format in ("csv", "json"), "format", "format must be csv or json")
-    _require(cfg.space in ("besov", "sobolev"), "space", "space must be besov or sobolev")
-    pow2 = cfg.resolution & (cfg.resolution - 1) == 0
 
     dx = (cfg.box_hi - cfg.box_lo) / cfg.resolution
     if dx < 1.0:
@@ -191,63 +174,77 @@ def validate(cfg: ExperimentConfig) -> None:
         levels = 0
     _require(levels >= 2, "resolution,box_lo,box_hi",
              f"grid leaves {levels} dyadic levels; difference norms need >= 2")
+    for check in EXPERIMENTS[cfg.experiment].checks:
+        check(cfg)
 
-    exp = cfg.experiment
-    if exp in ("norm", "equiv"):
-        _require(pow2, "resolution", "fourier norms need a power-of-two resolution")
-    if exp == "norm":
-        _require(cfg.family in ("dilated", "oscillatory", "random", "zero"), "family",
-                 "norm family must be dilated|oscillatory|random|zero")
-        if cfg.family in ("dilated", "oscillatory"):
-            _require(cfg.d == 1, "d,family", "dilated/oscillatory families are one-dimensional")
-        else:
-            _require(cfg.d <= 2, "d", "norm battery supports d <= 2")
-    if exp in ("equiv", "localize", "trace"):
-        _require(cfg.d == 2, "d", f"{exp} experiment runs in d = 2")
-        _require(cfg.count >= 1, "count", "family count must be positive")
-        _require(2 * cfg.band_cells < cfg.resolution, "band_cells,resolution",
-                 "family band exceeds the grid Nyquist range")
-        _require(1.0 < cfg.p < math.inf, "p", "sobolev norms require 1 < p < inf")
-    if exp in ("algebra", "moser"):
-        _require(cfg.family in ("tensor_dilated", "tensor_oscillatory", "random"), "family",
-                 "family must be tensor_dilated|tensor_oscillatory|random")
-        if cfg.family == "random":
-            _require(cfg.d == 2, "d", "random pair families run in d = 2")
-            _require(cfg.count >= 1, "count", "family count must be positive")
-        else:
-            _require(cfg.d in (2, 3), "d", "tensor pair families need d in {2, 3}")
-            _require(cfg.n_max >= cfg.n_min >= 0, "n_min,n_max", "invalid member range")
-    if exp == "embed":
-        _require(cfg.n_max >= cfg.n_min >= 0, "n_min,n_max", "invalid member range")
-        _require(cfg.n_max - cfg.n_min >= 3, "n_min,n_max", "rate fit needs >= 4 members")
-    if exp in ("nikolskij", "peetre"):
-        _require(cfg.octaves >= 2, "octaves", "band sweep needs >= 2 octaves")
-        _require(cfg.count >= 1, "count", "family count must be positive")
-        _require(cfg.kmax_modes >= 1 and cfg.modes >= 1, "kmax_modes,modes", "need modes")
-        top = 2.0 ** (cfg.octaves - 1) * cfg.kmax_modes
-        _require(top <= cfg.resolution / 4.0, "octaves,kmax_modes,resolution",
-                 "top octave exceeds a quarter of the Nyquist index range")
-        _require(cfg.a > 0, "a", "peetre exponent a must be positive")
-        if exp == "nikolskij":
-            _require(all(x >= 0 for x in cfg.alpha), "alpha", "orders must be nonnegative")
-            _require(len(cfg.alpha) == cfg.d, "alpha,d", "alpha must have one order per axis")
-            _require(1.0 <= cfg.p0 <= cfg.p, "p0,p", "need 1 <= p0 <= p")
-    if exp == "trace":
-        _require(1 <= cfg.n_split <= cfg.d, "n_split", "split index must lie in 1..d")
-        _require(len(cfg.beta) == cfg.d, "beta,d", "beta must have one order per axis")
-        _require(all(0 <= x <= cfg.m for x in cfg.beta), "beta,m", "need 0 <= beta_i <= m")
-    if cfg.family.endswith("oscillatory") or cfg.family == "oscillatory":
+
+def _check_pow2(cfg: ExperimentConfig) -> None:
+    _require(cfg.resolution & (cfg.resolution - 1) == 0, "resolution",
+             "fourier norms need a power-of-two resolution")
+
+
+def _check_count(cfg: ExperimentConfig) -> None:
+    _require(cfg.count >= 1, "count", "family count must be positive")
+
+
+def _check_family(cfg: ExperimentConfig, **dims: tuple[int, ...]) -> None:
+    """cfg.family is one of the keywords, cfg.d one of its dimensions, and the
+    family's members fit the grid."""
+    _require(cfg.family in dims, "family", f"{cfg.experiment} family must be {'|'.join(dims)}")
+    _require(cfg.d in dims[cfg.family], "d,family", f"{cfg.family} members need d in {dims[cfg.family]}")
+    if cfg.family == "random":
+        _check_count(cfg)
+    if cfg.family in ("random", "zero"):
+        return
+    _require(cfg.n_max >= cfg.n_min >= 0, "n_min,n_max", "invalid member range")
+    dx = (cfg.box_hi - cfg.box_lo) / cfg.resolution
+    if cfg.family.endswith("oscillatory"):
         _require(cfg.epsilon > 0, "epsilon", "epsilon must be positive")
         _require(cfg.ramp in ("linear", "smooth"), "ramp", "ramp must be linear or smooth")
         _require(cfg.n_min >= 1, "n_min", "oscillatory members start at n = 1")
-        dx = (cfg.box_hi - cfg.box_lo) / cfg.resolution
         # the oscillation bound tightens with n, so the last member decides
         _require(dx <= (1.0 / (2 * cfg.n_max)) ** (1.0 + cfg.epsilon) / 8.0, "resolution,n_max",
                  "grid cannot resolve the oscillation at n_max")
-    if cfg.family in ("dilated", "tensor_dilated"):
-        dx = (cfg.box_hi - cfg.box_lo) / cfg.resolution
+    else:
         _require(4.0 * 2.0**-cfg.n_max / dx >= 16, "resolution,n_max",
                  "finest dilated member needs >= 16 cells across its support")
+
+
+def _check_random_fields(cfg: ExperimentConfig) -> None:
+    _require(cfg.d == 2, "d", f"{cfg.experiment} experiment runs in d = 2")
+    _check_count(cfg)
+    _require(2 * cfg.band_cells < cfg.resolution, "band_cells,resolution",
+             "family band exceeds the grid Nyquist range")
+
+
+def _check_sobolev_p(cfg: ExperimentConfig) -> None:
+    _require(1.0 < cfg.p < math.inf, "p", "sobolev norms require 1 < p < inf")
+
+
+def _check_band_sweep(cfg: ExperimentConfig) -> None:
+    _require(cfg.octaves >= 2, "octaves", "band sweep needs >= 2 octaves")
+    _check_count(cfg)
+    _require(cfg.kmax_modes >= 1 and cfg.modes >= 1, "kmax_modes,modes", "need modes")
+    top = 2.0 ** (cfg.octaves - 1) * cfg.kmax_modes
+    _require(top <= cfg.resolution / 4.0, "octaves,kmax_modes,resolution",
+             "top octave exceeds a quarter of the Nyquist index range")
+
+
+def _check_nikolskij(cfg: ExperimentConfig) -> None:
+    _require(all(x >= 0 for x in cfg.alpha), "alpha", "orders must be nonnegative")
+    _require(len(cfg.alpha) == cfg.d, "alpha,d", "alpha must have one order per axis")
+    _require(1.0 <= cfg.p0 <= cfg.p, "p0,p", "need 1 <= p0 <= p")
+
+
+def _check_pair(cfg: ExperimentConfig) -> None:
+    _check_family(cfg, tensor_dilated=(2, 3), tensor_oscillatory=(2, 3), random=(2,))
+    _require(cfg.space in ("besov", "sobolev"), "space", "space must be besov or sobolev")
+
+
+def _check_trace(cfg: ExperimentConfig) -> None:
+    _require(1 <= cfg.n_split <= cfg.d, "n_split", "split index must lie in 1..d")
+    _require(len(cfg.beta) == cfg.d, "beta,d", "beta must have one order per axis")
+    _require(all(0 <= x <= cfg.m for x in cfg.beta), "beta,m", "need 0 <= beta_i <= m")
 
 
 @dataclass
@@ -260,52 +257,20 @@ class ResultRow:
     wall_time: float = 0.0
 
 
-VALUE_COLUMNS = {
-    "norm": ("lp", "besov_diff", "besov_integral", "besov_fourier",
-             "sobolev_full", "sobolev_reduced", "cmix"),
-    "equiv": ("besov_diff", "besov_fourier", "besov_integral", "sobolev_full",
-              "sobolev_reduced", "ratio_diff_fourier", "ratio_diff_integral",
-              "ratio_full_reduced"),
-    "algebra": ("norm_f", "norm_g", "norm_fg", "ratio", "fit_exponent", "fit_residual"),
-    "moser": ("numerator", "denominator", "ratio", "fit_exponent", "fit_residual"),
-    "localize": ("ratio",),
-    "nikolskij": ("octave", "b", "ratio"),
-    "peetre": ("octave", "b", "ratio"),
-    "trace": ("trace_norm", "sobolev_full", "ratio"),
-    "embed": ("sup_norm", "space_norm", "ratio", "fit_exponent", "fit_residual"),
-    "report": ("check", "value"),
-}
-
-DESCRIPTIONS = {
-    "norm": "Norm battery per family member: L_p, difference/integral/fourier Besov norms, full/reduced Sobolev and C-mix norms (derivative-based columns are empty for non-smooth oscillatory members).",
-    "equiv": "Norm-equivalence ratios per seeded random member plus a final bracket row 'C' with the smallest C such that every ratio lies in [1/C, C].",
-    "algebra": "Multiplication-algebra ratio norm(fg)/(norm(f) norm(g)) over tensor pairs (with geometric fit) or seeded random pairs (with max row).",
-    "moser": "Moser-type ratio norm(fg)/(norm(f) sup(g) + sup(f) norm(g)) along the tensor counterexample family, with fitted growth exponent.",
-    "localize": "Besov norm over the l_p aggregate of bump-localized norms per member, plus bracket row 'C'.",
-    "nikolskij": "Band-limited derivative inequality constant across a dyadic band sweep; per-octave 'agg' rows and a final 'sweep' max/min row.",
-    "peetre": "Maximal-function L_p bound constant across a dyadic band sweep; per-octave 'agg' rows and a final 'sweep' max/min row.",
-    "trace": "Mixed sup/L_p trace functional against the full Sobolev norm per member, plus a 'max' row.",
-    "embed": "sup-norm / space-norm along the dilated family with fitted geometric slope.",
-    "report": "Small battery across all experiments; rows are (check, value) pairs.",
-}
+def _family_members(cfg: ExperimentConfig) -> list[str]:
+    if cfg.family == "random":
+        return [str(i) for i in range(cfg.count)]
+    if cfg.family == "zero":
+        return ["0"]
+    return [str(n) for n in range(cfg.n_min, cfg.n_max + 1)]
 
 
-def _family_member_1d(cfg: ExperimentConfig, n: int) -> GridFunction:
-    box = cfg.box1()
-    if cfg.family in ("dilated", "tensor_dilated"):
-        scale = 2.0**n
-        return sample(lambda t: plateau_bump(scale * t, 1.0, 2.0), box, cfg.resolution)
-    return sample(
-        lambda t: oscillatory_profile(t, n, cfg.epsilon, cfg.ramp), box, cfg.resolution
-    )
+def _seeded_members(cfg: ExperimentConfig) -> list[str]:
+    return [str(i) for i in range(cfg.count)]
 
 
-@functools.lru_cache(maxsize=4)
-def _companion_terms(box_lo, box_hi, resolution, plateau, support, r, p, m_diff, d):
-    # the companion factor does not depend on the member: once per process
-    g = companion_bump(Box((box_lo,), (box_hi,)), resolution, plateau, support)
-    bgg = besov_norm_diff(pointwise_multiply(g, g), r, p, m_diff) if d == 3 else 1.0
-    return g, besov_norm_diff(g, r, p, m_diff), bgg, sup_norm(g)
+def _band_members(cfg: ExperimentConfig) -> list[str]:
+    return [f"{j}:{i}" for j in range(cfg.octaves) for i in range(cfg.count)]
 
 
 def _random_member(cfg: ExperimentConfig, i: int) -> GridFunction:
@@ -316,124 +281,230 @@ def _random_member(cfg: ExperimentConfig, i: int) -> GridFunction:
     )
 
 
-def _besov1(cfg: ExperimentConfig, u: GridFunction) -> float:
-    return besov_norm_diff(u, cfg.r, cfg.p, cfg.m_diff)
+def _family_member(cfg: ExperimentConfig, n: int) -> GridFunction:
+    """Member n of cfg.family; for a tensor family, its 1-d factor."""
+    if cfg.family == "random":
+        return _random_member(cfg, n)
+    if cfg.family == "zero":
+        return GridFunction(cfg.box(), np.zeros((cfg.resolution,) * cfg.d))
+    if cfg.family.endswith("dilated"):
+        return dilated_member(cfg.box1(), cfg.resolution, n)
+    return oscillatory_member(cfg.box1(), cfg.resolution, n, cfg.epsilon, cfg.ramp)
+
+
+@functools.lru_cache(maxsize=4)
+def _companion_terms(box_lo, box_hi, resolution, plateau, support, r, p, m_diff, d):
+    # the companion factor does not depend on the member: once per process
+    g = companion_bump(Box((box_lo,), (box_hi,)), resolution, plateau, support)
+    bgg = besov_norm_diff(pointwise_multiply(g, g), r, p, m_diff) if d == 3 else 1.0
+    return g, besov_norm_diff(g, r, p, m_diff), bgg, sup_norm(g)
 
 
 def _tensor_norms(cfg: ExperimentConfig, n: int) -> dict:
     # exact cross-norm factorization: the d-dimensional norms of the tensor
     # members equal products of 1-d factor norms in this discretization
-    f = _family_member_1d(cfg, n)
+    f = _family_member(cfg, n)
     g, bg, bgg, sup_g = _companion_terms(cfg.box_lo, cfg.box_hi, cfg.resolution, cfg.companion_plateau,
                                          cfg.companion_support, cfg.r, cfg.p, cfg.m_diff, cfg.d)
-    bfg = _besov1(cfg, pointwise_multiply(f, g))
-    norm_big = _besov1(cfg, f) * bg ** (cfg.d - 1)
+    bfg = besov_norm_diff(pointwise_multiply(f, g), cfg.r, cfg.p, cfg.m_diff)
+    norm_big = besov_norm_diff(f, cfg.r, cfg.p, cfg.m_diff) * bg ** (cfg.d - 1)
     sup_big = sup_norm(f) * sup_g ** (cfg.d - 1)
     return {"norm_f": norm_big, "norm_g": norm_big, "norm_fg": bfg * bfg * bgg,
             "sup_f": sup_big, "sup_g": sup_big}
 
 
-def _member_task(payload: tuple) -> tuple[str, dict, float]:
-    """Per-member computation; pure function of (experiment, config, index)."""
-    exp, cfg_dict, member = payload
-    cfg = ExperimentConfig(**cfg_dict)
-    t0 = time.perf_counter()
-    vals: dict = {}
-    if exp == "norm":
-        if cfg.family == "zero":
-            u = sample(lambda *xs: np.zeros(np.broadcast_shapes(*(x.shape for x in xs))),
-                       cfg.box(), cfg.resolution)
-            smooth = True
-        elif cfg.family == "random":
-            u = _random_member(cfg, int(member))
-            smooth = True
-        elif cfg.family == "dilated":
-            u = _family_member_1d(cfg, int(member))
-            smooth = True
-        else:
-            u = _family_member_1d(cfg, int(member))
-            smooth = False
-        vals["lp"] = lp_norm(u, cfg.p)
-        vals["besov_diff"] = besov_norm_diff(u, cfg.r, cfg.p, cfg.m_diff)
-        vals["besov_integral"] = besov_norm_integral(u, cfg.r, cfg.p, cfg.m_diff)
-        vals["besov_fourier"] = besov_norm_fourier(u, cfg.r, cfg.p)
-        if smooth and 1.0 < cfg.p < math.inf:
-            vals["sobolev_full"] = sobolev_norm_full(u, cfg.m, cfg.p)
-            vals["sobolev_reduced"] = sobolev_norm_reduced(u, cfg.m, cfg.p)
-            vals["cmix"] = cmix_norm(u, cfg.m)
-        else:
-            vals["sobolev_full"] = vals["sobolev_reduced"] = vals["cmix"] = ""
-    elif exp == "equiv":
-        u = _random_member(cfg, int(member))
-        nd = besov_norm_diff(u, cfg.r, cfg.p, cfg.m_diff)
-        nf = besov_norm_fourier(u, cfg.r, cfg.p)
-        ni = besov_norm_integral(u, cfg.r, cfg.p, cfg.m_diff)
-        sf = sobolev_norm_full(u, cfg.m, cfg.p)
-        sr = sobolev_norm_reduced(u, cfg.m, cfg.p)
-        vals = {
-            "besov_diff": nd, "besov_fourier": nf, "besov_integral": ni,
+def _pair_terms(cfg: ExperimentConfig, member: str) -> dict:
+    """norm_f, norm_g, norm_fg, sup_f and sup_g of the member's pair (f, g)."""
+    if cfg.family != "random":
+        return _tensor_norms(cfg, int(member))
+    i = int(member)
+    f, g = _random_member(cfg, 2 * i), _random_member(cfg, 2 * i + 1)
+    if cfg.space == "sobolev":
+        spec = SpaceSpec("sobolev", cfg.p, m=cfg.m)
+    else:
+        spec = SpaceSpec("besov", cfg.p, r=cfg.r, m_diff=cfg.m_diff)
+    return {"norm_f": space_norm(f, spec), "norm_g": space_norm(g, spec),
+            "norm_fg": space_norm(pointwise_multiply(f, g), spec),
+            "sup_f": sup_norm(f), "sup_g": sup_norm(g)}
+
+
+def _norm_row(cfg: ExperimentConfig, member: str) -> dict:
+    u = _family_member(cfg, int(member))
+    vals = {"lp": lp_norm(u, cfg.p), "besov_diff": besov_norm_diff(u, cfg.r, cfg.p, cfg.m_diff),
+            "besov_integral": besov_norm_integral(u, cfg.r, cfg.p, cfg.m_diff),
+            "besov_fourier": besov_norm_fourier(u, cfg.r, cfg.p)}
+    # derivative norms need a smooth member (the chirps are not) and 1 < p < inf
+    if cfg.family != "oscillatory" and 1.0 < cfg.p < math.inf:
+        vals.update(sobolev_full=sobolev_norm_full(u, cfg.m, cfg.p),
+                    sobolev_reduced=sobolev_norm_reduced(u, cfg.m, cfg.p), cmix=cmix_norm(u, cfg.m))
+    else:
+        vals.update(sobolev_full="", sobolev_reduced="", cmix="")
+    return vals
+
+
+def _equiv_row(cfg: ExperimentConfig, member: str) -> dict:
+    u = _random_member(cfg, int(member))
+    nd = besov_norm_diff(u, cfg.r, cfg.p, cfg.m_diff)
+    nf = besov_norm_fourier(u, cfg.r, cfg.p)
+    ni = besov_norm_integral(u, cfg.r, cfg.p, cfg.m_diff)
+    sf = sobolev_norm_full(u, cfg.m, cfg.p)
+    sr = sobolev_norm_reduced(u, cfg.m, cfg.p)
+    return {"besov_diff": nd, "besov_fourier": nf, "besov_integral": ni,
             "sobolev_full": sf, "sobolev_reduced": sr,
-            "ratio_diff_fourier": nd / nf, "ratio_diff_integral": nd / ni,
-            "ratio_full_reduced": sf / sr,
-        }
-    elif exp in ("algebra", "moser"):
-        if cfg.family == "random":
-            i = int(member)
-            f = _random_member(cfg, 2 * i)
-            g = _random_member(cfg, 2 * i + 1)
-            spec = _space_spec(cfg)
-            nf, ng = space_norm(f, spec), space_norm(g, spec)
-            nfg = space_norm(pointwise_multiply(f, g), spec)
-            if exp == "algebra":
-                vals = {"norm_f": nf, "norm_g": ng, "norm_fg": nfg,
-                        "ratio": nfg / (nf * ng), "fit_exponent": "", "fit_residual": ""}
-            else:
-                denom = nf * sup_norm(g) + sup_norm(f) * ng
-                vals = {"numerator": nfg, "denominator": denom, "ratio": nfg / denom,
-                        "fit_exponent": "", "fit_residual": ""}
-        else:
-            t = _tensor_norms(cfg, int(member))
-            if exp == "algebra":
-                vals = {"norm_f": t["norm_f"], "norm_g": t["norm_g"], "norm_fg": t["norm_fg"],
-                        "ratio": t["norm_fg"] / (t["norm_f"] * t["norm_g"]),
-                        "fit_exponent": "", "fit_residual": ""}
-            else:
-                denom = t["norm_f"] * t["sup_g"] + t["sup_f"] * t["norm_g"]
-                vals = {"numerator": t["norm_fg"], "denominator": denom,
-                        "ratio": t["norm_fg"] / denom, "fit_exponent": "", "fit_residual": ""}
-    elif exp == "localize":
-        u = _random_member(cfg, int(member))
-        pou = build_partition(cfg.base_width, cfg.box(), cfg.resolution)
-        vals = {"ratio": localization_ratio(u, cfg.r, cfg.p, cfg.m_diff, pou)}
-    elif exp in ("nikolskij", "peetre"):
+            "ratio_diff_fourier": nd / nf, "ratio_diff_integral": nd / ni, "ratio_full_reduced": sf / sr}
+
+
+def _algebra_row(cfg: ExperimentConfig, member: str) -> dict:
+    t = _pair_terms(cfg, member)
+    return {"norm_f": t["norm_f"], "norm_g": t["norm_g"], "norm_fg": t["norm_fg"],
+            "ratio": t["norm_fg"] / (t["norm_f"] * t["norm_g"])}
+
+
+def _moser_row(cfg: ExperimentConfig, member: str) -> dict:
+    t = _pair_terms(cfg, member)
+    denom = t["norm_f"] * t["sup_g"] + t["sup_f"] * t["norm_g"]
+    return {"numerator": t["norm_fg"], "denominator": denom, "ratio": t["norm_fg"] / denom}
+
+
+def _localize_row(cfg: ExperimentConfig, member: str) -> dict:
+    u = _random_member(cfg, int(member))
+    pou = build_partition(cfg.base_width, cfg.box(), cfg.resolution)
+    return {"ratio": localization_ratio(u, cfg.r, cfg.p, cfg.m_diff, pou)}
+
+
+def _band_row(ratio: Callable) -> Callable:
+    """Task of a band sweep: ratio(cfg, u, b) of the member's trig field u, band b."""
+    def task(cfg: ExperimentConfig, member: str) -> dict:
         octave, i = (int(x) for x in member.split(":"))
         u, b = random_trig_field((cfg.seed, i), cfg.box(), cfg.resolution,
                                  cfg.kmax_modes, cfg.modes, octave)
-        if exp == "nikolskij":
-            ratio = nikolskij_ratio(u, cfg.alpha, cfg.p0, cfg.p, b)
-        else:
-            ratio = lp_norm(peetre_maximal(u, b, cfg.a), cfg.p) / lp_norm(u, cfg.p)
-        vals = {"octave": octave, "b": b[0], "ratio": ratio}
-    elif exp == "trace":
-        u = _random_member(cfg, int(member))
-        tn = mixed_sup_lp(u, cfg.beta, cfg.n_split, cfg.p)
-        sf = sobolev_norm_full(u, cfg.m, cfg.p)
-        vals = {"trace_norm": tn, "sobolev_full": sf, "ratio": tn / sf}
-    elif exp == "embed":
-        u = _family_member_1d(cfg, int(member))
-        spec = SpaceSpec("besov", cfg.p, r=cfg.r, m_diff=cfg.m_diff)
-        ratio = embedding_ratio(u, spec)
-        vals = {"sup_norm": sup_norm(u), "space_norm": sup_norm(u) / ratio,
-                "ratio": ratio, "fit_exponent": "", "fit_residual": ""}
-    else:
-        raise ValidationError("experiment", f"no member task for {exp}")
+        return {"octave": octave, "b": b[0], "ratio": ratio(cfg, u, b)}
+    return task
+
+
+def _trace_row(cfg: ExperimentConfig, member: str) -> dict:
+    u = _random_member(cfg, int(member))
+    tn = mixed_sup_lp(u, cfg.beta, cfg.n_split, cfg.p)
+    sf = sobolev_norm_full(u, cfg.m, cfg.p)
+    return {"trace_norm": tn, "sobolev_full": sf, "ratio": tn / sf}
+
+
+def _embed_row(cfg: ExperimentConfig, member: str) -> dict:
+    u = _family_member(cfg, int(member))
+    ratio = embedding_ratio(u, SpaceSpec("besov", cfg.p, r=cfg.r, m_diff=cfg.m_diff))
+    return {"sup_norm": sup_norm(u), "space_norm": sup_norm(u) / ratio, "ratio": ratio}
+
+
+def _bracket(*columns: str) -> Callable:
+    """Summary row 'C': per column, the smallest C with every ratio in [1/C, C]."""
+    def summary(cfg: ExperimentConfig, rows: list[ResultRow]) -> list[ResultRow]:
+        vals = {}
+        for col in columns:
+            rs = [row.values[col] for row in rows]
+            vals[col] = max(max(rs), 1.0 / min(rs))
+        return [ResultRow(cfg.experiment, "C", vals)]
+    return summary
+
+
+def _max_row(cfg: ExperimentConfig, rows: list[ResultRow]) -> list[ResultRow]:
+    return [ResultRow(cfg.experiment, "max", {"ratio": max(row.values["ratio"] for row in rows)})]
+
+
+def _fit_row(cfg: ExperimentConfig, rows: list[ResultRow], model: str) -> list[ResultRow]:
+    series = {int(row.member): row.values["ratio"] for row in rows}
+    if len(series) < 4 or not all(v > 0 for v in series.values()):
+        return []
+    c_hat, resid = rate_fit(series, model)
+    return [ResultRow(cfg.experiment, "fit", {"fit_exponent": c_hat, "fit_residual": resid})]
+
+
+def _pair_summary(cfg: ExperimentConfig, rows: list[ResultRow]) -> list[ResultRow]:
+    # seed indices carry no order to fit a rate against
+    if cfg.family == "random":
+        return _max_row(cfg, rows)
+    return _fit_row(cfg, rows, "power" if cfg.family == "tensor_oscillatory" else "geometric")
+
+
+def _sweep_summary(cfg: ExperimentConfig, rows: list[ResultRow]) -> list[ResultRow]:
+    aggs: dict[int, list] = {}
+    for row in rows:
+        aggs.setdefault(int(row.values["octave"]), []).append(row.values["ratio"])
+    out = [ResultRow(cfg.experiment, f"agg:{j}", {"octave": j, "ratio": max(aggs[j])}) for j in sorted(aggs)]
+    spread = max(row.values["ratio"] for row in out) / min(row.values["ratio"] for row in out)
+    return out + [ResultRow(cfg.experiment, "sweep", {"ratio": spread})]
+
+
+class Experiment(NamedTuple):
+    """One experiment: value columns, description, checks of the fields only it
+    reads, member ids, per-member task and summary rows.  report has no members:
+    run hands it to _run_report."""
+
+    columns: tuple[str, ...]
+    description: str
+    checks: tuple[Callable[[ExperimentConfig], None], ...] = ()
+    members: Callable[[ExperimentConfig], list[str]] | None = None
+    task: Callable[[ExperimentConfig, str], dict] | None = None
+    summary: Callable[[ExperimentConfig, list[ResultRow]], list[ResultRow]] | None = None
+
+
+EXPERIMENTS = {
+    "norm": Experiment(
+        ("lp", "besov_diff", "besov_integral", "besov_fourier", "sobolev_full", "sobolev_reduced", "cmix"),
+        "Norm battery per family member: L_p, difference/integral/fourier Besov norms, full/reduced Sobolev and C-mix norms (derivative-based columns are empty for non-smooth oscillatory members).",
+        (_check_pow2, lambda cfg: _check_family(cfg, dilated=(1,), oscillatory=(1,), random=(1, 2), zero=(1, 2))),
+        _family_members, _norm_row, lambda cfg, rows: []),
+    "equiv": Experiment(
+        ("besov_diff", "besov_fourier", "besov_integral", "sobolev_full", "sobolev_reduced",
+         "ratio_diff_fourier", "ratio_diff_integral", "ratio_full_reduced"),
+        "Norm-equivalence ratios per seeded random member plus a final bracket row 'C' with the smallest C such that every ratio lies in [1/C, C].",
+        (_check_pow2, _check_random_fields, _check_sobolev_p), _seeded_members, _equiv_row,
+        _bracket("ratio_diff_fourier", "ratio_diff_integral", "ratio_full_reduced")),
+    "algebra": Experiment(
+        ("norm_f", "norm_g", "norm_fg", "ratio", "fit_exponent", "fit_residual"),
+        "Multiplication-algebra ratio norm(fg)/(norm(f) norm(g)) over tensor pairs (with geometric fit) or seeded random pairs (with max row).",
+        (_check_pair,), _family_members, _algebra_row, _pair_summary),
+    "moser": Experiment(
+        ("numerator", "denominator", "ratio", "fit_exponent", "fit_residual"),
+        "Moser-type ratio norm(fg)/(norm(f) sup(g) + sup(f) norm(g)) along the tensor counterexample family, with fitted growth exponent.",
+        (_check_pair,), _family_members, _moser_row, _pair_summary),
+    "localize": Experiment(
+        ("ratio",),
+        "Besov norm over the l_p aggregate of bump-localized norms per member, plus bracket row 'C'.",
+        (_check_random_fields,), _seeded_members, _localize_row, _bracket("ratio")),
+    "nikolskij": Experiment(
+        ("octave", "b", "ratio"),
+        "Band-limited derivative inequality constant across a dyadic band sweep; per-octave 'agg' rows and a final 'sweep' max/min row.",
+        (_check_band_sweep, _check_nikolskij), _band_members,
+        _band_row(lambda cfg, u, b: nikolskij_ratio(u, cfg.alpha, cfg.p0, cfg.p, b)), _sweep_summary),
+    "peetre": Experiment(
+        ("octave", "b", "ratio"),
+        "Maximal-function L_p bound constant across a dyadic band sweep; per-octave 'agg' rows and a final 'sweep' max/min row.",
+        (_check_band_sweep, lambda cfg: _require(cfg.a > 0, "a", "peetre exponent a must be positive")),
+        _band_members, _band_row(lambda cfg, u, b: lp_norm(peetre_maximal(u, b, cfg.a), cfg.p) / lp_norm(u, cfg.p)),
+        _sweep_summary),
+    "trace": Experiment(
+        ("trace_norm", "sobolev_full", "ratio"),
+        "Mixed sup/L_p trace functional against the full Sobolev norm per member, plus a 'max' row.",
+        (_check_random_fields, _check_sobolev_p, _check_trace), _seeded_members, _trace_row, _max_row),
+    "embed": Experiment(
+        ("sup_norm", "space_norm", "ratio", "fit_exponent", "fit_residual"),
+        "sup-norm / space-norm along the dilated family with fitted geometric slope.",
+        (lambda cfg: _check_family(cfg, dilated=(1,), oscillatory=(1,)),
+         lambda cfg: _require(cfg.n_max - cfg.n_min >= 3, "n_min,n_max", "rate fit needs >= 4 members")),
+        _family_members, _embed_row, lambda cfg, rows: _fit_row(cfg, rows, "geometric")),
+    "report": Experiment(
+        ("check", "value"),
+        "Small battery across all experiments; rows are (check, value) pairs."),
+}
+
+
+def _member_task(payload: tuple) -> tuple[str, dict, float]:
+    """Per-member computation; pure function of (experiment, config, member)."""
+    exp, cfg_dict, member = payload
+    cfg = ExperimentConfig(**cfg_dict)
+    t0 = time.perf_counter()
+    vals = EXPERIMENTS[exp].task(cfg, member)
     return member, vals, time.perf_counter() - t0
-
-
-def _space_spec(cfg: ExperimentConfig) -> SpaceSpec:
-    if cfg.space == "sobolev":
-        return SpaceSpec("sobolev", cfg.p, m=cfg.m)
-    return SpaceSpec("besov", cfg.p, r=cfg.r, m_diff=cfg.m_diff)
 
 
 def worker_count() -> int:
@@ -451,89 +522,22 @@ def parallel_map(payloads: list, workers: int) -> list:
         return list(ex.map(_member_task, payloads))
 
 
-def _members_for(cfg: ExperimentConfig) -> list[str]:
-    exp = cfg.experiment
-    if exp == "norm":
-        if cfg.family in ("dilated", "oscillatory", "tensor_dilated", "tensor_oscillatory"):
-            return [str(n) for n in range(cfg.n_min, cfg.n_max + 1)]
-        if cfg.family == "zero":
-            return ["0"]
-        return [str(i) for i in range(cfg.count)]
-    if exp in ("equiv", "localize", "trace"):
-        return [str(i) for i in range(cfg.count)]
-    if exp in ("algebra", "moser"):
-        if cfg.family == "random":
-            return [str(i) for i in range(cfg.count)]
-        return [str(n) for n in range(cfg.n_min, cfg.n_max + 1)]
-    if exp in ("nikolskij", "peetre"):
-        return [f"{j}:{i}" for j in range(cfg.octaves) for i in range(cfg.count)]
-    if exp == "embed":
-        return [str(n) for n in range(cfg.n_min, cfg.n_max + 1)]
-    raise ValidationError("experiment", f"unknown experiment {exp}")
-
-
 def run(cfg: ExperimentConfig) -> list[ResultRow]:
     """Execute the configured experiment; deterministic given (config, seed)."""
     validate(cfg)
     if cfg.experiment == "report":
         return _run_report(cfg)
-    members = _members_for(cfg)
+    exp = EXPERIMENTS[cfg.experiment]
     cfg_dict = dataclasses.asdict(cfg)
-    payloads = [(cfg.experiment, cfg_dict, m) for m in members]
+    payloads = [(cfg.experiment, cfg_dict, m) for m in exp.members(cfg)]
     results = parallel_map(payloads, worker_count())
     rows = [ResultRow(cfg.experiment, m, vals, wall) for m, vals, wall in results]
-    rows.extend(_summary_rows(cfg, rows))
+    rows.extend(exp.summary(cfg, rows))
     for row in rows:
         for key, v in row.values.items():
             if isinstance(v, float) and not math.isfinite(v):
                 raise NumericalAnomalyError(f"non-finite value in column {key!r}")
     return rows
-
-
-def _summary_rows(cfg: ExperimentConfig, rows: list[ResultRow]) -> list[ResultRow]:
-    exp = cfg.experiment
-    out: list[ResultRow] = []
-    blank = {c: "" for c in VALUE_COLUMNS.get(exp, ())}
-    if exp == "equiv":
-        vals = dict(blank)
-        for col in ("ratio_diff_fourier", "ratio_diff_integral", "ratio_full_reduced"):
-            rs = [row.values[col] for row in rows]
-            vals[col] = max(max(rs), 1.0 / min(rs))
-        out.append(ResultRow(exp, "C", vals))
-    elif exp == "localize":
-        rs = [row.values["ratio"] for row in rows]
-        out.append(ResultRow(exp, "C", {"ratio": max(max(rs), 1.0 / min(rs))}))
-    elif exp in ("algebra", "moser", "embed"):
-        if cfg.family == "random":
-            rs = [row.values["ratio"] for row in rows]
-            vals = dict(blank)
-            vals["ratio"] = max(rs)
-            out.append(ResultRow(exp, "max", vals))
-        else:
-            series = {int(row.member): row.values["ratio"] for row in rows}
-            if len(series) >= 4 and all(v > 0 for v in series.values()):
-                model = "power" if cfg.family == "tensor_oscillatory" else "geometric"
-                if exp == "embed":
-                    model = "geometric"
-                c_hat, resid = rate_fit(series, model)
-                vals = dict(blank)
-                vals["fit_exponent"] = c_hat
-                vals["fit_residual"] = resid
-                out.append(ResultRow(exp, "fit", vals))
-    elif exp in ("nikolskij", "peetre"):
-        aggs = {}
-        for row in rows:
-            aggs.setdefault(int(row.values["octave"]), []).append(row.values["ratio"])
-        octave_max = {}
-        for j in sorted(aggs):
-            octave_max[j] = max(aggs[j])
-            out.append(ResultRow(exp, f"agg:{j}", {"octave": j, "b": "", "ratio": octave_max[j]}))
-        spread = max(octave_max.values()) / min(octave_max.values())
-        out.append(ResultRow(exp, "sweep", {"octave": "", "b": "", "ratio": spread}))
-    elif exp == "trace":
-        rs = [row.values["ratio"] for row in rows]
-        out.append(ResultRow(exp, "max", {"trace_norm": "", "sobolev_full": "", "ratio": max(rs)}))
-    return out
 
 
 def _run_report(cfg: ExperimentConfig) -> list[ResultRow]:
@@ -573,16 +577,16 @@ def emit(rows: list[ResultRow], fmt: str, path: str, cfg: ExperimentConfig | Non
     """
     if not rows:
         raise ValidationError("rows", "no results")
-    exp = rows[0].experiment
+    columns = EXPERIMENTS[rows[0].experiment].columns
     cols = ["experiment", "member"]
     snapshot = cfg.snapshot() if cfg is not None else {}
     cols += list(snapshot)
-    cols += list(VALUE_COLUMNS[exp])
+    cols += list(columns)
     records = []
     for row in rows:
         rec = {"experiment": row.experiment, "member": row.member}
         rec.update(snapshot)
-        for c in VALUE_COLUMNS[exp]:
+        for c in columns:
             rec[c] = row.values.get(c, "")
         records.append(rec)
     if fmt == "csv":
@@ -612,11 +616,11 @@ def emit(rows: list[ResultRow], fmt: str, path: str, cfg: ExperimentConfig | Non
 
 
 def describe(experiment: str) -> str:
-    cols = ", ".join(VALUE_COLUMNS[experiment])
+    exp = EXPERIMENTS[experiment]
     return (
         f"experiment {experiment}\n"
-        f"  {DESCRIPTIONS[experiment]}\n"
-        f"  value columns: {cols}\n"
+        f"  {exp.description}\n"
+        f"  value columns: {', '.join(exp.columns)}\n"
         f"  every row also carries the full parameter snapshot as param_* columns\n"
     )
 
@@ -633,7 +637,7 @@ def main(argv: list[str] | None = None) -> int:
     want_describe = False
     try:
         if experiment not in EXPERIMENTS:
-            raise ValidationError("experiment", f"must be one of {EXPERIMENTS}")
+            raise ValidationError("experiment", f"must be one of {tuple(EXPERIMENTS)}")
         i = 0
         while i < len(argv):
             tok = argv[i]
@@ -659,10 +663,7 @@ def main(argv: list[str] | None = None) -> int:
         t0 = time.perf_counter()
         rows = run(cfg)
         emit(rows, cfg.format, cfg.output, cfg, elapsed=time.perf_counter() - t0)
-    except ValidationError as err:
-        print(f"config error: {err}", file=sys.stderr)
-        return 2
-    except (GridError,) as err:
+    except (ValidationError, GridError) as err:
         print(f"config error: {err}", file=sys.stderr)
         return 2
     except NumericalAnomalyError as err:

@@ -53,6 +53,12 @@ def companion_bump(
     return sample(lambda t: plateau_bump(t, plateau, support), grid_box, resolution)
 
 
+def dilated_member(grid_box: Box, resolution: int, n: int) -> GridFunction:
+    """Dyadic dilate f(2^n t) of the base bump, sampled from its closed form."""
+    scale = 2.0**n
+    return sample(lambda t: plateau_bump(scale * t, 1.0, 2.0), grid_box, resolution)
+
+
 def dilated_family(
     n_max: int,
     resolution: int,
@@ -75,14 +81,10 @@ def dilated_family(
             f"resolution {resolution} leaves {finest_cells:.1f} < 16 cells across "
             f"the support of member n={n_max}"
         )
-    members = []
-    for n in range(n_min, n_max + 1):
-        scale = 2.0**n
-        members.append(sample(lambda t: plateau_bump(scale * t, 1.0, 2.0), grid_box, resolution))
     return TestFamily(
         kind="dilated_bump",
         indices=tuple(range(n_min, n_max + 1)),
-        members=tuple(members),
+        members=tuple(dilated_member(grid_box, resolution, n) for n in range(n_min, n_max + 1)),
         rate_model="geometric",
         params={"box": box, "resolution": resolution},
     )
@@ -122,6 +124,11 @@ def oscillatory_profile(t: np.ndarray, n: int, epsilon: float, ramp: str) -> np.
     phi = _ramp_linear(tp, n) if ramp == "linear" else _ramp_smooth(tp, n)
     out[pos] = phi * tp * np.sin(tp ** (-epsilon))
     return out
+
+
+def oscillatory_member(grid_box: Box, resolution: int, n: int, epsilon: float, ramp: str) -> GridFunction:
+    """Member f_n of the chirp family, sampled from oscillatory_profile."""
+    return sample(lambda t: oscillatory_profile(t, n, epsilon, ramp), grid_box, resolution)
 
 
 def oscillatory_family(
@@ -166,15 +173,11 @@ def oscillatory_family(
             f"reducing n_max from {n_max}"
         )
         n_max = n_ok
-    members = []
-    for n in range(n_min, n_max + 1):
-        members.append(
-            sample(lambda t: oscillatory_profile(t, n, epsilon, ramp), grid_box, resolution)
-        )
     return TestFamily(
         kind=f"oscillatory_{ramp}",
         indices=tuple(range(n_min, n_max + 1)),
-        members=tuple(members),
+        members=tuple(oscillatory_member(grid_box, resolution, n, epsilon, ramp)
+                      for n in range(n_min, n_max + 1)),
         rate_model="power",
         params={"epsilon": epsilon, "ramp": ramp, "box": box, "resolution": resolution},
     )

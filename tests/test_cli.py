@@ -62,10 +62,21 @@ def test_validate_catches_module_preconditions():
         dict(experiment="embed", n_min=0, n_max=2),
         dict(experiment="norm", family="oscillatory", d=1, n_min=1, resolution=64),
         dict(experiment="moser", family="tensor_dilated", n_max=10, resolution=1024),
+        dict(experiment="embed", resolution=4096, n_min=0, n_max=4),
+        dict(experiment="embed", family="dilated", d=2, resolution=4096, n_min=0, n_max=4),
     ]
     for kwargs in bad:
         with pytest.raises(ValidationError):
             validate(ExperimentConfig(**kwargs))
+
+
+def test_validate_checks_only_what_the_experiment_reads():
+    # peetre reads no family, so a family that cannot fit this grid is no error
+    validate(ExperimentConfig(experiment="peetre", family="tensor_dilated", n_max=10,
+                              resolution=64, octaves=3, kmax_modes=2, count=1))
+    # localize forms no Sobolev norm, so p may be 1 or inf
+    for p in (1.0, math.inf):
+        validate(ExperimentConfig(experiment="localize", p=p, resolution=64, count=1))
 
 
 def test_norm_experiment_zero_function():
