@@ -29,8 +29,13 @@ def _angular_freqs(u: GridFunction) -> list[np.ndarray]:
     return [2.0 * np.pi * np.fft.fftfreq(n, d=dxv) for n, dxv in zip(u.n, u.dx)]
 
 
+MAX_SPECTRAL_ORDER = 4
+
+
 def _derivative_symbol(xi: np.ndarray, a: int) -> np.ndarray:
     # (i xi)^a; odd orders zero the unpaired Nyquist mode of an even grid
+    if a > MAX_SPECTRAL_ORDER:
+        raise GridError(f"order {a} exceeds configured maximum {MAX_SPECTRAL_ORDER}")
     mult = (1j * xi) ** a
     n = xi.shape[0]
     if a % 2 == 1 and n % 2 == 0:
@@ -143,16 +148,21 @@ def system_for(u: GridFunction, kind: str = "smooth") -> DyadicSystem:
     return build_system(kind, u.box, u.n)
 
 
-def _apply_mask(coeffs: np.ndarray, axis_masks: Sequence[np.ndarray]) -> np.ndarray:
+def _windowed_inverse(
+    coeffs: np.ndarray, axis_masks: Sequence[np.ndarray | None], scale: float | None
+) -> np.ndarray:
+    """Real inverse transform of coeffs times one mask per axis (None: no mask).
+
+    The imaginary residue must stay within 1e-10 of `scale`, the caller's
+    reference size; None takes the sup of the complex result.
+    """
     out = coeffs
     for axis, mask in enumerate(axis_masks):
-        shape = [1] * coeffs.ndim
-        shape[axis] = mask.shape[0]
-        out = out * mask.reshape(shape)
-    return out
-
-
-def _real_part_checked(block: np.ndarray, scale: float) -> np.ndarray:
+        if mask is not None:
+            out = out * mask.reshape([-1 if i == axis else 1 for i in range(coeffs.ndim)])
+    block = np.fft.ifftn(out, norm="ortho")
+    if scale is None:
+        scale = float(np.max(np.abs(block))) if block.size else 0.0
     resid = float(np.max(np.abs(block.imag))) if block.size else 0.0
     if resid > 1e-10 * max(scale, 1e-300):
         raise NumericalAnomalyError(
@@ -170,17 +180,15 @@ def lp_block(u: GridFunction, k: Sequence[int], sys: DyadicSystem) -> GridFuncti
         if not 0 <= ki <= sys.j_max[i]:
             raise GridError(f"level {ki} out of range 0..{sys.j_max[i]} on axis {i}")
     coeffs = np.fft.fftn(u.values, norm="ortho")
-    block = np.fft.ifftn(_apply_mask(coeffs, sys.window(k)), norm="ortho")
     scale = float(np.max(np.abs(u.values))) if u.values.size else 0.0
-    return u.with_values(_real_part_checked(block, scale))
+    return u.with_values(_windowed_inverse(coeffs, sys.window(k), scale))
 
 
 def _blocks(u: GridFunction, sys: DyadicSystem):
     coeffs = np.fft.fftn(u.values, norm="ortho")
     scale = float(np.max(np.abs(u.values))) if u.values.size else 0.0
     for k in sys.levels():
-        block = np.fft.ifftn(_apply_mask(coeffs, sys.window(k)), norm="ortho")
-        yield k, _real_part_checked(block, scale)
+        yield k, _windowed_inverse(coeffs, sys.window(k), scale)
 
 
 def _block_energies(u: GridFunction, sys: DyadicSystem) -> np.ndarray:
@@ -255,9 +263,8 @@ def bandlimit(u: GridFunction, b: Sequence[float] | float) -> GridFunction:
             raise GridError(f"band bounds must be positive, got {bv}")
     coeffs = np.fft.fftn(u.values, norm="ortho")
     masks = [(np.abs(xi) <= bi).astype(float) for xi, bi in zip(_angular_freqs(u), bv)]
-    block = np.fft.ifftn(_apply_mask(coeffs, masks), norm="ortho")
     scale = float(np.max(np.abs(u.values))) if u.values.size else 0.0
-    return u.with_values(_real_part_checked(block, scale))
+    return u.with_values(_windowed_inverse(coeffs, masks, scale))
 
 
 def band_energy_fraction(u: GridFunction, b: Sequence[float] | float) -> float:
@@ -268,12 +275,7 @@ def band_energy_fraction(u: GridFunction, b: Sequence[float] | float) -> float:
     return 0.0 if total == 0.0 else max(0.0, 1.0 - inside / total)
 
 
-MAX_SPECTRAL_ORDER = 4
-
-
-def spectral_derivative(
-    u: GridFunction, alpha: Sequence[int] | int, max_order: int = MAX_SPECTRAL_ORDER
-) -> GridFunction:
+def spectral_derivative(u: GridFunction, alpha: Sequence[int] | int) -> GridFunction:
     """Mixed derivative D^alpha via Fourier multipliers (i xi)^alpha.
 
     The input is treated as periodized over its box; smooth compactly
@@ -284,18 +286,11 @@ def spectral_derivative(
     for a in av:
         if a < 0:
             raise GridError(f"derivative orders must be >= 0, got {av}")
-        if a > max_order:
-            raise GridError(f"order {a} exceeds configured maximum {max_order}")
     if all(a == 0 for a in av):
         return u
+    symbols = [_derivative_symbol(xi, a) if a else None for a, xi in zip(av, _angular_freqs(u))]
     coeffs = np.fft.fftn(u.values, norm="ortho")
-    for axis, (a, xi) in enumerate(zip(av, _angular_freqs(u))):
-        if a == 0:
-            continue
-        coeffs = coeffs * _derivative_symbol(xi, a).reshape([-1 if i == axis else 1 for i in range(u.d)])
-    out = np.fft.ifftn(coeffs, norm="ortho")
-    scale = float(np.max(np.abs(out))) if out.size else 0.0
-    return u.with_values(_real_part_checked(out, scale))
+    return u.with_values(_windowed_inverse(coeffs, symbols, None))
 
 
 def nikolskij_ratio(

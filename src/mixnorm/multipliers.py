@@ -141,33 +141,29 @@ def _support_slices(pou: PartitionOfUnity, mu: Sequence[int]):
     return out
 
 
-def translate_function(pou: PartitionOfUnity, mu: Sequence[int]) -> GridFunction:
-    """Materialize the bump translate psi_mu on the full grid."""
+def _translate_values(pou: PartitionOfUnity, mu: Sequence[int], u: GridFunction | None = None) -> np.ndarray:
+    # psi_mu on the full grid, times the values of u when it is given
     values = np.zeros(pou.shape)
     sl = _support_slices(pou, mu)
     if sl is not None:
-        weights = [pou.profiles[i][ps] for i, (_, ps) in enumerate(sl)]
-        block = weights[0]
-        for w in weights[1:]:
-            block = np.multiply.outer(block, w)
-        values[tuple(gs for gs, _ in sl)] = block
-    return GridFunction(pou.box, values, "zero")
+        block = pou.profiles[0][sl[0][1]]
+        for i in range(1, pou.d):
+            block = np.multiply.outer(block, pou.profiles[i][sl[i][1]])
+        grid_sl = tuple(gs for gs, _ in sl)
+        values[grid_sl] = block if u is None else u.values[grid_sl] * block
+    return values
+
+
+def translate_function(pou: PartitionOfUnity, mu: Sequence[int]) -> GridFunction:
+    """Materialize the bump translate psi_mu on the full grid."""
+    return GridFunction(pou.box, _translate_values(pou, mu), "zero")
 
 
 def apply_translate(pou: PartitionOfUnity, u: GridFunction, mu: Sequence[int]) -> GridFunction:
     """psi_mu * u on the full grid."""
     if tuple(u.n) != pou.shape or u.box != pou.box:
         raise GridError("function grid does not match the partition grid")
-    values = np.zeros(pou.shape)
-    sl = _support_slices(pou, mu)
-    if sl is not None:
-        weights = [pou.profiles[i][ps] for i, (_, ps) in enumerate(sl)]
-        block = weights[0]
-        for w in weights[1:]:
-            block = np.multiply.outer(block, w)
-        grid_sl = tuple(gs for gs, _ in sl)
-        values[grid_sl] = u.values[grid_sl] * block
-    return GridFunction(pou.box, values, u.extension)
+    return GridFunction(pou.box, _translate_values(pou, mu, u), u.extension)
 
 
 def partition_deviation(pou: PartitionOfUnity) -> float:

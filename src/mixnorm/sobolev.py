@@ -2,10 +2,11 @@
 
 The full norm sums L_p norms of every mixed derivative D^alpha with
 |alpha|_inf <= m ((m+1)^d terms); the reduced norm keeps only the corner
-multi-indices alpha in {0, m}^d (2^d terms).  Spectral differentiation is the
-default realization; an order-2 central-difference stencil is available as a
-cross-check.  Non-smooth samples (ramps, indicators) should route through the
-difference-based Besov norms instead of spectral derivatives of order >= 2.
+multi-indices alpha in {0, m}^d (2^d terms).  The norms differentiate
+spectrally; derivative(u, alpha, "central") gives an order-2 central-difference
+stencil as a cross-check.  Non-smooth samples (ramps, indicators) should route
+through the difference-based Besov norms instead of spectral derivatives of
+order >= 2.
 """
 
 from __future__ import annotations
@@ -17,11 +18,9 @@ from typing import Sequence
 import numpy as np
 
 from .grid import GridError, GridFunction, lp_norm, lp_norm_pow, power_table
-from .fourier import MAX_SPECTRAL_ORDER, _angular_freqs, _derivative_symbol, spectral_derivative
+from .fourier import _angular_freqs, _derivative_symbol, spectral_derivative
 from .differences import _as_axis_vector
 from .spaces import SpaceSpec, space_norm, sup_norm
-
-_REALIZATIONS = ("spectral", "central")
 
 
 def _central_first(values: np.ndarray, axis: int, dx: float) -> np.ndarray:
@@ -48,7 +47,7 @@ def derivative(
     if realization == "spectral":
         return spectral_derivative(u, av)
     if realization != "central":
-        raise GridError(f"realization must be one of {_REALIZATIONS}")
+        raise GridError(f"realization must be 'spectral' or 'central', got {realization!r}")
     for axis, a in enumerate(av):
         if a > 0 and u.n[axis] < 7:
             raise GridError(f"central stencils need >= 5 interior cells on axis {axis}")
@@ -66,52 +65,40 @@ def _check_sobolev_params(m: int, p: float) -> None:
         raise GridError(f"sobolev norms require 1 < p < inf, got {p}")
 
 
-def _derivative_norm_sum(u: GridFunction, m: int, p: float, realization: str, alphas) -> float:
-    # spectral at p = 2: every ||D^alpha u||_2^2 from one power spectrum (Parseval)
-    if p == 2.0 and realization == "spectral":
-        if m > MAX_SPECTRAL_ORDER:
-            raise GridError(f"order {m} exceeds configured maximum {MAX_SPECTRAL_ORDER}")
+def _derivative_norm_sum(u: GridFunction, m: int, p: float, alphas) -> float:
+    # p = 2: every ||D^alpha u||_2^2 from one power spectrum (Parseval)
+    if p == 2.0:
         weights = [np.array([np.abs(_derivative_symbol(xi, a)) ** 2 for a in range(m + 1)])
                    for xi in _angular_freqs(u)]
         energy = power_table(u.values, [weights], u.cell_volume)[0]
         return sum(math.sqrt(energy[alpha]) for alpha in alphas)
-    return sum(lp_norm(derivative(u, alpha, realization), p) for alpha in alphas)
+    return sum(lp_norm(spectral_derivative(u, alpha), p) for alpha in alphas)
 
 
-def sobolev_norm_full(
-    u: GridFunction, m: int, p: float, realization: str = "spectral"
-) -> float:
+def sobolev_norm_full(u: GridFunction, m: int, p: float) -> float:
     """Sum of L_p norms of all D^alpha u with |alpha|_inf <= m."""
     _check_sobolev_params(m, p)
-    return _derivative_norm_sum(u, m, p, realization, itertools.product(range(m + 1), repeat=u.d))
+    return _derivative_norm_sum(u, m, p, itertools.product(range(m + 1), repeat=u.d))
 
 
-def sobolev_norm_reduced(
-    u: GridFunction, m: int, p: float, realization: str = "spectral"
-) -> float:
+def sobolev_norm_reduced(u: GridFunction, m: int, p: float) -> float:
     """Corner-index norm: sum over alpha in {0, m}^d only."""
     _check_sobolev_params(m, p)
     corners = {tuple(c) for c in itertools.product((0, m), repeat=u.d)}
-    return _derivative_norm_sum(u, m, p, realization, sorted(corners))
+    return _derivative_norm_sum(u, m, p, sorted(corners))
 
 
-def cmix_norm(u: GridFunction, m: int, realization: str = "spectral") -> float:
+def cmix_norm(u: GridFunction, m: int) -> float:
     """Sup-norm analogue: sum of sup |D^alpha u| over |alpha|_inf <= m."""
     if m < 0:
         raise GridError(f"m must be a nonnegative integer, got {m}")
     total = 0.0
     for alpha in itertools.product(range(m + 1), repeat=u.d):
-        total += float(np.max(np.abs(derivative(u, alpha, realization).values)))
+        total += float(np.max(np.abs(spectral_derivative(u, alpha).values)))
     return total
 
 
-def mixed_sup_lp(
-    u: GridFunction,
-    beta: Sequence[int],
-    n_split: int,
-    p: float,
-    realization: str = "spectral",
-) -> float:
+def mixed_sup_lp(u: GridFunction, beta: Sequence[int], n_split: int, p: float) -> float:
     """Mixed sup/L_p trace functional of a derivative.
 
     Takes D^beta u, the pointwise sup over the trailing d - n_split axes, and
@@ -122,7 +109,7 @@ def mixed_sup_lp(
         raise GridError(f"split index must lie in 1..{u.d}, got {n_split}")
     if not p >= 1.0:
         raise GridError(f"p must lie in [1, inf], got {p}")
-    dv = derivative(u, tuple(int(b) for b in beta), realization)
+    dv = spectral_derivative(u, tuple(int(b) for b in beta))
     if n_split == u.d:
         return lp_norm(dv, p)
     reduced = np.max(np.abs(dv.values), axis=tuple(range(n_split, u.d)))
