@@ -166,7 +166,11 @@ def validate(cfg: ExperimentConfig) -> None:
         raise ValidationError("p,r,m,m_diff", str(err)) from None
     _require(cfg.seed >= 0, "seed", "seed must be nonnegative")
     _require(cfg.format in ("csv", "json"), "format", "format must be csv or json")
+    for check in EXPERIMENTS[cfg.experiment].checks:
+        check(cfg)
 
+
+def _check_levels(cfg: ExperimentConfig) -> None:
     dx = (cfg.box_hi - cfg.box_lo) / cfg.resolution
     if dx < 1.0:
         levels = int(math.floor(math.log2(1.0 / dx))) - 1
@@ -174,8 +178,6 @@ def validate(cfg: ExperimentConfig) -> None:
         levels = 0
     _require(levels >= 2, "resolution,box_lo,box_hi",
              f"grid leaves {levels} dyadic levels; difference norms need >= 2")
-    for check in EXPERIMENTS[cfg.experiment].checks:
-        check(cfg)
 
 
 def _check_pow2(cfg: ExperimentConfig) -> None:
@@ -237,6 +239,7 @@ def _check_nikolskij(cfg: ExperimentConfig) -> None:
 
 
 def _check_pair(cfg: ExperimentConfig) -> None:
+    _check_levels(cfg)
     _check_family(cfg, tensor_dilated=(2, 3), tensor_oscillatory=(2, 3), random=(2,))
     _require(cfg.space in ("besov", "sobolev"), "space", "space must be besov or sobolev")
 
@@ -451,13 +454,14 @@ EXPERIMENTS = {
     "norm": Experiment(
         ("lp", "besov_diff", "besov_integral", "besov_fourier", "sobolev_full", "sobolev_reduced", "cmix"),
         "Norm battery per family member: L_p, difference/integral/fourier Besov norms, full/reduced Sobolev and C-mix norms (derivative-based columns are empty for non-smooth oscillatory members).",
-        (_check_pow2, lambda cfg: _check_family(cfg, dilated=(1,), oscillatory=(1,), random=(1, 2), zero=(1, 2))),
+        (_check_pow2, _check_levels,
+         lambda cfg: _check_family(cfg, dilated=(1,), oscillatory=(1,), random=(1, 2), zero=(1, 2))),
         _family_members, _norm_row, lambda cfg, rows: []),
     "equiv": Experiment(
         ("besov_diff", "besov_fourier", "besov_integral", "sobolev_full", "sobolev_reduced",
          "ratio_diff_fourier", "ratio_diff_integral", "ratio_full_reduced"),
         "Norm-equivalence ratios per seeded random member plus a final bracket row 'C' with the smallest C such that every ratio lies in [1/C, C].",
-        (_check_pow2, _check_random_fields, _check_sobolev_p), _seeded_members, _equiv_row,
+        (_check_pow2, _check_levels, _check_random_fields, _check_sobolev_p), _seeded_members, _equiv_row,
         _bracket("ratio_diff_fourier", "ratio_diff_integral", "ratio_full_reduced")),
     "algebra": Experiment(
         ("norm_f", "norm_g", "norm_fg", "ratio", "fit_exponent", "fit_residual"),
@@ -470,7 +474,7 @@ EXPERIMENTS = {
     "localize": Experiment(
         ("ratio",),
         "Besov norm over the l_p aggregate of bump-localized norms per member, plus bracket row 'C'.",
-        (_check_random_fields,), _seeded_members, _localize_row, _bracket("ratio")),
+        (_check_levels, _check_random_fields), _seeded_members, _localize_row, _bracket("ratio")),
     "nikolskij": Experiment(
         ("octave", "b", "ratio"),
         "Band-limited derivative inequality constant across a dyadic band sweep; per-octave 'agg' rows and a final 'sweep' max/min row.",
@@ -489,7 +493,7 @@ EXPERIMENTS = {
     "embed": Experiment(
         ("sup_norm", "space_norm", "ratio", "fit_exponent", "fit_residual"),
         "sup-norm / space-norm along the dilated family with fitted geometric slope.",
-        (lambda cfg: _check_family(cfg, dilated=(1,), oscillatory=(1,)),
+        (_check_levels, lambda cfg: _check_family(cfg, dilated=(1,), oscillatory=(1,)),
          lambda cfg: _require(cfg.n_max - cfg.n_min >= 3, "n_min,n_max", "rate fit needs >= 4 members")),
         _family_members, _embed_row, lambda cfg, rows: _fit_row(cfg, rows, "geometric")),
     "report": Experiment(

@@ -74,6 +74,8 @@ def test_validate_checks_only_what_the_experiment_reads():
     # peetre reads no family, so a family that cannot fit this grid is no error
     validate(ExperimentConfig(experiment="peetre", family="tensor_dilated", n_max=10,
                               resolution=64, octaves=3, kmax_modes=2, count=1))
+    # nor does it form a difference norm, so one dyadic level is enough
+    validate(ExperimentConfig(experiment="peetre", resolution=32, octaves=2, kmax_modes=2, count=1))
     # localize forms no Sobolev norm, so p may be 1 or inf
     for p in (1.0, math.inf):
         validate(ExperimentConfig(experiment="localize", p=p, resolution=64, count=1))
