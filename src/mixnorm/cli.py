@@ -260,16 +260,16 @@ class ResultRow:
     wall_time: float = 0.0
 
 
+def _seeded_members(cfg: ExperimentConfig) -> list[str]:
+    return [str(i) for i in range(cfg.count)]
+
+
 def _family_members(cfg: ExperimentConfig) -> list[str]:
     if cfg.family == "random":
-        return [str(i) for i in range(cfg.count)]
+        return _seeded_members(cfg)
     if cfg.family == "zero":
         return ["0"]
     return [str(n) for n in range(cfg.n_min, cfg.n_max + 1)]
-
-
-def _seeded_members(cfg: ExperimentConfig) -> list[str]:
-    return [str(i) for i in range(cfg.count)]
 
 
 def _band_members(cfg: ExperimentConfig) -> list[str]:
