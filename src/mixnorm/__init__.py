@@ -10,7 +10,6 @@ from .grid import (
     GridError,
     GridFunction,
     GridMismatchError,
-    NormParams,
     NumericalAnomalyError,
     coarsen,
     crop,

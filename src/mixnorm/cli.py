@@ -15,8 +15,10 @@ Exit codes: 0 success, 2 validation error, 3 numerical anomaly, 4 I/O error.
 from __future__ import annotations
 
 import concurrent.futures
+import csv
 import dataclasses
 import functools
+import io
 import json
 import math
 import os
@@ -27,20 +29,15 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .grid import Box, GridError, GridFunction, NormParams, lp_norm, pointwise_multiply
-from .differences import besov_norm_diff, besov_norm_integral
-from .fourier import NumericalAnomalyError, besov_norm_fourier, nikolskij_ratio, peetre_maximal
-from .sobolev import cmix_norm, embedding_ratio, mixed_sup_lp, sobolev_norm_full, sobolev_norm_reduced
+from .grid import Box, GridError, GridFunction, _check_p, lp_norm, pointwise_multiply
+from .differences import _as_axis_vector, _check_besov_params, _dyadic_levels, besov_norm_diff, besov_norm_integral
+from .fourier import (NumericalAnomalyError, _check_decay, _check_exponents, _check_order, _check_power_of_two,
+                      _check_sobolev_params, besov_norm_fourier, nikolskij_ratio, peetre_maximal)
+from .sobolev import _check_split, cmix_norm, embedding_ratio, mixed_sup_lp, sobolev_norm_full, sobolev_norm_reduced
 from .spaces import SpaceSpec, space_norm, sup_norm
 from .multipliers import build_partition, localization_ratio
-from .families import (
-    companion_bump,
-    dilated_member,
-    oscillatory_member,
-    random_smooth_field,
-    random_trig_field,
-    rate_fit,
-)
+from .families import (_check_band, _check_chirp, _check_dilation, _check_members, companion_bump, dilated_member,
+                       oscillatory_member, random_smooth_field, random_trig_field, rate_fit)
 
 
 class ValidationError(ValueError):
@@ -154,39 +151,51 @@ def _require(cond: bool, fields: str, message: str) -> None:
         raise ValidationError(fields, message)
 
 
+def _check(fields: str, check: Callable, *args) -> None:
+    """Call a module's check with configuration values; its error names these fields."""
+    try:
+        check(*args)
+    except GridError as err:
+        raise ValidationError(fields, str(err)) from None
+
+
 def validate(cfg: ExperimentConfig) -> None:
-    """Check every module precondition reachable from this configuration."""
+    """Check every module precondition reachable from this configuration: the
+    shared fields, then the record's checks, which call the modules' own."""
     _require(cfg.experiment in EXPERIMENTS, "experiment", f"must be one of {tuple(EXPERIMENTS)}")
     _require(1 <= cfg.d <= 3, "d", "dimension must lie in 1..3")
     _require(cfg.box_lo < cfg.box_hi, "box_lo,box_hi", "need box_lo < box_hi")
     _require(cfg.resolution >= 16, "resolution", "need at least 16 samples per axis")
-    try:
-        NormParams(p=cfg.p, r=cfg.r, m=cfg.m, m_diff=cfg.m_diff)
-    except GridError as err:
-        raise ValidationError("p,r,m,m_diff", str(err)) from None
     _require(cfg.seed >= 0, "seed", "seed must be nonnegative")
     _require(cfg.format in ("csv", "json"), "format", "format must be csv or json")
     for check in EXPERIMENTS[cfg.experiment].checks:
         check(cfg)
 
 
-def _check_levels(cfg: ExperimentConfig) -> None:
-    dx = (cfg.box_hi - cfg.box_lo) / cfg.resolution
-    if dx < 1.0:
-        levels = int(math.floor(math.log2(1.0 / dx))) - 1
-    else:
-        levels = 0
-    _require(levels >= 2, "resolution,box_lo,box_hi",
-             f"grid leaves {levels} dyadic levels; difference norms need >= 2")
+def _dx(cfg: ExperimentConfig) -> float:
+    return (cfg.box_hi - cfg.box_lo) / cfg.resolution
+
+
+def _check_besov(cfg: ExperimentConfig) -> None:
+    _check("p,r,m_diff", _check_besov_params, cfg.r, cfg.p, cfg.m_diff)
+    _check("resolution,box_lo,box_hi", _dyadic_levels, (_dx(cfg),))
+
+
+def _check_sobolev(cfg: ExperimentConfig) -> None:
+    _check("p,m", _check_sobolev_params, cfg.m, cfg.p)
 
 
 def _check_pow2(cfg: ExperimentConfig) -> None:
-    _require(cfg.resolution & (cfg.resolution - 1) == 0, "resolution",
-             "fourier norms need a power-of-two resolution")
+    _check("resolution", _check_power_of_two, cfg.resolution)
 
 
 def _check_count(cfg: ExperimentConfig) -> None:
     _require(cfg.count >= 1, "count", "family count must be positive")
+
+
+def _check_random(cfg: ExperimentConfig) -> None:
+    _check_count(cfg)
+    _check("band_cells,resolution", _check_band, cfg.band_cells, cfg.resolution)
 
 
 def _check_family(cfg: ExperimentConfig, **dims: tuple[int, ...]) -> None:
@@ -195,32 +204,34 @@ def _check_family(cfg: ExperimentConfig, **dims: tuple[int, ...]) -> None:
     _require(cfg.family in dims, "family", f"{cfg.experiment} family must be {'|'.join(dims)}")
     _require(cfg.d in dims[cfg.family], "d,family", f"{cfg.family} members need d in {dims[cfg.family]}")
     if cfg.family == "random":
-        _check_count(cfg)
+        _check_random(cfg)
     if cfg.family in ("random", "zero"):
         return
-    _require(cfg.n_max >= cfg.n_min >= 0, "n_min,n_max", "invalid member range")
-    dx = (cfg.box_hi - cfg.box_lo) / cfg.resolution
-    if cfg.family.endswith("oscillatory"):
-        _require(cfg.epsilon > 0, "epsilon", "epsilon must be positive")
-        _require(cfg.ramp in ("linear", "smooth"), "ramp", "ramp must be linear or smooth")
-        _require(cfg.n_min >= 1, "n_min", "oscillatory members start at n = 1")
+    oscillatory = cfg.family.endswith("oscillatory")
+    _check("n_min,n_max", _check_members, cfg.n_min, cfg.n_max, 1 if oscillatory else 0)
+    if oscillatory:
         # the oscillation bound tightens with n, so the last member decides
-        _require(dx <= (1.0 / (2 * cfg.n_max)) ** (1.0 + cfg.epsilon) / 8.0, "resolution,n_max",
-                 "grid cannot resolve the oscillation at n_max")
+        _check("epsilon,ramp,resolution,n_max", _check_chirp, _dx(cfg), cfg.n_max, cfg.epsilon, cfg.ramp)
     else:
-        _require(4.0 * 2.0**-cfg.n_max / dx >= 16, "resolution,n_max",
-                 "finest dilated member needs >= 16 cells across its support")
+        _check("resolution,n_max", _check_dilation, _dx(cfg), cfg.n_max)
 
 
 def _check_random_fields(cfg: ExperimentConfig) -> None:
     _require(cfg.d == 2, "d", f"{cfg.experiment} experiment runs in d = 2")
-    _check_count(cfg)
-    _require(2 * cfg.band_cells < cfg.resolution, "band_cells,resolution",
-             "family band exceeds the grid Nyquist range")
+    _check_random(cfg)
 
 
-def _check_sobolev_p(cfg: ExperimentConfig) -> None:
-    _require(1.0 < cfg.p < math.inf, "p", "sobolev norms require 1 < p < inf")
+def _sobolev_columns(cfg: ExperimentConfig) -> bool:
+    # derivative norms need a smooth member (the chirps are not) and 1 < p < inf
+    return cfg.family != "oscillatory" and 1.0 < cfg.p < math.inf
+
+
+def _check_norm(cfg: ExperimentConfig) -> None:
+    _check_pow2(cfg)
+    _check_besov(cfg)
+    _check_family(cfg, dilated=(1,), oscillatory=(1,), random=(1, 2), zero=(1, 2))
+    if _sobolev_columns(cfg):
+        _check_sobolev(cfg)
 
 
 def _check_band_sweep(cfg: ExperimentConfig) -> None:
@@ -233,20 +244,36 @@ def _check_band_sweep(cfg: ExperimentConfig) -> None:
 
 
 def _check_nikolskij(cfg: ExperimentConfig) -> None:
-    _require(all(x >= 0 for x in cfg.alpha), "alpha", "orders must be nonnegative")
-    _require(len(cfg.alpha) == cfg.d, "alpha,d", "alpha must have one order per axis")
-    _require(1.0 <= cfg.p0 <= cfg.p, "p0,p", "need 1 <= p0 <= p")
+    _check("alpha,d", _as_axis_vector, cfg.alpha, cfg.d, "alpha")
+    for a in cfg.alpha:
+        _check("alpha", _check_order, a)
+    _check("p0,p", _check_exponents, cfg.p0, cfg.p)
+
+
+def _check_peetre(cfg: ExperimentConfig) -> None:
+    _check("a", _check_decay, cfg.a)
+    _check("p", _check_p, cfg.p)
+
+
+def _pair_space(cfg: ExperimentConfig) -> SpaceSpec:
+    if cfg.space == "sobolev":
+        return SpaceSpec("sobolev", cfg.p, m=cfg.m)
+    return SpaceSpec(cfg.space, cfg.p, r=cfg.r, m_diff=cfg.m_diff)
 
 
 def _check_pair(cfg: ExperimentConfig) -> None:
-    _check_levels(cfg)
     _check_family(cfg, tensor_dilated=(2, 3), tensor_oscillatory=(2, 3), random=(2,))
-    _require(cfg.space in ("besov", "sobolev"), "space", "space must be besov or sobolev")
+    _check("space", _pair_space, cfg)
+    # tensor pairs form difference norms whatever the space
+    if cfg.family == "random" and cfg.space == "sobolev":
+        _check_sobolev(cfg)
+    else:
+        _check_besov(cfg)
 
 
 def _check_trace(cfg: ExperimentConfig) -> None:
-    _require(1 <= cfg.n_split <= cfg.d, "n_split", "split index must lie in 1..d")
-    _require(len(cfg.beta) == cfg.d, "beta,d", "beta must have one order per axis")
+    _check("n_split,d", _check_split, cfg.n_split, cfg.d)
+    _check("beta,d", _as_axis_vector, cfg.beta, cfg.d, "beta")
     _require(all(0 <= x <= cfg.m for x in cfg.beta), "beta,m", "need 0 <= beta_i <= m")
 
 
@@ -322,10 +349,7 @@ def _pair_terms(cfg: ExperimentConfig, member: str) -> dict:
         return _tensor_norms(cfg, int(member))
     i = int(member)
     f, g = _random_member(cfg, 2 * i), _random_member(cfg, 2 * i + 1)
-    if cfg.space == "sobolev":
-        spec = SpaceSpec("sobolev", cfg.p, m=cfg.m)
-    else:
-        spec = SpaceSpec("besov", cfg.p, r=cfg.r, m_diff=cfg.m_diff)
+    spec = _pair_space(cfg)
     return {"norm_f": space_norm(f, spec), "norm_g": space_norm(g, spec),
             "norm_fg": space_norm(pointwise_multiply(f, g), spec),
             "sup_f": sup_norm(f), "sup_g": sup_norm(g)}
@@ -336,8 +360,7 @@ def _norm_row(cfg: ExperimentConfig, member: str) -> dict:
     vals = {"lp": lp_norm(u, cfg.p), "besov_diff": besov_norm_diff(u, cfg.r, cfg.p, cfg.m_diff),
             "besov_integral": besov_norm_integral(u, cfg.r, cfg.p, cfg.m_diff),
             "besov_fourier": besov_norm_fourier(u, cfg.r, cfg.p)}
-    # derivative norms need a smooth member (the chirps are not) and 1 < p < inf
-    if cfg.family != "oscillatory" and 1.0 < cfg.p < math.inf:
+    if _sobolev_columns(cfg):
         vals.update(sobolev_full=sobolev_norm_full(u, cfg.m, cfg.p),
                     sobolev_reduced=sobolev_norm_reduced(u, cfg.m, cfg.p), cmix=cmix_norm(u, cfg.m))
     else:
@@ -454,14 +477,12 @@ EXPERIMENTS = {
     "norm": Experiment(
         ("lp", "besov_diff", "besov_integral", "besov_fourier", "sobolev_full", "sobolev_reduced", "cmix"),
         "Norm battery per family member: L_p, difference/integral/fourier Besov norms, full/reduced Sobolev and C-mix norms (derivative-based columns are empty for non-smooth oscillatory members).",
-        (_check_pow2, _check_levels,
-         lambda cfg: _check_family(cfg, dilated=(1,), oscillatory=(1,), random=(1, 2), zero=(1, 2))),
-        _family_members, _norm_row, lambda cfg, rows: []),
+        (_check_norm,), _family_members, _norm_row, lambda cfg, rows: []),
     "equiv": Experiment(
         ("besov_diff", "besov_fourier", "besov_integral", "sobolev_full", "sobolev_reduced",
          "ratio_diff_fourier", "ratio_diff_integral", "ratio_full_reduced"),
         "Norm-equivalence ratios per seeded random member plus a final bracket row 'C' with the smallest C such that every ratio lies in [1/C, C].",
-        (_check_pow2, _check_levels, _check_random_fields, _check_sobolev_p), _seeded_members, _equiv_row,
+        (_check_pow2, _check_besov, _check_random_fields, _check_sobolev), _seeded_members, _equiv_row,
         _bracket("ratio_diff_fourier", "ratio_diff_integral", "ratio_full_reduced")),
     "algebra": Experiment(
         ("norm_f", "norm_g", "norm_fg", "ratio", "fit_exponent", "fit_residual"),
@@ -474,7 +495,7 @@ EXPERIMENTS = {
     "localize": Experiment(
         ("ratio",),
         "Besov norm over the l_p aggregate of bump-localized norms per member, plus bracket row 'C'.",
-        (_check_levels, _check_random_fields), _seeded_members, _localize_row, _bracket("ratio")),
+        (_check_besov, _check_random_fields), _seeded_members, _localize_row, _bracket("ratio")),
     "nikolskij": Experiment(
         ("octave", "b", "ratio"),
         "Band-limited derivative inequality constant across a dyadic band sweep; per-octave 'agg' rows and a final 'sweep' max/min row.",
@@ -483,17 +504,16 @@ EXPERIMENTS = {
     "peetre": Experiment(
         ("octave", "b", "ratio"),
         "Maximal-function L_p bound constant across a dyadic band sweep; per-octave 'agg' rows and a final 'sweep' max/min row.",
-        (_check_band_sweep, lambda cfg: _require(cfg.a > 0, "a", "peetre exponent a must be positive")),
-        _band_members, _band_row(lambda cfg, u, b: lp_norm(peetre_maximal(u, b, cfg.a), cfg.p) / lp_norm(u, cfg.p)),
-        _sweep_summary),
+        (_check_band_sweep, _check_peetre), _band_members,
+        _band_row(lambda cfg, u, b: lp_norm(peetre_maximal(u, b, cfg.a), cfg.p) / lp_norm(u, cfg.p)), _sweep_summary),
     "trace": Experiment(
         ("trace_norm", "sobolev_full", "ratio"),
         "Mixed sup/L_p trace functional against the full Sobolev norm per member, plus a 'max' row.",
-        (_check_random_fields, _check_sobolev_p, _check_trace), _seeded_members, _trace_row, _max_row),
+        (_check_random_fields, _check_sobolev, _check_trace), _seeded_members, _trace_row, _max_row),
     "embed": Experiment(
         ("sup_norm", "space_norm", "ratio", "fit_exponent", "fit_residual"),
         "sup-norm / space-norm along the dilated family with fitted geometric slope.",
-        (_check_levels, lambda cfg: _check_family(cfg, dilated=(1,), oscillatory=(1,)),
+        (_check_besov, lambda cfg: _check_family(cfg, dilated=(1,), oscillatory=(1,)),
          lambda cfg: _require(cfg.n_max - cfg.n_min >= 3, "n_min,n_max", "rate fit needs >= 4 members")),
         _family_members, _embed_row, lambda cfg, rows: _fit_row(cfg, rows, "geometric")),
     "report": Experiment(
@@ -594,11 +614,8 @@ def emit(rows: list[ResultRow], fmt: str, path: str, cfg: ExperimentConfig | Non
             rec[c] = row.values.get(c, "")
         records.append(rec)
     if fmt == "csv":
-        import csv as _csv
-        import io
-
         buf = io.StringIO()
-        writer = _csv.writer(buf, lineterminator="\n")
+        writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(cols)
         for rec in records:
             writer.writerow([_format_value(rec[c]) for c in cols])

@@ -26,6 +26,7 @@ from .grid import (
     GridError,
     GridFunction,
     NumericalAnomalyError,
+    _check_p,
     lp_norm,
     lp_norm_pow,
     pointwise_multiply,
@@ -293,26 +294,23 @@ def modulus(
     return best ** (1.0 / p)
 
 
-def dyadic_level_count(u: GridFunction) -> tuple[int, ...]:
-    """Retained dyadic scales per axis: floor(log2(1/dx)) - 1, so the finest
-    scale spans at least two grid cells."""
-    return tuple(int(math.floor(math.log2(1.0 / d))) - 1 for d in u.dx)
+def _dyadic_levels(dx: Sequence[float]) -> tuple[int, ...]:
+    """Retained dyadic scales per axis of spacing dx, floor(log2(1/dx)) - 1 so that
+    the finest spans two cells; difference norms need at least 2 on every axis."""
+    ks = tuple(int(math.floor(math.log2(1.0 / d))) - 1 for d in dx)
+    if min(ks) < 2:
+        raise GridError(f"grid too coarse for dyadic analysis: levels {ks} per axis, need >= 2")
+    return ks
 
 
-def _check_norm_args(u: GridFunction, r: float, p: float, m_diff: int) -> tuple[int, ...]:
-    # preconditions shared by the difference norms; returns the level counts
+def _check_besov_params(r: float, p: float, m_diff: int | None = None) -> None:
+    """Besov parameters: r > 0, p in [1, inf] and, when given, an integer
+    difference order m_diff > r."""
     if not r > 0:
         raise GridError(f"r must be positive, got {r}")
-    if not m_diff > r:
-        raise GridError(f"difference order m_diff={m_diff} must exceed r={r}")
-    if not p >= 1.0:
-        raise GridError(f"p must lie in [1, inf], got {p}")
-    ks = dyadic_level_count(u)
-    if min(ks) < 2:
-        raise GridError(
-            f"grid too coarse for dyadic analysis: levels {ks} per axis, need >= 2"
-        )
-    return ks
+    if m_diff is not None and not (float(m_diff).is_integer() and m_diff > r):
+        raise GridError(f"difference order m_diff={m_diff} must be an integer exceeding r={r}")
+    _check_p(p)
 
 
 def besov_norm_diff(u: GridFunction, r: float, p: float, m_diff: int) -> float:
@@ -323,7 +321,8 @@ def besov_norm_diff(u: GridFunction, r: float, p: float, m_diff: int) -> float:
     count; the l_p sum over k becomes a sup when p = inf.  Requires the
     difference order to exceed the smoothness r.
     """
-    ks = _check_norm_args(u, r, p, m_diff)
+    _check_besov_params(r, p, m_diff)
+    ks = _dyadic_levels(u.dx)
     scale_sets = [[admissible_cells(2.0**-k, dx) for k in range(kmax + 1)] for dx, kmax in zip(u.dx, ks)]
     mags = [sorted(set().union(*levels)) for levels in scale_sets]
     sets = all_direction_sets(u.d)[1:]
@@ -370,7 +369,8 @@ def besov_norm_integral(u: GridFunction, r: float, p: float, m_diff: int) -> flo
     [2^-k-1, 2^-k], matching the scale set of the discrete norm; the panel
     mass of the singular weight is used exactly.
     """
-    ks = _check_norm_args(u, r, p, m_diff)
+    _check_besov_params(r, p, m_diff)
+    ks = _dyadic_levels(u.dx)
     # per axis: panel list of (cells, weight mass, or |h|^-r at p = inf)
     panels: list[list[tuple[int, float]]] = []
     for axis in range(u.d):

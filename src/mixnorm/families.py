@@ -14,7 +14,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .grid import Box, GridError, GridFunction, sample, tensor_product
+from .grid import Box, GridError, GridFunction, _as_shape, sample, tensor_product
 from .profiles import plateau_bump
 
 DILATED_BOX = (-6.0, 6.0)
@@ -53,6 +53,18 @@ def companion_bump(
     return sample(lambda t: plateau_bump(t, plateau, support), grid_box, resolution)
 
 
+def _check_members(n_min: int, n_max: int, first: int) -> None:
+    if n_min < first or n_max < n_min:
+        raise GridError(f"invalid index range [{n_min}, {n_max}]; members start at n = {first}")
+
+
+def _check_dilation(dx: float, n: int) -> None:
+    # the support [-2, 2] of member n spans 4 * 2^-n / dx cells
+    cells = 4.0 * 2.0**-n / dx
+    if cells < 16:
+        raise GridError(f"grid spacing {dx:g} leaves {cells:.1f} < 16 cells across the support of member n={n}")
+
+
 def dilated_member(grid_box: Box, resolution: int, n: int) -> GridFunction:
     """Dyadic dilate f(2^n t) of the base bump, sampled from its closed form."""
     scale = 2.0**n
@@ -71,16 +83,9 @@ def dilated_family(
     so f_{n+1} coincides bit-for-bit with the one-level dyadic dilation of
     f_n.  The finest member must keep at least 16 cells across its support.
     """
-    if n_min < 0 or n_max < n_min:
-        raise GridError(f"invalid index range [{n_min}, {n_max}]")
+    _check_members(n_min, n_max, 0)
+    _check_dilation((box[1] - box[0]) / resolution, n_max)
     grid_box = Box((box[0],), (box[1],))
-    dx = (box[1] - box[0]) / resolution
-    finest_cells = 4.0 * 2.0**-n_max / dx
-    if finest_cells < 16:
-        raise GridError(
-            f"resolution {resolution} leaves {finest_cells:.1f} < 16 cells across "
-            f"the support of member n={n_max}"
-        )
     return TestFamily(
         kind="dilated_bump",
         indices=tuple(range(n_min, n_max + 1)),
@@ -126,8 +131,24 @@ def oscillatory_profile(t: np.ndarray, n: int, epsilon: float, ramp: str) -> np.
     return out
 
 
+def _resolves_oscillation(dx: float, n: int, epsilon: float) -> bool:
+    return dx <= (1.0 / (2 * n)) ** (1.0 + epsilon) / 8.0
+
+
+def _check_chirp(dx: float, n: int, epsilon: float, ramp: str) -> None:
+    # member n of the chirp family with these parameters, on grid spacing dx
+    if not epsilon > 0:
+        raise GridError(f"epsilon must be positive, got {epsilon}")
+    if ramp not in ("linear", "smooth"):
+        raise GridError(f"ramp must be 'linear' or 'smooth', got {ramp!r}")
+    if not _resolves_oscillation(dx, n, epsilon):
+        raise GridError(f"grid spacing {dx:g} cannot resolve the oscillation at n={n}")
+
+
 def oscillatory_member(grid_box: Box, resolution: int, n: int, epsilon: float, ramp: str) -> GridFunction:
-    """Member f_n of the chirp family, sampled from oscillatory_profile."""
+    """Member f_n of the chirp family, sampled from oscillatory_profile; the
+    grid must resolve its oscillation."""
+    _check_chirp(grid_box.widths[0] / resolution, n, epsilon, ramp)
     return sample(lambda t: oscillatory_profile(t, n, epsilon, ramp), grid_box, resolution)
 
 
@@ -147,12 +168,7 @@ def oscillatory_family(
     warning.  When p is given, epsilon > 1/p and epsilon != 1 + 1/p are
     checked as warnings only.
     """
-    if ramp not in ("linear", "smooth"):
-        raise GridError(f"ramp must be 'linear' or 'smooth', got {ramp!r}")
-    if n_min < 1 or n_max < n_min:
-        raise GridError(f"invalid index range [{n_min}, {n_max}]")
-    if not epsilon > 0:
-        raise GridError(f"epsilon must be positive, got {epsilon}")
+    _check_members(n_min, n_max, 1)
     if p is not None:
         if epsilon <= 1.0 / p:
             warnings.warn(f"epsilon={epsilon} <= 1/p={1.0 / p}: growth rates degenerate")
@@ -160,13 +176,11 @@ def oscillatory_family(
             warnings.warn(f"epsilon={epsilon} equals 1 + 1/p: excluded parameter")
     grid_box = Box((box[0],), (box[1],))
     dx = (box[1] - box[0]) / resolution
+    _check_chirp(dx, n_min, epsilon, ramp)
+    # the bound tightens with n, so the loop stops at n_min or above
     n_ok = n_max
-    while n_ok >= n_min and dx > (1.0 / (2 * n_ok)) ** (1.0 + epsilon) / 8.0:
+    while not _resolves_oscillation(dx, n_ok, epsilon):
         n_ok -= 1
-    if n_ok < n_min:
-        raise GridError(
-            f"resolution {resolution} cannot resolve the oscillation even at n={n_min}"
-        )
     if n_ok < n_max:
         warnings.warn(
             f"resolution {resolution} resolves oscillations only up to n={n_ok}; "
@@ -273,6 +287,13 @@ def rate_fit(
     return float(slope), residual
 
 
+def _check_band(band_cells: int, n: int) -> None:
+    if band_cells < 1:
+        raise GridError(f"band_cells must be >= 1, got {band_cells}")
+    if 2 * band_cells >= n:
+        raise GridError(f"band {band_cells} exceeds the Nyquist range of {n} samples")
+
+
 def random_smooth_field(
     seed_key,
     box: Box,
@@ -291,15 +312,10 @@ def random_smooth_field(
     window is given, multiplied by the plateau bump prod_i plateau_bump(x_i),
     which confines the support with margin.
     """
-    if isinstance(shape, int):
-        shape = (shape,) * box.d
-    shape = tuple(int(n) for n in shape)
+    shape = _as_shape(shape, box.d)
     if band_fraction is not None:
         band_cells = int(band_fraction * min(shape) / 2.0)
-    if band_cells < 1:
-        raise GridError(f"band_cells must be >= 1, got {band_cells}")
-    if 2 * band_cells >= min(shape):
-        raise GridError(f"band {band_cells} exceeds the grid Nyquist range")
+    _check_band(band_cells, min(shape))
     rng = np.random.default_rng(seed_key)
     d = box.d
     side = 2 * band_cells + 1
@@ -337,9 +353,7 @@ def random_trig_field(
     with integer modes |kappa|_inf <= kmax and w = 2 pi / box width per axis;
     b is the exact per-axis angular band bound 2^octave * w * kmax.
     """
-    if isinstance(shape, int):
-        shape = (shape,) * box.d
-    shape = tuple(int(n) for n in shape)
+    shape = _as_shape(shape, box.d)
     rng = np.random.default_rng(seed_key)
     d = box.d
     kappas = rng.integers(-kmax, kmax + 1, size=(modes, d))
@@ -350,8 +364,6 @@ def random_trig_field(
     phases = rng.uniform(0.0, 2.0 * np.pi, modes)
     base = [2.0 * np.pi / w for w in box.widths]
     scale = 2.0**octave
-    if len(shape) != d or min(shape) < 1:
-        raise GridError(f"resolution must be {d} positive sizes, got {shape}")
     # u = Re sum_j a_j e^{i theta_j} prod_axis e^{i w kappa_j x_axis}: one
     # (modes x n) factor per axis, contracted over the modes at once
     factors = []

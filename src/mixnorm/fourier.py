@@ -20,8 +20,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .grid import GridError, GridFunction, NumericalAnomalyError, lp_norm, lp_norm_pow, power_table
-from .differences import mixed_difference, snap_step, _as_axis_vector
+from .grid import GridError, GridFunction, NumericalAnomalyError, _as_shape, lp_norm, lp_norm_pow, power_table
+from .differences import _as_axis_vector, _check_besov_params, mixed_difference, snap_step
 from .profiles import smoothstep
 
 
@@ -32,10 +32,21 @@ def _angular_freqs(u: GridFunction) -> list[np.ndarray]:
 MAX_SPECTRAL_ORDER = 4
 
 
+def _check_order(a: int) -> int:
+    # a derivative order, or the Sobolev order m, that spectral symbols take; returned as an int
+    if not (float(a).is_integer() and 0 <= a <= MAX_SPECTRAL_ORDER):
+        raise GridError(f"order {a} is not an integer in 0..{MAX_SPECTRAL_ORDER}, the configured maximum")
+    return int(a)
+
+
+def _check_sobolev_params(m: int, p: float) -> None:
+    _check_order(m)
+    if not 1.0 < p < math.inf:
+        raise GridError(f"sobolev norms require 1 < p < inf, got {p}")
+
+
 def _derivative_symbol(xi: np.ndarray, a: int) -> np.ndarray:
     # (i xi)^a; odd orders zero the unpaired Nyquist mode of an even grid
-    if a > MAX_SPECTRAL_ORDER:
-        raise GridError(f"order {a} exceeds configured maximum {MAX_SPECTRAL_ORDER}")
     mult = (1j * xi) ** a
     n = xi.shape[0]
     if a % 2 == 1 and n % 2 == 0:
@@ -122,21 +133,21 @@ def _axis_windows(xi: np.ndarray, kind: str) -> list[np.ndarray]:
     return wins
 
 
+def _check_power_of_two(n: int) -> None:
+    if n & (n - 1):
+        raise GridError(f"resolution must be a power of two, got {n}")
+
+
 def build_system(kind: str, box, resolution: Sequence[int] | int) -> DyadicSystem:
     """Dyadic decomposition of unity on the frequency grid of a box.
 
     Resolution must be a power of two, at least 16 per axis.
     """
-    if isinstance(resolution, int):
-        resolution = (resolution,) * box.d
-    resolution = tuple(int(n) for n in resolution)
-    if len(resolution) != box.d:
-        raise GridError(f"resolution has length {len(resolution)}, box has d={box.d}")
+    resolution = _as_shape(resolution, box.d)
     for n in resolution:
         if n < 16:
             raise GridError(f"resolution must be >= 16 per axis, got {n}")
-        if n & (n - 1):
-            raise GridError(f"resolution must be a power of two, got {n}")
+        _check_power_of_two(n)
     dx = [w / n for w, n in zip(box.widths, resolution)]
     freqs = tuple(2.0 * np.pi * np.fft.fftfreq(n, d=d_) for n, d_ in zip(resolution, dx))
     axis_windows = tuple(tuple(_axis_windows(xi, kind)) for xi in freqs)
@@ -206,10 +217,7 @@ def besov_norm_fourier(
 ) -> float:
     """Littlewood-Paley Besov norm: dyadically weighted l_p aggregate of block
     L_p norms, with the max modification at p = inf; p = 2 forms no block."""
-    if not r > 0:
-        raise GridError(f"r must be positive, got {r}")
-    if not p >= 1.0:
-        raise GridError(f"p must lie in [1, inf], got {p}")
+    _check_besov_params(r, p)
     if sys is None:
         sys = system_for(u, "smooth")
     vol = u.cell_volume
@@ -240,10 +248,7 @@ def sobolev_norm_fourier(
 
     The square-function characterization needs 1 < p < infinity; p = 2 forms no block.
     """
-    if m < 0:
-        raise GridError(f"m must be >= 0, got {m}")
-    if not 1.0 < p < math.inf:
-        raise GridError(f"square-function norm requires 1 < p < inf, got {p}")
+    _check_sobolev_params(m, p)
     if sys is None:
         sys = system_for(u, "smooth")
     if p == 2.0:
@@ -282,15 +287,17 @@ def spectral_derivative(u: GridFunction, alpha: Sequence[int] | int) -> GridFunc
     supported samples with margin make this exact to spectral accuracy.  The
     unpaired Nyquist mode is zeroed for odd orders.
     """
-    av = tuple(int(a) for a in _as_axis_vector(alpha, u.d, "alpha"))
-    for a in av:
-        if a < 0:
-            raise GridError(f"derivative orders must be >= 0, got {av}")
+    av = tuple(_check_order(a) for a in _as_axis_vector(alpha, u.d, "alpha"))
     if all(a == 0 for a in av):
         return u
     symbols = [_derivative_symbol(xi, a) if a else None for a, xi in zip(av, _angular_freqs(u))]
     coeffs = np.fft.fftn(u.values, norm="ortho")
     return u.with_values(_windowed_inverse(coeffs, symbols, None))
+
+
+def _check_exponents(p0: float, p: float) -> None:
+    if not 1.0 <= p0 <= p:
+        raise GridError(f"need 1 <= p0 <= p, got p0={p0}, p={p}")
 
 
 def nikolskij_ratio(
@@ -306,8 +313,7 @@ def nikolskij_ratio(
     finiteness across a band sweep exhibits the inequality with a uniform
     constant.  Requires p0 <= p and u band-limited to b.
     """
-    if not (p0 >= 1.0 and p >= 1.0 and p0 <= p):
-        raise GridError(f"need 1 <= p0 <= p, got p0={p0}, p={p}")
+    _check_exponents(p0, p)
     bv = _as_axis_vector(b, u.d, "b")
     av = tuple(int(a) for a in _as_axis_vector(alpha, u.d, "alpha"))
     if band_energy_fraction(u, bv) > 1e-8:
@@ -389,6 +395,11 @@ def _max_convolve_lines(src: np.ndarray, weights: Sequence[float], periodic: boo
     return src
 
 
+def _check_decay(a: float) -> None:
+    if not a > 0:
+        raise GridError(f"decay exponent a must be positive, got {a}")
+
+
 def peetre_maximal(u: GridFunction, b: Sequence[float] | float, a: float) -> GridFunction:
     """Weighted sliding supremum sup_z |u(x - z)| / prod (1 + |b_i z_i|)^a.
 
@@ -397,8 +408,7 @@ def peetre_maximal(u: GridFunction, b: Sequence[float] | float, a: float) -> Gri
     weight makes the joint maximum a sequence of per-axis max-convolutions,
     each run on contiguous lines with an exact per-line early stop.
     """
-    if not a > 0:
-        raise GridError(f"decay exponent a must be positive, got {a}")
+    _check_decay(a)
     bv = _as_axis_vector(b, u.d, "b")
     periodic = u.extension == "periodic"
     acc = np.abs(u.values)

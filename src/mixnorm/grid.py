@@ -67,36 +67,6 @@ class Box:
         return float(np.prod(self.widths))
 
 
-@dataclass(frozen=True)
-class NormParams:
-    """Norm parameterization: integrability p plus a smoothness parameter.
-
-    p may be math.inf; r is fractional smoothness (Besov), m an integer
-    derivative order (Sobolev).  m_diff is the difference order used for
-    moduli of smoothness and must exceed r.
-    """
-
-    p: float
-    r: float | None = None
-    m: int | None = None
-    m_diff: int | None = None
-
-    def __post_init__(self):
-        if not (self.p >= 1.0):
-            raise GridError(f"p must lie in [1, inf], got {self.p}")
-        if self.r is not None and not self.r > 0:
-            raise GridError(f"r must be positive, got {self.r}")
-        if self.m is not None and (self.m < 0 or self.m != int(self.m)):
-            raise GridError(f"m must be a nonnegative integer, got {self.m}")
-        if self.m_diff is not None:
-            if self.m_diff < 1 or self.m_diff != int(self.m_diff):
-                raise GridError(f"m_diff must be a positive integer, got {self.m_diff}")
-            if self.r is not None and not self.m_diff > self.r:
-                raise GridError(
-                    f"difference order m_diff={self.m_diff} must exceed r={self.r}"
-                )
-
-
 class GridFunction:
     """Real scalar field sampled on a uniform grid over a box.
 
@@ -164,6 +134,16 @@ def require_same_grid(u: GridFunction, v: GridFunction) -> None:
         raise GridMismatchError(f"extension mismatch: {u.extension} vs {v.extension}")
 
 
+def _as_shape(n: Sequence[int] | int, d: int) -> tuple[int, ...]:
+    """Positive sample counts of the d axes, from one count or one per axis."""
+    n = tuple(int(k) for k in ((n,) * d if isinstance(n, int) else n))
+    if len(n) != d:
+        raise GridError(f"resolution has length {len(n)}, box has d={d}")
+    if any(k < 1 for k in n):
+        raise GridError(f"resolution must be positive, got {n}")
+    return n
+
+
 def sample(
     expr: Callable[..., np.ndarray],
     box: Box,
@@ -175,13 +155,7 @@ def sample(
     expr receives one broadcastable coordinate array per axis.  A non-finite
     sample is rejected with the offending node coordinates.
     """
-    if isinstance(n, int):
-        n = (n,) * box.d
-    n = tuple(int(k) for k in n)
-    if len(n) != box.d:
-        raise GridError(f"resolution has length {len(n)}, box has d={box.d}")
-    if any(k < 1 for k in n):
-        raise GridError(f"resolution must be positive, got {n}")
+    n = _as_shape(n, box.d)
     axes = [
         box.lower[i] + (box.upper[i] - box.lower[i]) / n[i] * np.arange(n[i])
         for i in range(box.d)
@@ -196,10 +170,14 @@ def sample(
     return GridFunction(box, values, extension)
 
 
-def lp_norm(u: GridFunction, p: float) -> float:
-    """Discrete L_p norm: (sum |u|^p * prod dx)^(1/p); max |u| when p = inf."""
+def _check_p(p: float) -> None:
     if not p >= 1.0:
         raise GridError(f"p must lie in [1, inf], got {p}")
+
+
+def lp_norm(u: GridFunction, p: float) -> float:
+    """Discrete L_p norm: (sum |u|^p * prod dx)^(1/p); max |u| when p = inf."""
+    _check_p(p)
     total = lp_norm_pow(u.values, p, u.cell_volume)
     return total if math.isinf(p) else total ** (1.0 / p)
 

@@ -13,13 +13,14 @@ an approximation.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
 
-from .grid import Box, GridError, GridFunction, crop, lp_norm_pow
+from .grid import Box, GridError, GridFunction, _as_shape, crop, lp_norm_pow, pointwise_multiply
 from .differences import besov_norm_diff
 from .profiles import smooth_partition_base
 from .spaces import SpaceSpec, space_norm, sup_norm
@@ -48,8 +49,6 @@ class PartitionOfUnity:
 
     def centers(self) -> list[tuple[int, ...]]:
         """All active lattice translates (integer coordinates)."""
-        import itertools
-
         return [tuple(c) for c in itertools.product(*self.axis_centers)]
 
     def inner_ranges(self) -> tuple[tuple[int, int], ...]:
@@ -69,9 +68,7 @@ def build_partition(
     """
     if not base_width > 0:
         raise GridError(f"base width must be positive, got {base_width}")
-    if isinstance(resolution, int):
-        resolution = (resolution,) * box.d
-    resolution = tuple(int(n) for n in resolution)
+    resolution = _as_shape(resolution, box.d)
     dx = [w / n for w, n in zip(box.widths, resolution)]
     cells_per_unit = []
     for axis, d_ in enumerate(dx):
@@ -234,8 +231,6 @@ def localization_ratio(
 def algebra_ratio(f: GridFunction, g: GridFunction, space: SpaceSpec) -> float:
     """norm(f * g) / (norm(f) * norm(g)); bounded families exhibit the
     multiplication-algebra property."""
-    from .grid import pointwise_multiply
-
     nf, ng = space_norm(f, space), space_norm(g, space)
     if nf == 0.0 or ng == 0.0:
         raise GridError("algebra ratio undefined for zero-norm inputs")
@@ -248,8 +243,6 @@ def moser_ratio(f: GridFunction, g: GridFunction, space: SpaceSpec) -> float:
     Unbounded growth along a test family disproves the product inequality
     with mixed L_infinity terms for the given space.
     """
-    from .grid import pointwise_multiply
-
     nf, ng = space_norm(f, space), space_norm(g, space)
     sf, sg = sup_norm(f), sup_norm(g)
     denom = nf * sg + sf * ng

@@ -17,8 +17,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .grid import GridError, GridFunction, lp_norm, lp_norm_pow, power_table
-from .fourier import _angular_freqs, _derivative_symbol, spectral_derivative
+from .grid import GridError, GridFunction, _check_p, lp_norm, lp_norm_pow, power_table
+from .fourier import _angular_freqs, _check_order, _check_sobolev_params, _derivative_symbol, spectral_derivative
 from .differences import _as_axis_vector
 from .spaces import SpaceSpec, space_norm, sup_norm
 
@@ -58,13 +58,6 @@ def derivative(
     return u.with_values(values)
 
 
-def _check_sobolev_params(m: int, p: float) -> None:
-    if m < 0 or m != int(m):
-        raise GridError(f"m must be a nonnegative integer, got {m}")
-    if not 1.0 < p < math.inf:
-        raise GridError(f"sobolev norms require 1 < p < inf, got {p}")
-
-
 def _derivative_norm_sum(u: GridFunction, m: int, p: float, alphas) -> float:
     # p = 2: every ||D^alpha u||_2^2 from one power spectrum (Parseval)
     if p == 2.0:
@@ -90,12 +83,16 @@ def sobolev_norm_reduced(u: GridFunction, m: int, p: float) -> float:
 
 def cmix_norm(u: GridFunction, m: int) -> float:
     """Sup-norm analogue: sum of sup |D^alpha u| over |alpha|_inf <= m."""
-    if m < 0:
-        raise GridError(f"m must be a nonnegative integer, got {m}")
+    _check_order(m)
     total = 0.0
     for alpha in itertools.product(range(m + 1), repeat=u.d):
         total += float(np.max(np.abs(spectral_derivative(u, alpha).values)))
     return total
+
+
+def _check_split(n_split: int, d: int) -> None:
+    if not 1 <= n_split <= d:
+        raise GridError(f"split index must lie in 1..{d}, got {n_split}")
 
 
 def mixed_sup_lp(u: GridFunction, beta: Sequence[int], n_split: int, p: float) -> float:
@@ -105,10 +102,8 @@ def mixed_sup_lp(u: GridFunction, beta: Sequence[int], n_split: int, p: float) -
     the L_p quadrature over the leading n_split axes.  n_split = d reduces to
     the plain L_p norm of the derivative (bit-identical code path).
     """
-    if not 1 <= n_split <= u.d:
-        raise GridError(f"split index must lie in 1..{u.d}, got {n_split}")
-    if not p >= 1.0:
-        raise GridError(f"p must lie in [1, inf], got {p}")
+    _check_split(n_split, u.d)
+    _check_p(p)
     dv = spectral_derivative(u, tuple(int(b) for b in beta))
     if n_split == u.d:
         return lp_norm(dv, p)

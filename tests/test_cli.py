@@ -64,6 +64,13 @@ def test_validate_catches_module_preconditions():
         dict(experiment="moser", family="tensor_dilated", n_max=10, resolution=1024),
         dict(experiment="embed", resolution=4096, n_min=0, n_max=4),
         dict(experiment="embed", family="dilated", d=2, resolution=4096, n_min=0, n_max=4),
+        dict(experiment="algebra", space="sobolev", p=1.0),
+        dict(experiment="algebra", space="sobolev", p=math.inf),
+        dict(experiment="algebra", space="sobolev", m=5),
+        dict(experiment="equiv", m=5),
+        dict(experiment="nikolskij", alpha=(5, 0)),
+        dict(experiment="equiv", band_cells=0),
+        dict(experiment="moser", space="sobolev", p=1.0),
     ]
     for kwargs in bad:
         with pytest.raises(ValidationError):
@@ -79,6 +86,9 @@ def test_validate_checks_only_what_the_experiment_reads():
     # localize forms no Sobolev norm, so p may be 1 or inf
     for p in (1.0, math.inf):
         validate(ExperimentConfig(experiment="localize", p=p, resolution=64, count=1))
+    # the band sweeps form no Besov norm, so r and m_diff are not read
+    validate(ExperimentConfig(experiment="peetre", r=3.0, m_diff=2))
+    validate(ExperimentConfig(experiment="nikolskij", r=-1.0))
 
 
 def test_norm_experiment_zero_function():

@@ -9,7 +9,6 @@ from mixnorm import (
     GridError,
     GridFunction,
     GridMismatchError,
-    NormParams,
     coarsen,
     crop,
     dyadic_dilate,
@@ -19,7 +18,9 @@ from mixnorm import (
     shift,
     tensor_product,
 )
-from mixnorm.grid import lp_norm_pow
+from mixnorm.differences import _check_besov_params
+from mixnorm.fourier import _check_order
+from mixnorm.grid import _check_p, lp_norm_pow
 
 UNIT = Box((0.0,), (1.0,))
 
@@ -33,12 +34,14 @@ def test_box_validation():
 
 
 def test_norm_params_validation():
-    NormParams(p=2.0, r=1.0, m_diff=2)
-    NormParams(p=math.inf, m=3)
+    # the parameter checks of the norms that read the parameters
+    _check_besov_params(r=1.0, p=2.0, m_diff=2)
+    _check_p(math.inf)
+    _check_order(3)
     with pytest.raises(GridError):
-        NormParams(p=0.5)
+        _check_p(0.5)
     with pytest.raises(GridError):
-        NormParams(p=2.0, r=1.5, m_diff=1)
+        _check_besov_params(r=1.5, p=2.0, m_diff=1)
 
 
 def test_sample_constant():

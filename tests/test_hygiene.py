@@ -1,4 +1,5 @@
 import ast
+import sys
 from pathlib import Path
 
 import pytest
@@ -31,3 +32,46 @@ def test_unused_import_scan_flags_unread_names():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_module_reads_every_name_it_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def local_imports(source: str) -> list[str]:
+    """Imports inside functions of a standard-library module, or of a sibling
+    module that the file already imports from at top level."""
+    tree = ast.parse(source)
+    top = {(node.level, node.module) for node in tree.body if isinstance(node, ast.ImportFrom) and node.level}
+    found = {}
+    for fn in ast.walk(tree):
+        if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        for node in ast.walk(fn):
+            if isinstance(node, ast.Import):
+                for alias in node.names:
+                    if alias.name.split(".")[0] in sys.stdlib_module_names:
+                        found[(node.lineno, alias.name)] = None
+            elif isinstance(node, ast.ImportFrom):
+                sibling = node.level and (node.level, node.module) in top
+                if sibling or (not node.level and node.module.split(".")[0] in sys.stdlib_module_names):
+                    found[(node.lineno, "." * node.level + (node.module or ""))] = None
+    return [f"{name} (line {line})" for line, name in sorted(found)]
+
+
+def test_local_import_scan_flags_stdlib_and_top_level_siblings():
+    source = (
+        "import math\n"
+        "from .grid import Box\n"
+        "def f():\n"
+        "    import csv as _csv\n"
+        "    from .grid import crop\n"
+        "    from .sobolev import norm\n"
+        "    import numpy\n"
+        "    def g():\n"
+        "        from itertools import product\n"
+        "        return product\n"
+        "    return _csv, crop, norm, numpy, g\n"
+    )
+    assert local_imports(source) == ["csv (line 4)", ".grid (line 5)", "itertools (line 9)"]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_module_imports_at_top_level(path):
+    assert local_imports(path.read_text()) == []
