@@ -436,11 +436,16 @@ def _max_row(cfg: ExperimentConfig, rows: list[ResultRow]) -> list[ResultRow]:
     return [ResultRow(cfg.experiment, "max", {"ratio": max(row.values["ratio"] for row in rows)})]
 
 
-def _fit_row(cfg: ExperimentConfig, rows: list[ResultRow], model: str) -> list[ResultRow]:
+def _rate_model(cfg: ExperimentConfig) -> str:
+    # ratios along the chirp families grow like a power of n, along the dilates geometrically
+    return "power" if cfg.family.endswith("oscillatory") else "geometric"
+
+
+def _fit_row(cfg: ExperimentConfig, rows: list[ResultRow]) -> list[ResultRow]:
     series = {int(row.member): row.values["ratio"] for row in rows}
     if len(series) < 4 or not all(v > 0 for v in series.values()):
         return []
-    c_hat, resid = rate_fit(series, model)
+    c_hat, resid = rate_fit(series, _rate_model(cfg))
     return [ResultRow(cfg.experiment, "fit", {"fit_exponent": c_hat, "fit_residual": resid})]
 
 
@@ -448,7 +453,7 @@ def _pair_summary(cfg: ExperimentConfig, rows: list[ResultRow]) -> list[ResultRo
     # seed indices carry no order to fit a rate against
     if cfg.family == "random":
         return _max_row(cfg, rows)
-    return _fit_row(cfg, rows, "power" if cfg.family == "tensor_oscillatory" else "geometric")
+    return _fit_row(cfg, rows)
 
 
 def _sweep_summary(cfg: ExperimentConfig, rows: list[ResultRow]) -> list[ResultRow]:
@@ -490,7 +495,7 @@ EXPERIMENTS = {
         (_check_pair,), _family_members, _algebra_row, _pair_summary),
     "moser": Experiment(
         ("numerator", "denominator", "ratio", "fit_exponent", "fit_residual"),
-        "Moser-type ratio norm(fg)/(norm(f) sup(g) + sup(f) norm(g)) along the tensor counterexample family, with fitted growth exponent.",
+        "Moser-type ratio norm(fg)/(norm(f) sup(g) + sup(f) norm(g)) along the tensor counterexample families (with fitted growth exponent) or seeded random pairs (with max row).",
         (_check_pair,), _family_members, _moser_row, _pair_summary),
     "localize": Experiment(
         ("ratio",),
@@ -512,10 +517,10 @@ EXPERIMENTS = {
         (_check_random_fields, _check_sobolev, _check_trace), _seeded_members, _trace_row, _max_row),
     "embed": Experiment(
         ("sup_norm", "space_norm", "ratio", "fit_exponent", "fit_residual"),
-        "sup-norm / space-norm along the dilated family with fitted geometric slope.",
+        "sup-norm / space-norm along the dilated family (fitted geometric slope) or the oscillatory family (fitted power exponent).",
         (_check_besov, lambda cfg: _check_family(cfg, dilated=(1,), oscillatory=(1,)),
          lambda cfg: _require(cfg.n_max - cfg.n_min >= 3, "n_min,n_max", "rate fit needs >= 4 members")),
-        _family_members, _embed_row, lambda cfg, rows: _fit_row(cfg, rows, "geometric")),
+        _family_members, _embed_row, _fit_row),
     "report": Experiment(
         ("check", "value"),
         "Small battery across all experiments; rows are (check, value) pairs."),
