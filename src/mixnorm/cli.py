@@ -336,8 +336,11 @@ def _tensor_norms(cfg: ExperimentConfig, n: int) -> dict:
     f = _family_member(cfg, n)
     g, bg, bgg, sup_g = _companion_terms(cfg.box_lo, cfg.box_hi, cfg.resolution, cfg.companion_plateau,
                                          cfg.companion_support, cfg.r, cfg.p, cfg.m_diff, cfg.d)
-    bfg = besov_norm_diff(pointwise_multiply(f, g), cfg.r, cfg.p, cfg.m_diff)
-    norm_big = besov_norm_diff(f, cfg.r, cfg.p, cfg.m_diff) * bg ** (cfg.d - 1)
+    fg = pointwise_multiply(f, g)
+    bf = besov_norm_diff(f, cfg.r, cfg.p, cfg.m_diff)
+    # where g is 1 on the support of f the product is f itself, and so is its norm
+    bfg = bf if np.array_equal(fg.values, f.values) else besov_norm_diff(fg, cfg.r, cfg.p, cfg.m_diff)
+    norm_big = bf * bg ** (cfg.d - 1)
     sup_big = sup_norm(f) * sup_g ** (cfg.d - 1)
     return {"norm_f": norm_big, "norm_g": norm_big, "norm_fg": bfg * bfg * bgg,
             "sup_f": sup_big, "sup_g": sup_big}

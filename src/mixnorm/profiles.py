@@ -23,10 +23,14 @@ def mollifier(t: np.ndarray | float) -> np.ndarray:
 
 
 def _mollifier_integral(tau: np.ndarray) -> np.ndarray:
-    # integral of the mollifier over [-1, tau], Gauss-Legendre per element
+    # integral of the mollifier over [-1, tau], Gauss-Legendre per element;
+    # every node lies in [-1, tau] within [-1, 1), so the mollifier's formula
+    # needs no mask: at -1 it reads exp(-inf) = 0
     half = (tau + 1.0) / 2.0
     nodes = -1.0 + half[..., None] * (_GL_NODES + 1.0)
-    return half * np.sum(mollifier(nodes) * _GL_WEIGHTS, axis=-1)
+    with np.errstate(divide="ignore"):
+        values = np.exp(-1.0 / (1.0 - nodes * nodes))
+    return half * np.sum(values * _GL_WEIGHTS, axis=-1)
 
 
 _MOLLIFIER_MASS = float(_mollifier_integral(np.asarray([1.0]))[0])

@@ -28,7 +28,7 @@ from mixnorm import (
 )
 from mixnorm.differences import ladder_cells
 from mixnorm.families import random_smooth_field
-from mixnorm.grid import shift_values
+from mixnorm.grid import power_table, shift_values
 
 UNIT = Box((0.0,), (1.0,))
 BOX1 = Box((-4.0,), (4.0,))
@@ -333,6 +333,36 @@ def test_parseval_table_matches_padded_oracle(d, extension, m):
             steps = [TABLE_MAGS[i] for i in idx]
             want = _oracle_pow(u, e, m, steps, 2.0)
             assert tables[e][idx] == pytest.approx(want, rel=1e-12)
+
+
+def _stepwise_parseval_tables(u, sets, m, magnitudes):
+    # the p = 2 tables with one difference-symbol array per step s, built as
+    # (4 sin^2[k s mod n])^m: the oracle of the gathered symbol in difference_table
+    values, pad = u.values, [0] * u.d
+    if u.extension == "zero":
+        nz = np.nonzero(values)
+        values = values[tuple(slice(i.min(), i.max() + 1) for i in nz)]
+        pad = [m * max(mags) for mags in magnitudes]
+    shape = [n + q for n, q in zip(values.shape, pad)]
+    weights = []
+    for axis, (n, mags) in enumerate(zip(shape, magnitudes)):
+        k = np.arange(n // 2 + 1 if axis == len(shape) - 1 else n)
+        sin2 = np.sin(np.pi / n * np.arange(n)) ** 2
+        weights.append(np.array([(4.0 * sin2[k * s % n]) ** m for s in mags]))
+    weight_sets = [[w if a in e else None for a, w in enumerate(weights)] for e in sets]
+    return dict(zip(sets, power_table(values, weight_sets, u.cell_volume, shape)))
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+@pytest.mark.parametrize("extension", ["zero", "periodic"])
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_parseval_table_equals_stepwise_symbols(d, extension, m):
+    u = _sparse_field(d, extension, 60 + d)
+    sets = all_direction_sets(d)
+    mags = [TABLE_MAGS] * d
+    got = difference_table(u, sets, m, mags, 2.0)
+    want = _stepwise_parseval_tables(u, sets, m, mags)
+    assert all(np.array_equal(got[e], want[e]) for e in sets)
 
 
 @pytest.mark.parametrize("d", [1, 2])

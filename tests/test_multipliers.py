@@ -238,3 +238,50 @@ def test_tensor_moser_factorized_matches_materialized():
         t = _tensor_norms(cfg, n)
         fact = t["norm_fg"] / (t["norm_f"] * t["sup_g"] + t["sup_f"] * t["norm_g"])
         assert fact == pytest.approx(direct, rel=1e-10)
+
+
+def _counted_tensor_norms(monkeypatch, cfg, n):
+    # _tensor_norms(cfg, n) and the number of difference norms it forms past
+    # the companion's, which the first call caches
+    from mixnorm import cli
+
+    cli._tensor_norms(cfg, n)
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return besov_norm_diff(*args)
+
+    monkeypatch.setattr(cli, "besov_norm_diff", counted)
+    return cli._tensor_norms(cfg, n), len(calls)
+
+
+def test_tensor_norms_reuse_the_factor_norm_where_the_companion_covers_f(monkeypatch):
+    from mixnorm.cli import ExperimentConfig
+
+    cfg = ExperimentConfig(experiment="moser", family="tensor_dilated", d=2, resolution=256,
+                           box_lo=-6.0, box_hi=6.0, r=1.0, p=2.0, m_diff=2)
+    for n in range(3):
+        _, calls = _counted_tensor_norms(monkeypatch, cfg, n)
+        assert calls == 1
+
+
+def test_tensor_norms_of_a_narrow_companion_match_materialized(monkeypatch):
+    # a companion plateau of 0.5 leaves the support of f_0 and f_1 uncovered,
+    # so fg differs from f and its norm is formed on its own
+    from mixnorm.cli import ExperimentConfig
+    from mixnorm.families import companion_bump, dilated_member
+
+    box = Box((-6.0,), (6.0,))
+    g = companion_bump(box, 256, plateau=0.5, support=3.0)
+    spec = SpaceSpec("besov", 2.0, r=1.0, m_diff=2)
+    cfg = ExperimentConfig(experiment="moser", family="tensor_dilated", d=2, resolution=256,
+                           box_lo=-6.0, box_hi=6.0, r=1.0, p=2.0, m_diff=2, companion_plateau=0.5)
+    for n in (0, 1):
+        f = dilated_member(box, 256, n)
+        assert not np.array_equal(pointwise_multiply(f, g).values, f.values)
+        direct = moser_ratio(tensor_product(f, g), tensor_product(g, f), spec)
+        t, calls = _counted_tensor_norms(monkeypatch, cfg, n)
+        assert calls == 2
+        fact = t["norm_fg"] / (t["norm_f"] * t["sup_g"] + t["sup_f"] * t["norm_g"])
+        assert fact == pytest.approx(direct, rel=1e-10)

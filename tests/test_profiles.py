@@ -1,0 +1,58 @@
+import warnings
+
+import numpy as np
+import pytest
+
+from mixnorm.profiles import _GL_NODES, _GL_WEIGHTS, _mollifier_integral, mollifier, plateau_bump, smoothstep
+
+
+@pytest.mark.parametrize("plateau,support", [(0.0, 1.0), (1.0, 2.0), (2.0, 3.0), (0.5, 3.0)])
+def test_plateau_bump_is_one_on_plateau_and_zero_outside_support(plateau, support):
+    x = np.linspace(-support - 1.0, support + 1.0, 2001)
+    x = np.concatenate([x, [-plateau, plateau, -support, support]])
+    y = plateau_bump(x, plateau, support)
+    assert np.all(y[np.abs(x) <= plateau] == 1.0)
+    assert np.all(y[np.abs(x) >= support] == 0.0)
+
+# Near the end of the transition the 64-node quadrature of smoothstep overshoots
+# 1 by up to 1.3e-13, so there the bump dips below 0 and rises again by as much.
+QUADRATURE_ERROR = 1e-12
+
+
+@pytest.mark.parametrize("plateau,support", [(0.0, 1.0), (1.0, 2.0), (0.5, 3.0)])
+def test_plateau_bump_is_monotone_on_the_transition(plateau, support):
+    a = np.linspace(plateau, support, 100001)
+    y = plateau_bump(a, plateau, support)
+    assert np.all(np.maximum.accumulate(y[::-1])[::-1] - y <= QUADRATURE_ERROR)
+    assert np.all((y >= -QUADRATURE_ERROR) & (y <= 1.0))
+    assert np.array_equal(plateau_bump(-a, plateau, support), y)
+
+
+def test_plateau_bump_rejects_an_empty_transition():
+    with pytest.raises(ValueError):
+        plateau_bump(0.0, 2.0, 2.0)
+
+
+def test_smoothstep_ends():
+    assert smoothstep(0.0) == 0.0
+    assert smoothstep(1.0) == 1.0
+    assert np.all(smoothstep(np.array([-1.0, -1e-300])) == 0.0)
+    assert np.all(smoothstep(np.array([1.0 + 1e-15, 2.0])) == 1.0)
+
+
+def _masked_integral(tau):
+    # the quadrature through mollifier, which masks the nodes outside (-1, 1)
+    half = (tau + 1.0) / 2.0
+    nodes = -1.0 + half[..., None] * (_GL_NODES + 1.0)
+    return half * np.sum(mollifier(nodes) * _GL_WEIGHTS, axis=-1)
+
+
+def test_mollifier_integral_equals_masked_quadrature():
+    rng = np.random.default_rng(3)
+    taus = np.concatenate([[-1.0, 1.0], rng.uniform(-1.0, 1.0, 500)])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = _mollifier_integral(taus)
+        want = _masked_integral(taus)
+    assert np.array_equal(got, want)
+    assert got[0] == 0.0
