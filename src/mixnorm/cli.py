@@ -494,7 +494,7 @@ EXPERIMENTS = {
         _bracket("ratio_diff_fourier", "ratio_diff_integral", "ratio_full_reduced")),
     "algebra": Experiment(
         ("norm_f", "norm_g", "norm_fg", "ratio", "fit_exponent", "fit_residual"),
-        "Multiplication-algebra ratio norm(fg)/(norm(f) norm(g)) over tensor pairs (with geometric fit) or seeded random pairs (with max row).",
+        "Multiplication-algebra ratio norm(fg)/(norm(f) norm(g)) over tensor_dilated pairs (fitted geometric slope), tensor_oscillatory pairs (fitted power exponent) or seeded random pairs (with max row).",
         (_check_pair,), _family_members, _algebra_row, _pair_summary),
     "moser": Experiment(
         ("numerator", "denominator", "ratio", "fit_exponent", "fit_residual"),
