@@ -32,7 +32,7 @@ import numpy as np
 from .grid import Box, GridError, GridFunction, _check_p, lp_norm, pointwise_multiply
 from .differences import _as_axis_vector, _check_besov_params, _dyadic_levels, besov_norm_diff, besov_norm_integral
 from .fourier import (NumericalAnomalyError, _check_decay, _check_exponents, _check_order, _check_power_of_two,
-                      _check_sobolev_params, besov_norm_fourier, nikolskij_ratio, peetre_maximal)
+                      _check_samples, _check_sobolev_params, besov_norm_fourier, nikolskij_ratio, peetre_maximal)
 from .sobolev import _check_split, cmix_norm, embedding_ratio, mixed_sup_lp, sobolev_norm_full, sobolev_norm_reduced
 from .spaces import SpaceSpec, space_norm, sup_norm
 from .multipliers import build_partition, localization_ratio
@@ -165,7 +165,7 @@ def validate(cfg: ExperimentConfig) -> None:
     _require(cfg.experiment in EXPERIMENTS, "experiment", f"must be one of {tuple(EXPERIMENTS)}")
     _require(1 <= cfg.d <= 3, "d", "dimension must lie in 1..3")
     _require(cfg.box_lo < cfg.box_hi, "box_lo,box_hi", "need box_lo < box_hi")
-    _require(cfg.resolution >= 16, "resolution", "need at least 16 samples per axis")
+    _check("resolution", _check_samples, cfg.resolution)
     _require(cfg.seed >= 0, "seed", "seed must be nonnegative")
     _require(cfg.format in ("csv", "json"), "format", "format must be csv or json")
     for check in EXPERIMENTS[cfg.experiment].checks:

@@ -105,6 +105,11 @@ def _same_grid_diff(values: np.ndarray, axis: int, m: int, cells: int, extension
     return out[_along(values.ndim, axis, slice(lo, lo + values.shape[axis]))]
 
 
+def _check_difference_order(m: int) -> None:
+    if m < 1:
+        raise GridError(f"difference order must be >= 1, got {m}")
+
+
 def directional_difference(u: GridFunction, axis: int, m: int, h: float) -> GridFunction:
     """m-th order difference of u in one direction, step h.
 
@@ -113,8 +118,7 @@ def directional_difference(u: GridFunction, axis: int, m: int, h: float) -> Grid
     """
     if not 0 <= axis < u.d:
         raise GridError(f"axis {axis} out of range for d={u.d}")
-    if m < 1:
-        raise GridError(f"difference order must be >= 1, got {m}")
+    _check_difference_order(m)
     cells = snap_step(h, u.dx[axis])
     if cells == 0:
         warnings.warn(
@@ -421,8 +425,7 @@ def leibniz_difference(
     the direct difference of the product identically on the lattice.
     """
     require_same_grid(psi, phi)
-    if m < 1:
-        raise GridError(f"order must be >= 1, got {m}")
+    _check_difference_order(m)
     cells = snap_step(h, psi.dx[axis])
     ext = psi.extension
     out = np.zeros_like(psi.values)
@@ -456,8 +459,7 @@ def mixed_leibniz_terms(
     axes = sorted(set(int(a) for a in e))
     if not axes:
         return [(tuple([0] * f.d), pointwise_multiply(f, g))]
-    if m < 1:
-        raise GridError(f"order must be >= 1, got {m}")
+    _check_difference_order(m)
     hv = _as_axis_vector(h, f.d, "h")
     cells = {a: snap_step(float(hv[a]), f.dx[a]) for a in axes}
     ext = f.extension

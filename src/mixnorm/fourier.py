@@ -138,6 +138,11 @@ def _check_power_of_two(n: int) -> None:
         raise GridError(f"resolution must be a power of two, got {n}")
 
 
+def _check_samples(n: int) -> None:
+    if n < 16:
+        raise GridError(f"resolution must be >= 16 per axis, got {n}")
+
+
 def build_system(kind: str, box, resolution: Sequence[int] | int) -> DyadicSystem:
     """Dyadic decomposition of unity on the frequency grid of a box.
 
@@ -145,8 +150,7 @@ def build_system(kind: str, box, resolution: Sequence[int] | int) -> DyadicSyste
     """
     resolution = _as_shape(resolution, box.d)
     for n in resolution:
-        if n < 16:
-            raise GridError(f"resolution must be >= 16 per axis, got {n}")
+        _check_samples(n)
         _check_power_of_two(n)
     dx = [w / n for w, n in zip(box.widths, resolution)]
     freqs = tuple(2.0 * np.pi * np.fft.fftfreq(n, d=d_) for n, d_ in zip(resolution, dx))
@@ -280,6 +284,11 @@ def band_energy_fraction(u: GridFunction, b: Sequence[float] | float) -> float:
     return 0.0 if total == 0.0 else max(0.0, 1.0 - inside / total)
 
 
+def _check_band_limited(u: GridFunction, b: Sequence[float]) -> None:
+    if band_energy_fraction(u, b) > 1e-8:
+        raise GridError("input is not band-limited to b (relative out-of-band energy > 1e-8)")
+
+
 def spectral_derivative(u: GridFunction, alpha: Sequence[int] | int) -> GridFunction:
     """Mixed derivative D^alpha via Fourier multipliers (i xi)^alpha.
 
@@ -316,8 +325,7 @@ def nikolskij_ratio(
     _check_exponents(p0, p)
     bv = _as_axis_vector(b, u.d, "b")
     av = tuple(int(a) for a in _as_axis_vector(alpha, u.d, "alpha"))
-    if band_energy_fraction(u, bv) > 1e-8:
-        raise GridError("input is not band-limited to b (relative out-of-band energy > 1e-8)")
+    _check_band_limited(u, bv)
     denom_norm = lp_norm(u, p0)
     if denom_norm == 0.0:
         raise GridError("nikolskij ratio undefined for the zero function")
@@ -445,8 +453,7 @@ def difference_maximal_check(
     axes = sorted(set(int(x) for x in e))
     mv = _as_axis_vector(m, u.d, "m")
     bv = _as_axis_vector(b, u.d, "b")
-    if band_energy_fraction(u, bv) > 1e-8:
-        raise GridError("input is not band-limited to b (relative out-of-band energy > 1e-8)")
+    _check_band_limited(u, bv)
     pmax = peetre_maximal(u, bv, a).values
     safe = pmax > 0.0
     ratios = []

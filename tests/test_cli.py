@@ -19,6 +19,8 @@ from mixnorm.cli import (
     run,
     validate,
 )
+from mixnorm.fourier import build_system
+from mixnorm.grid import Box, GridError
 
 SRC = Path(__file__).resolve().parents[1] / "src"  # the checkout's package
 
@@ -75,6 +77,14 @@ def test_validate_catches_module_preconditions():
     for kwargs in bad:
         with pytest.raises(ValidationError):
             validate(ExperimentConfig(**kwargs))
+
+
+def test_validate_and_build_system_share_the_sample_rule():
+    with pytest.raises(GridError) as built:
+        build_system("smooth", Box((-4.0,), (4.0,)), 8)
+    with pytest.raises(ValidationError) as validated:
+        validate(ExperimentConfig(experiment="localize", resolution=8))
+    assert str(validated.value) == f"resolution: {built.value}"
 
 
 def test_validate_checks_only_what_the_experiment_reads():

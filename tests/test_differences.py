@@ -320,6 +320,19 @@ def _oracle_pow(u, e, m, steps, p):
     return norm if math.isinf(p) else norm**p
 
 
+def test_difference_orders_below_one_are_checked_alike():
+    u = sample(lambda x: np.sin(x), BOX1, 64)
+    calls = [lambda: directional_difference(u, 0, 0, 0.5),
+             lambda: leibniz_difference(u, u, 0, 0.5),
+             lambda: mixed_leibniz_terms(u, u, (0,), 0, 0.5)]
+    messages = set()
+    for call in calls:
+        with pytest.raises(GridError, match="order must be >= 1") as err:
+            call()
+        messages.add(str(err.value))
+    assert len(messages) == 1
+
+
 @pytest.mark.parametrize("d", [1, 2, 3])
 @pytest.mark.parametrize("extension", ["zero", "periodic"])
 @pytest.mark.parametrize("m", [1, 2])

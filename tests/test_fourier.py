@@ -208,6 +208,16 @@ def test_nikolskij_rejects_out_of_band():
         nikolskij_ratio(u, (1,), 2.0, 2.0, (b[0] / 8.0,))
 
 
+def test_band_limited_inputs_are_checked_alike():
+    u, b = random_trig_field((55, 4), BOX1, 512, kmax=4, modes=6)
+    narrow = (b[0] / 8.0,)
+    with pytest.raises(GridError, match="band-limited") as nikolskij:
+        nikolskij_ratio(u, (1,), 2.0, 2.0, narrow)
+    with pytest.raises(GridError, match="band-limited") as maximal:
+        difference_maximal_check(u, (0,), 2, [0.1], narrow, 1.0)
+    assert str(nikolskij.value) == str(maximal.value)
+
+
 def test_spectral_derivative_identity_and_sine():
     u = sample(lambda x: np.sin(2 * np.pi * x), Box((0.0,), (1.0,)), 128, extension="periodic")
     assert spectral_derivative(u, (0,)) is u
