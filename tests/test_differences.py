@@ -355,7 +355,7 @@ def _stepwise_parseval_tables(u, sets, m, magnitudes):
     if u.extension == "zero":
         nz = np.nonzero(values)
         values = values[tuple(slice(i.min(), i.max() + 1) for i in nz)]
-        pad = [m * max(mags) for mags in magnitudes]
+        pad = [m * max(mags, default=0) for mags in magnitudes]
     shape = [n + q for n, q in zip(values.shape, pad)]
     weights = []
     for axis, (n, mags) in enumerate(zip(shape, magnitudes)):
@@ -376,6 +376,10 @@ def test_parseval_table_equals_stepwise_symbols(d, extension, m):
     got = difference_table(u, sets, m, mags, 2.0)
     want = _stepwise_parseval_tables(u, sets, m, mags)
     assert all(np.array_equal(got[e], want[e]) for e in sets)
+    # modulus gives the axes outside its direction set no steps
+    lone = [TABLE_MAGS] + [[]] * (d - 1)
+    got = difference_table(u, [(0,)], m, lone, 2.0)
+    assert np.array_equal(got[(0,)], _stepwise_parseval_tables(u, [(0,)], m, lone)[(0,)])
 
 
 @pytest.mark.parametrize("d", [1, 2])
