@@ -193,6 +193,7 @@ def _parseval_tables(values, sets, orders, magnitudes, pad, cell_volume):
     for axis, (n, m, mags) in enumerate(zip(shape, orders, magnitudes)):
         k = np.arange(n // 2 + 1 if axis == len(shape) - 1 else n)  # the bins power_table reads
         symbol = (4.0 * np.sin(np.pi / n * np.arange(n)) ** 2) ** m
+        # intp: modulus leaves the axes outside its direction set without steps
         weights.append(symbol[np.multiply.outer(mags, k).astype(np.intp) % n])
     weight_sets = [[w if a in e else None for a, w in enumerate(weights)] for e in sets]
     return dict(zip(sets, power_table(values, weight_sets, cell_volume, shape)))

@@ -321,7 +321,7 @@ def _oracle_pow(u, e, m, steps, p):
 
 
 def test_difference_orders_below_one_are_checked_alike():
-    u = sample(lambda x: np.sin(x), BOX1, 64)
+    u = sample(np.sin, BOX1, 64)
     calls = [lambda: directional_difference(u, 0, 0, 0.5),
              lambda: leibniz_difference(u, u, 0, 0.5),
              lambda: mixed_leibniz_terms(u, u, (0,), 0, 0.5)]
