@@ -64,7 +64,9 @@ from .multipliers import (
     build_partition,
     localization_ratio,
     moser_ratio,
+    pair_terms,
     partition_deviation,
+    tensor_pair_terms,
     translate_function,
     uniform_norm,
 )

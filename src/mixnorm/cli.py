@@ -17,7 +17,6 @@ from __future__ import annotations
 import concurrent.futures
 import csv
 import dataclasses
-import functools
 import io
 import json
 import math
@@ -29,15 +28,16 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .grid import Box, GridError, GridFunction, _check_p, lp_norm, pointwise_multiply
+from .grid import Box, GridError, GridFunction, _check_p, lp_norm
 from .differences import _as_axis_vector, _check_besov_params, _dyadic_levels, besov_norm_diff, besov_norm_integral
 from .fourier import (NumericalAnomalyError, _check_decay, _check_exponents, _check_order, _check_power_of_two,
                       _check_samples, _check_sobolev_params, besov_norm_fourier, nikolskij_ratio, peetre_maximal)
 from .sobolev import _check_split, cmix_norm, embedding_ratio, mixed_sup_lp, sobolev_norm_full, sobolev_norm_reduced
-from .spaces import SpaceSpec, space_norm, sup_norm
-from .multipliers import build_partition, localization_ratio
-from .families import (_check_band, _check_chirp, _check_dilation, _check_members, companion_bump, dilated_member,
-                       oscillatory_member, random_smooth_field, random_trig_field, rate_fit)
+from .spaces import SpaceSpec, sup_norm
+from .multipliers import (_algebra_denominator, _check_tensor_space, _moser_denominator, build_partition,
+                          localization_ratio, pair_terms, tensor_pair_terms)
+from .families import (_check_band, _check_chirp, _check_dilation, _check_members, dilated_member,
+                       oscillatory_member, random_smooth_field, random_trig_field, rate_fit, rate_model)
 
 
 class ValidationError(ValueError):
@@ -262,10 +262,11 @@ def _pair_space(cfg: ExperimentConfig) -> SpaceSpec:
 
 
 def _check_pair(cfg: ExperimentConfig) -> None:
-    _check_family(cfg, tensor_dilated=(2, 3), tensor_oscillatory=(2, 3), random=(2,))
     _check("space", _pair_space, cfg)
-    # tensor pairs form difference norms whatever the space
-    if cfg.family == "random" and cfg.space == "sobolev":
+    if cfg.family.startswith("tensor_"):
+        _check("space", _check_tensor_space, cfg.space)
+    _check_family(cfg, tensor_dilated=(2, 3), tensor_oscillatory=(2, 3), random=(2,))
+    if cfg.space == "sobolev":
         _check_sobolev(cfg)
     else:
         _check_besov(cfg)
@@ -322,40 +323,13 @@ def _family_member(cfg: ExperimentConfig, n: int) -> GridFunction:
     return oscillatory_member(cfg.box1(), cfg.resolution, n, cfg.epsilon, cfg.ramp)
 
 
-@functools.lru_cache(maxsize=4)
-def _companion_terms(box_lo, box_hi, resolution, plateau, support, r, p, m_diff, d):
-    # the companion factor does not depend on the member: once per process
-    g = companion_bump(Box((box_lo,), (box_hi,)), resolution, plateau, support)
-    bgg = besov_norm_diff(pointwise_multiply(g, g), r, p, m_diff) if d == 3 else 1.0
-    return g, besov_norm_diff(g, r, p, m_diff), bgg, sup_norm(g)
-
-
-def _tensor_norms(cfg: ExperimentConfig, n: int) -> dict:
-    # exact cross-norm factorization: the d-dimensional norms of the tensor
-    # members equal products of 1-d factor norms in this discretization
-    f = _family_member(cfg, n)
-    g, bg, bgg, sup_g = _companion_terms(cfg.box_lo, cfg.box_hi, cfg.resolution, cfg.companion_plateau,
-                                         cfg.companion_support, cfg.r, cfg.p, cfg.m_diff, cfg.d)
-    fg = pointwise_multiply(f, g)
-    bf = besov_norm_diff(f, cfg.r, cfg.p, cfg.m_diff)
-    # where g is 1 on the support of f the product is f itself, and so is its norm
-    bfg = bf if np.array_equal(fg.values, f.values) else besov_norm_diff(fg, cfg.r, cfg.p, cfg.m_diff)
-    norm_big = bf * bg ** (cfg.d - 1)
-    sup_big = sup_norm(f) * sup_g ** (cfg.d - 1)
-    return {"norm_f": norm_big, "norm_g": norm_big, "norm_fg": bfg * bfg * bgg,
-            "sup_f": sup_big, "sup_g": sup_big}
-
-
 def _pair_terms(cfg: ExperimentConfig, member: str) -> dict:
     """norm_f, norm_g, norm_fg, sup_f and sup_g of the member's pair (f, g)."""
-    if cfg.family != "random":
-        return _tensor_norms(cfg, int(member))
-    i = int(member)
-    f, g = _random_member(cfg, 2 * i), _random_member(cfg, 2 * i + 1)
-    spec = _pair_space(cfg)
-    return {"norm_f": space_norm(f, spec), "norm_g": space_norm(g, spec),
-            "norm_fg": space_norm(pointwise_multiply(f, g), spec),
-            "sup_f": sup_norm(f), "sup_g": sup_norm(g)}
+    n = int(member)
+    if cfg.family == "random":
+        return pair_terms(_random_member(cfg, 2 * n), _random_member(cfg, 2 * n + 1), _pair_space(cfg))
+    return tensor_pair_terms(_family_member(cfg, n), cfg.companion_plateau, cfg.companion_support,
+                             _pair_space(cfg), cfg.d)
 
 
 def _norm_row(cfg: ExperimentConfig, member: str) -> dict:
@@ -386,12 +360,12 @@ def _equiv_row(cfg: ExperimentConfig, member: str) -> dict:
 def _algebra_row(cfg: ExperimentConfig, member: str) -> dict:
     t = _pair_terms(cfg, member)
     return {"norm_f": t["norm_f"], "norm_g": t["norm_g"], "norm_fg": t["norm_fg"],
-            "ratio": t["norm_fg"] / (t["norm_f"] * t["norm_g"])}
+            "ratio": t["norm_fg"] / _algebra_denominator(t)}
 
 
 def _moser_row(cfg: ExperimentConfig, member: str) -> dict:
     t = _pair_terms(cfg, member)
-    denom = t["norm_f"] * t["sup_g"] + t["sup_f"] * t["norm_g"]
+    denom = _moser_denominator(t)
     return {"numerator": t["norm_fg"], "denominator": denom, "ratio": t["norm_fg"] / denom}
 
 
@@ -439,16 +413,11 @@ def _max_row(cfg: ExperimentConfig, rows: list[ResultRow]) -> list[ResultRow]:
     return [ResultRow(cfg.experiment, "max", {"ratio": max(row.values["ratio"] for row in rows)})]
 
 
-def _rate_model(cfg: ExperimentConfig) -> str:
-    # ratios along the chirp families grow like a power of n, along the dilates geometrically
-    return "power" if cfg.family.endswith("oscillatory") else "geometric"
-
-
 def _fit_row(cfg: ExperimentConfig, rows: list[ResultRow]) -> list[ResultRow]:
     series = {int(row.member): row.values["ratio"] for row in rows}
     if len(series) < 4 or not all(v > 0 for v in series.values()):
         return []
-    c_hat, resid = rate_fit(series, _rate_model(cfg))
+    c_hat, resid = rate_fit(series, rate_model(cfg.family))
     return [ResultRow(cfg.experiment, "fit", {"fit_exponent": c_hat, "fit_residual": resid})]
 
 

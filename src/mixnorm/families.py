@@ -23,27 +23,22 @@ OSCILLATORY_BOX = (-2.25, 3.75)
 
 @dataclass(frozen=True)
 class TestFamily:
-    """Indexed sequence of grid functions (or pairs) with a rate model.
+    """Indexed sequence of grid functions, or of (F_n, G_n) pairs for a
+    tensor pair family; all members share one grid."""
 
-    kind: "dilated_bump", "oscillatory_linear", "oscillatory_smooth" or
-    "tensor_pair".  members holds GridFunctions, or (F_n, G_n) pairs for the
-    tensor kind; all members share one grid.  rate_model declares how norms
-    along the family are expected to scale ("geometric": ~ 2^(c n),
-    "power": ~ n^c).
-    """
-
-    kind: str
     indices: tuple[int, ...]
     members: tuple = field(repr=False)
-    rate_model: str
-    params: dict = field(default_factory=dict)
-    base_members: tuple = field(default=(), repr=False)
-    companion: GridFunction | None = field(default=None, repr=False)
+
+
+def rate_model(family: str) -> str:
+    """How ratios along the named family scale: "power" (~ n^c) along the
+    chirp families, "geometric" (~ 2^(c n)) along the dilates."""
+    return "power" if family.endswith("oscillatory") else "geometric"
 
 
 def base_bump(grid_box: Box, resolution: int) -> GridFunction:
     """Smooth bump with plateau [-1, 1], support [-2, 2], sup exactly 1."""
-    return sample(lambda t: plateau_bump(t, 1.0, 2.0), grid_box, resolution)
+    return dilated_member(grid_box, resolution, 0)
 
 
 def companion_bump(
@@ -86,13 +81,8 @@ def dilated_family(
     _check_members(n_min, n_max, 0)
     _check_dilation((box[1] - box[0]) / resolution, n_max)
     grid_box = Box((box[0],), (box[1],))
-    return TestFamily(
-        kind="dilated_bump",
-        indices=tuple(range(n_min, n_max + 1)),
-        members=tuple(dilated_member(grid_box, resolution, n) for n in range(n_min, n_max + 1)),
-        rate_model="geometric",
-        params={"box": box, "resolution": resolution},
-    )
+    indices = tuple(range(n_min, n_max + 1))
+    return TestFamily(indices, tuple(dilated_member(grid_box, resolution, n) for n in indices))
 
 
 def _ramp_linear(t: np.ndarray, n: int) -> np.ndarray:
@@ -187,35 +177,28 @@ def oscillatory_family(
             f"reducing n_max from {n_max}"
         )
         n_max = n_ok
-    return TestFamily(
-        kind=f"oscillatory_{ramp}",
-        indices=tuple(range(n_min, n_max + 1)),
-        members=tuple(oscillatory_member(grid_box, resolution, n, epsilon, ramp)
-                      for n in range(n_min, n_max + 1)),
-        rate_model="power",
-        params={"epsilon": epsilon, "ramp": ramp, "box": box, "resolution": resolution},
-    )
+    indices = tuple(range(n_min, n_max + 1))
+    return TestFamily(indices, tuple(oscillatory_member(grid_box, resolution, n, epsilon, ramp) for n in indices))
 
 
 MATERIALIZE_LIMIT = 2**24  # grid nodes per tensor member
 
 
-def tensor_pair_family(
-    base: TestFamily,
-    d: int,
-    companion: GridFunction,
-    materialize: bool = True,
-) -> TestFamily:
+def _check_tensor_d(d: int) -> None:
+    if d not in (2, 3):
+        raise GridError(f"tensor pairs need d in {{2, 3}}, got {d}")
+
+
+def tensor_pair_family(base: TestFamily, d: int, companion: GridFunction) -> TestFamily:
     """Pairs (F_n, G_n): F_n carries f_n on axis 1, G_n on axis 2, the wide
     companion bump everywhere else.
 
     The companion plateau must cover the support of every base member (so the
-    product F_n * G_n carries f_n on both leading axes exactly).  With
-    materialize=False only the 1-d factors are stored; norms of members then
-    come from the exact tensor factorization of the discrete norms.
+    product F_n * G_n carries f_n on both leading axes exactly).  The members
+    are materialized d-dimensional grids, the oracle of
+    multipliers.tensor_pair_terms, which forms their norms from 1-d factors.
     """
-    if d not in (2, 3):
-        raise GridError(f"tensor pairs need d in {{2, 3}}, got {d}")
+    _check_tensor_d(d)
     if companion.d != 1:
         raise GridError("companion must be one-dimensional")
     for f in base.members:
@@ -226,32 +209,21 @@ def tensor_pair_family(
         covered = companion.values[f.values != 0.0]
         if covered.size and not np.all(covered == 1.0):
             raise GridError("companion plateau too narrow for the base support")
-    members: tuple = ()
-    if materialize:
-        nodes = base.members[0].n[0] ** d
-        if nodes > MATERIALIZE_LIMIT:
-            raise GridError(
-                f"materializing {d}-d members at this resolution needs {nodes} nodes "
-                f"(> {MATERIALIZE_LIMIT}); use materialize=False and factorized norms"
-            )
-        pairs = []
-        for f in base.members:
-            fn_first = tensor_product(f, companion)
-            gn_first = tensor_product(companion, f)
-            for _ in range(d - 2):
-                fn_first = tensor_product(fn_first, companion)
-                gn_first = tensor_product(gn_first, companion)
-            pairs.append((fn_first, gn_first))
-        members = tuple(pairs)
-    return TestFamily(
-        kind="tensor_pair",
-        indices=base.indices,
-        members=members,
-        rate_model=base.rate_model,
-        params={**base.params, "d": d, "base_kind": base.kind},
-        base_members=base.members,
-        companion=companion,
-    )
+    nodes = base.members[0].n[0] ** d
+    if nodes > MATERIALIZE_LIMIT:
+        raise GridError(
+            f"materializing {d}-d members at this resolution needs {nodes} nodes "
+            f"(> {MATERIALIZE_LIMIT}); use multipliers.tensor_pair_terms for their norms"
+        )
+    pairs = []
+    for f in base.members:
+        fn_first = tensor_product(f, companion)
+        gn_first = tensor_product(companion, f)
+        for _ in range(d - 2):
+            fn_first = tensor_product(fn_first, companion)
+            gn_first = tensor_product(gn_first, companion)
+        pairs.append((fn_first, gn_first))
+    return TestFamily(base.indices, tuple(pairs))
 
 
 def rate_fit(

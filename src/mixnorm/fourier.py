@@ -2,7 +2,7 @@
 
 The discrete transform uses the unitary FFT convention (norm="ortho"), so
 Parseval identities hold exactly on the grid; the continuous-transform
-normalization constant (2 pi)^(-d/2) per axis is absorbed into the recorded
+normalization constant (2 pi)^(-d/2) per axis is absorbed into this
 convention and cancels in every ratio this library reports.
 
 Frequencies are angular: xi = 2 pi * fftfreq(n, dx).  The top dyadic level
@@ -60,7 +60,6 @@ class Spectrum:
 
     coefficients: np.ndarray
     freqs: tuple[np.ndarray, ...]
-    convention: str = "ortho"
 
 
 def spectrum(u: GridFunction) -> Spectrum:

@@ -9,10 +9,15 @@ Besov norms of localized pieces psi_mu * u are evaluated on a cell-aligned
 crop of the grid to the translate's support; difference norms read a
 zero-extended field as extended by zero to all of Z^d, so this is exact, not
 an approximation.
+
+The five terms of the algebra and Moser ratios are formed here only: of a
+materialized pair by pair_terms, of a tensor pair from 1-d factors by
+tensor_pair_terms.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -22,6 +27,7 @@ import numpy as np
 
 from .grid import Box, GridError, GridFunction, _as_shape, crop, lp_norm_pow, pointwise_multiply
 from .differences import besov_norm_diff
+from .families import _check_tensor_d, companion_bump
 from .profiles import smooth_partition_base
 from .spaces import SpaceSpec, space_norm, sup_norm
 
@@ -228,13 +234,67 @@ def localization_ratio(
     return numer / (denom if math.isinf(p) else denom ** (1.0 / p))
 
 
+def pair_terms(f: GridFunction, g: GridFunction, space: SpaceSpec) -> dict:
+    """norm_f, norm_g, norm_fg, sup_f and sup_g of the pair (f, g): the terms
+    of the algebra and Moser ratios."""
+    return {"norm_f": space_norm(f, space), "norm_g": space_norm(g, space),
+            "norm_fg": space_norm(pointwise_multiply(f, g), space), "sup_f": sup_norm(f), "sup_g": sup_norm(g)}
+
+
+def _check_tensor_space(kind: str) -> None:
+    # the factorization is exact for difference norms, the canonical Besov norm
+    if kind != "besov":
+        raise GridError(f"tensor pair terms are Besov difference norms; got space kind {kind!r}")
+
+
+@functools.lru_cache(maxsize=4)
+def _companion_terms(box: Box, resolution: int, plateau: float, support: float, space: SpaceSpec, d: int):
+    # the companion factor does not depend on the member: once per process
+    g = companion_bump(box, resolution, plateau, support)
+    bgg = besov_norm_diff(pointwise_multiply(g, g), space.r, space.p, space.m_diff) if d == 3 else 1.0
+    return g, besov_norm_diff(g, space.r, space.p, space.m_diff), bgg, sup_norm(g)
+
+
+def tensor_pair_terms(f: GridFunction, plateau: float, support: float, space: SpaceSpec, d: int) -> dict:
+    """pair_terms of the member (F, G) of tensor_pair_family(_, d, g) whose
+    base member is f, with g = companion_bump(plateau, support) on the grid of f.
+
+    Exact cross-norm factorization: the difference norms of the tensor
+    members equal products of 1-d factor norms in this discretization, so no
+    d-dimensional array is formed.  Needs a Besov space and d in {2, 3}.
+    """
+    _check_tensor_space(space.kind)
+    _check_tensor_d(d)
+    g, bg, bgg, sup_g = _companion_terms(f.box, f.n[0], plateau, support, space, d)
+    fg = pointwise_multiply(f, g)
+    bf = besov_norm_diff(f, space.r, space.p, space.m_diff)
+    # where g is 1 on the support of f the product is f itself, and so is its norm
+    bfg = bf if np.array_equal(fg.values, f.values) else besov_norm_diff(fg, space.r, space.p, space.m_diff)
+    norm_big = bf * bg ** (d - 1)
+    sup_big = sup_norm(f) * sup_g ** (d - 1)
+    return {"norm_f": norm_big, "norm_g": norm_big, "norm_fg": bfg * bfg * bgg, "sup_f": sup_big, "sup_g": sup_big}
+
+
+def _algebra_denominator(t: dict) -> float:
+    # norm(f) * norm(g), of pair terms t
+    if t["norm_f"] == 0.0 or t["norm_g"] == 0.0:
+        raise GridError("algebra ratio undefined for zero-norm inputs")
+    return t["norm_f"] * t["norm_g"]
+
+
+def _moser_denominator(t: dict) -> float:
+    # norm(f) sup|g| + sup|f| norm(g), of pair terms t
+    denom = t["norm_f"] * t["sup_g"] + t["sup_f"] * t["norm_g"]
+    if denom == 0.0:
+        raise GridError("moser ratio undefined: zero denominator")
+    return denom
+
+
 def algebra_ratio(f: GridFunction, g: GridFunction, space: SpaceSpec) -> float:
     """norm(f * g) / (norm(f) * norm(g)); bounded families exhibit the
     multiplication-algebra property."""
-    nf, ng = space_norm(f, space), space_norm(g, space)
-    if nf == 0.0 or ng == 0.0:
-        raise GridError("algebra ratio undefined for zero-norm inputs")
-    return space_norm(pointwise_multiply(f, g), space) / (nf * ng)
+    t = pair_terms(f, g, space)
+    return t["norm_fg"] / _algebra_denominator(t)
 
 
 def moser_ratio(f: GridFunction, g: GridFunction, space: SpaceSpec) -> float:
@@ -243,9 +303,5 @@ def moser_ratio(f: GridFunction, g: GridFunction, space: SpaceSpec) -> float:
     Unbounded growth along a test family disproves the product inequality
     with mixed L_infinity terms for the given space.
     """
-    nf, ng = space_norm(f, space), space_norm(g, space)
-    sf, sg = sup_norm(f), sup_norm(g)
-    denom = nf * sg + sf * ng
-    if denom == 0.0:
-        raise GridError("moser ratio undefined: zero denominator")
-    return space_norm(pointwise_multiply(f, g), space) / denom
+    t = pair_terms(f, g, space)
+    return t["norm_fg"] / _moser_denominator(t)

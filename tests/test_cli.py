@@ -73,10 +73,41 @@ def test_validate_catches_module_preconditions():
         dict(experiment="nikolskij", alpha=(5, 0)),
         dict(experiment="equiv", band_cells=0),
         dict(experiment="moser", space="sobolev", p=1.0),
+        dict(experiment="algebra", family="tensor_dilated", space="sobolev",
+             resolution=1024, box_lo=-6.0, box_hi=6.0, n_max=3),
     ]
     for kwargs in bad:
         with pytest.raises(ValidationError):
             validate(ExperimentConfig(**kwargs))
+
+
+def test_tensor_pairs_reject_a_sobolev_space(tmp_path, monkeypatch, capsys):
+    # tensor pair terms are difference norms, so a sobolev label would be wrong
+    dilated = dict(family="tensor_dilated", resolution=1024, box_lo=-6.0, box_hi=6.0, n_max=3)
+    chirp = dict(family="tensor_oscillatory", resolution=2**14, box_lo=-2.25, box_hi=3.75, n_min=1, n_max=4)
+    for experiment in ("algebra", "moser"):
+        for family in (dilated, chirp):
+            validate(ExperimentConfig(experiment=experiment, **family))
+            with pytest.raises(ValidationError) as err:
+                validate(ExperimentConfig(experiment=experiment, space="sobolev", **family))
+            assert err.value.fields == "space"
+    monkeypatch.chdir(tmp_path)
+    # the space is named first, before the default grid's too-fine n_max
+    assert main(["algebra", "--family", "tensor_dilated", "--space", "sobolev"]) == 2
+    assert "space:" in capsys.readouterr().err
+
+
+def test_random_pair_rows_equal_the_library_ratios():
+    from mixnorm import SpaceSpec, algebra_ratio, moser_ratio, random_smooth_field
+
+    box = Box((-4.0, -4.0), (4.0, 4.0))
+    f, g = (random_smooth_field((101, i), box, 64, band_cells=16, window=(1.5, 2.0)) for i in (0, 1))
+    for space, spec in (("besov", SpaceSpec("besov", 3.0, r=1.2, m_diff=2)),
+                        ("sobolev", SpaceSpec("sobolev", 3.0, m=2))):
+        for experiment, ratio in (("algebra", algebra_ratio), ("moser", moser_ratio)):
+            cfg = ExperimentConfig(experiment=experiment, family="random", space=space, d=2, resolution=64,
+                                   p=3.0, r=1.2, m=2, m_diff=2, count=1, seed=101)
+            assert run(cfg)[0].values["ratio"] == ratio(f, g, spec)
 
 
 def test_validate_and_build_system_share_the_sample_rule():

@@ -4,8 +4,11 @@ from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "mixnorm"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "mixnorm"
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
+# every file whose attribute reads count as uses of a field
+READERS = sorted(p for d in ("src", "tests", "perfbench") for p in (ROOT / d).rglob("*.py"))
 
 
 def unused_imports(source: str) -> list[str]:
@@ -75,3 +78,48 @@ def test_local_import_scan_flags_stdlib_and_top_level_siblings():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_module_imports_at_top_level(path):
     assert local_imports(path.read_text()) == []
+
+
+def attribute_reads(sources: list[str]) -> set[str]:
+    """Attribute names that the sources read (x.name in a load context)."""
+    return {node.attr for source in sources for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+
+
+def unread_fields(source: str, reads: set[str]) -> list[str]:
+    """Annotated class fields of the module whose names are not in reads."""
+    found = []
+    for cls in ast.walk(ast.parse(source)):
+        if not isinstance(cls, ast.ClassDef):
+            continue
+        for node in cls.body:
+            if isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name) and node.target.id not in reads:
+                found.append(f"{cls.name}.{node.target.id} (line {node.lineno})")
+    return found
+
+
+def test_unread_field_scan_flags_fields_no_file_reads():
+    source = (
+        "from dataclasses import dataclass\n"
+        "@dataclass\n"
+        "class A:\n"
+        "    x: int\n"
+        "    y: int = 0\n"
+        "    z: str = ''\n"
+        "    LIMIT = 3\n"
+        "def f(a):\n"
+        "    a.z = 'w'\n"
+        "    return a.x\n"
+    )
+    reads = attribute_reads([source, "print(obj.y.real)\n"])
+    assert unread_fields(source, reads) == ["A.z (line 6)"]
+
+
+@pytest.fixture(scope="module")
+def repository_reads() -> set[str]:
+    return attribute_reads([p.read_text() for p in READERS])
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_every_class_field_is_read(path, repository_reads):
+    assert unread_fields(path.read_text(), repository_reads) == []

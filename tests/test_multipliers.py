@@ -20,6 +20,7 @@ from mixnorm import (
     shift,
     space_norm,
     sup_norm,
+    tensor_pair_terms,
     tensor_product,
     translate_function,
     uniform_norm,
@@ -227,61 +228,73 @@ def test_tensor_moser_factorized_matches_materialized():
     g = companion_bump(Box((-6.0,), (6.0,)), 256)
     fam = tensor_pair_family(base, 2, g)
     spec = SpaceSpec("besov", 2.0, r=1.0, m_diff=2)
-    from mixnorm.cli import ExperimentConfig, _tensor_norms
-
-    cfg = ExperimentConfig(
-        experiment="moser", family="tensor_dilated", d=2, resolution=256,
-        box_lo=-6.0, box_hi=6.0, r=1.0, p=2.0, m_diff=2,
-    )
-    for n, (F, G) in zip(fam.indices, fam.members):
+    for f, (F, G) in zip(base.members, fam.members):
         direct = moser_ratio(F, G, spec)
-        t = _tensor_norms(cfg, n)
+        t = tensor_pair_terms(f, 2.0, 3.0, spec, 2)
         fact = t["norm_fg"] / (t["norm_f"] * t["sup_g"] + t["sup_f"] * t["norm_g"])
         assert fact == pytest.approx(direct, rel=1e-10)
 
 
-def _counted_tensor_norms(monkeypatch, cfg, n):
-    # _tensor_norms(cfg, n) and the number of difference norms it forms past
-    # the companion's, which the first call caches
-    from mixnorm import cli
+def test_tensor_pair_terms_match_materialized_d3():
+    # in d = 3 the product carries the companion's square on axis 3, whose
+    # norm the factorization forms once; the materialized members are the oracle
+    from mixnorm.families import companion_bump, dilated_family, tensor_pair_family
 
-    cli._tensor_norms(cfg, n)
+    base = dilated_family(1, 128, box=(-6.0, 6.0))
+    fam = tensor_pair_family(base, 3, companion_bump(Box((-6.0,), (6.0,)), 128))
+    spec = SpaceSpec("besov", 2.0, r=1.2, m_diff=2)
+    for f, (F, G) in zip(base.members, fam.members):
+        t = tensor_pair_terms(f, 2.0, 3.0, spec, 3)
+        assert t["norm_fg"] / (t["norm_f"] * t["norm_g"]) == pytest.approx(algebra_ratio(F, G, spec), rel=1e-12)
+        fact = t["norm_fg"] / (t["norm_f"] * t["sup_g"] + t["sup_f"] * t["norm_g"])
+        assert fact == pytest.approx(moser_ratio(F, G, spec), rel=1e-12)
+
+
+def test_tensor_pair_terms_need_a_besov_space():
+    f = base_bump(Box((-6.0,), (6.0,)), 256)
+    with pytest.raises(GridError, match="Besov"):
+        tensor_pair_terms(f, 2.0, 3.0, SpaceSpec("sobolev", 2.0, m=2), 2)
+    with pytest.raises(GridError, match="d in"):
+        tensor_pair_terms(f, 2.0, 3.0, BESOV, 4)
+
+
+def _counted_tensor_norms(monkeypatch, f, plateau):
+    # tensor_pair_terms of f (d = 2, companion support 3) and the number of
+    # difference norms it forms past the companion's, which the first call caches
+    from mixnorm import multipliers
+
+    multipliers.tensor_pair_terms(f, plateau, 3.0, BESOV, 2)
     calls = []
 
     def counted(*args):
         calls.append(args)
         return besov_norm_diff(*args)
 
-    monkeypatch.setattr(cli, "besov_norm_diff", counted)
-    return cli._tensor_norms(cfg, n), len(calls)
+    monkeypatch.setattr(multipliers, "besov_norm_diff", counted)
+    return multipliers.tensor_pair_terms(f, plateau, 3.0, BESOV, 2), len(calls)
 
 
 def test_tensor_norms_reuse_the_factor_norm_where_the_companion_covers_f(monkeypatch):
-    from mixnorm.cli import ExperimentConfig
+    from mixnorm.families import dilated_member
 
-    cfg = ExperimentConfig(experiment="moser", family="tensor_dilated", d=2, resolution=256,
-                           box_lo=-6.0, box_hi=6.0, r=1.0, p=2.0, m_diff=2)
     for n in range(3):
-        _, calls = _counted_tensor_norms(monkeypatch, cfg, n)
+        _, calls = _counted_tensor_norms(monkeypatch, dilated_member(Box((-6.0,), (6.0,)), 256, n), 2.0)
         assert calls == 1
 
 
 def test_tensor_norms_of_a_narrow_companion_match_materialized(monkeypatch):
     # a companion plateau of 0.5 leaves the support of f_0 and f_1 uncovered,
     # so fg differs from f and its norm is formed on its own
-    from mixnorm.cli import ExperimentConfig
     from mixnorm.families import companion_bump, dilated_member
 
     box = Box((-6.0,), (6.0,))
     g = companion_bump(box, 256, plateau=0.5, support=3.0)
     spec = SpaceSpec("besov", 2.0, r=1.0, m_diff=2)
-    cfg = ExperimentConfig(experiment="moser", family="tensor_dilated", d=2, resolution=256,
-                           box_lo=-6.0, box_hi=6.0, r=1.0, p=2.0, m_diff=2, companion_plateau=0.5)
     for n in (0, 1):
         f = dilated_member(box, 256, n)
         assert not np.array_equal(pointwise_multiply(f, g).values, f.values)
         direct = moser_ratio(tensor_product(f, g), tensor_product(g, f), spec)
-        t, calls = _counted_tensor_norms(monkeypatch, cfg, n)
+        t, calls = _counted_tensor_norms(monkeypatch, f, 0.5)
         assert calls == 2
         fact = t["norm_fg"] / (t["norm_f"] * t["sup_g"] + t["sup_f"] * t["norm_g"])
         assert fact == pytest.approx(direct, rel=1e-10)
