@@ -35,7 +35,6 @@ from .differences import (
 )
 from .fourier import (
     DyadicSystem,
-    Spectrum,
     bandlimit,
     besov_norm_fourier,
     build_system,
@@ -45,7 +44,6 @@ from .fourier import (
     peetre_maximal,
     sobolev_norm_fourier,
     spectral_derivative,
-    spectrum,
     system_for,
 )
 from .sobolev import (

@@ -9,6 +9,13 @@ Frequencies are angular: xi = 2 pi * fftfreq(n, dx).  The top dyadic level
 per axis is chosen as ceil(log2(max |xi|)), which makes the last window agree
 with the generating formula at every retained frequency while the level sums
 telescope to exactly 1, so block reconstruction is exact for all inputs.
+
+Every transform is real: blocks, band limits and derivatives take one rfftn
+of the field, mask it per axis and return the irfftn of the result.  That is
+the transform of a real field only when each mask is Hermitian.  Derivative
+symbols are Hermitian by the Nyquist rule.  Windows are Hermitian when they
+are mirror-symmetric; every path that reads a DyadicSystem checks that first
+and raises NumericalAnomalyError otherwise.
 """
 
 from __future__ import annotations
@@ -54,19 +61,6 @@ def _derivative_symbol(xi: np.ndarray, a: int) -> np.ndarray:
     return mult
 
 
-@dataclass(frozen=True)
-class Spectrum:
-    """Discrete Fourier data of a grid function (unitary convention)."""
-
-    coefficients: np.ndarray
-    freqs: tuple[np.ndarray, ...]
-
-
-def spectrum(u: GridFunction) -> Spectrum:
-    coeffs = np.fft.fftn(u.values, norm="ortho")
-    return Spectrum(coeffs, tuple(_angular_freqs(u)))
-
-
 def smooth_cutoff(xi: np.ndarray) -> np.ndarray:
     """Low-pass window: 1 on [-1, 1], 0 outside (-3/2, 3/2), C-infinity.
 
@@ -97,10 +91,6 @@ class DyadicSystem:
     j_max: tuple[int, ...]
     axis_windows: tuple[tuple[np.ndarray, ...], ...] = field(repr=False)
     freqs: tuple[np.ndarray, ...] = field(repr=False)
-
-    def window(self, k: Sequence[int]) -> list[np.ndarray]:
-        """Per-axis 1-d masks of the block at multi-level k."""
-        return [self.axis_windows[i][ki] for i, ki in enumerate(k)]
 
     def levels(self) -> itertools.product:
         return itertools.product(*(range(j + 1) for j in self.j_max))
@@ -162,56 +152,57 @@ def system_for(u: GridFunction, kind: str = "smooth") -> DyadicSystem:
     return build_system(kind, u.box, u.n)
 
 
-def _windowed_inverse(
-    coeffs: np.ndarray, axis_masks: Sequence[np.ndarray | None], scale: float | None
+def _masked_inverse(
+    spec: np.ndarray, axis_masks: Sequence[np.ndarray | None], shape: Sequence[int]
 ) -> np.ndarray:
-    """Real inverse transform of coeffs times one mask per axis (None: no mask).
+    """Real field of the given shape whose rfftn is spec times one mask per
+    axis (None: no mask).
 
-    The imaginary residue must stay within 1e-10 of `scale`, the caller's
-    reference size; None takes the sup of the complex result.
+    Each mask spans its whole axis; the last axis reads its bins 0..n//2.
+    Masks must be Hermitian, s[-k mod n] = conj s[k], for the product to be
+    the transform of a real field.
     """
-    out = coeffs
+    out = spec
     for axis, mask in enumerate(axis_masks):
         if mask is not None:
-            out = out * mask.reshape([-1 if i == axis else 1 for i in range(coeffs.ndim)])
-    block = np.fft.ifftn(out, norm="ortho")
-    if scale is None:
-        scale = float(np.max(np.abs(block))) if block.size else 0.0
-    resid = float(np.max(np.abs(block.imag))) if block.size else 0.0
-    if resid > 1e-10 * max(scale, 1e-300):
-        raise NumericalAnomalyError(
-            f"imaginary residue {resid:.3e} exceeds 1e-10 relative tolerance"
-        )
-    return np.ascontiguousarray(block.real)
+            out = out * mask[: spec.shape[axis]].reshape([-1 if i == axis else 1 for i in range(spec.ndim)])
+    return np.fft.irfftn(out, s=shape, axes=range(len(shape)), norm="ortho")
 
 
-def lp_block(u: GridFunction, k: Sequence[int], sys: DyadicSystem) -> GridFunction:
-    """Frequency-localized block: inverse transform of the windowed spectrum."""
+def _checked_windows(u: GridFunction, sys: DyadicSystem) -> list[np.ndarray]:
+    # the per-axis window matrices (level, frequency) of a system built for u's grid; the
+    # blocks of a real field are real exactly when every window is mirror-symmetric, and a
+    # real inverse transform would silently symmetrize any other, so this is their one guard
     if tuple(u.n) != sys.shape:
         raise GridError(f"system built for shape {sys.shape}, function has {u.n}")
-    k = tuple(int(v) for v in k)
-    for i, ki in enumerate(k):
-        if not 0 <= ki <= sys.j_max[i]:
-            raise GridError(f"level {ki} out of range 0..{sys.j_max[i]} on axis {i}")
-    coeffs = np.fft.fftn(u.values, norm="ortho")
-    scale = float(np.max(np.abs(u.values))) if u.values.size else 0.0
-    return u.with_values(_windowed_inverse(coeffs, sys.window(k), scale))
-
-
-def _blocks(u: GridFunction, sys: DyadicSystem):
-    coeffs = np.fft.fftn(u.values, norm="ortho")
-    scale = float(np.max(np.abs(u.values))) if u.values.size else 0.0
-    for k in sys.levels():
-        yield k, _windowed_inverse(coeffs, sys.window(k), scale)
-
-
-def _block_energies(u: GridFunction, sys: DyadicSystem) -> np.ndarray:
-    # squared L_2 norm of every block, indexed by level, from one spectrum; the
-    # blocks of a real field are real exactly when the windows are mirror-symmetric
     windows = [np.array(w) for w in sys.axis_windows]
     for axis, w in enumerate(windows):
         if np.max(np.abs(w - w[:, -np.arange(w.shape[1]) % w.shape[1]])) > 1e-10:
             raise NumericalAnomalyError(f"axis {axis}: a window is not mirror-symmetric, so blocks are complex")
+    return windows
+
+
+def lp_block(u: GridFunction, k: Sequence[int], sys: DyadicSystem) -> GridFunction:
+    """Frequency-localized block: inverse transform of the windowed spectrum."""
+    windows = _checked_windows(u, sys)
+    k = tuple(int(v) for v in k)
+    for i, ki in enumerate(k):
+        if not 0 <= ki <= sys.j_max[i]:
+            raise GridError(f"level {ki} out of range 0..{sys.j_max[i]} on axis {i}")
+    spec = np.fft.rfftn(u.values, norm="ortho")
+    return u.with_values(_masked_inverse(spec, [w[ki] for w, ki in zip(windows, k)], u.n))
+
+
+def _blocks(u: GridFunction, sys: DyadicSystem):
+    windows = _checked_windows(u, sys)
+    spec = np.fft.rfftn(u.values, norm="ortho")
+    for k in sys.levels():
+        yield k, _masked_inverse(spec, [w[ki] for w, ki in zip(windows, k)], u.n)
+
+
+def _block_energies(u: GridFunction, sys: DyadicSystem) -> np.ndarray:
+    # squared L_2 norm of every block, indexed by level, from one power spectrum
+    windows = _checked_windows(u, sys)
     return power_table(u.values, [[w**2 for w in windows]], u.cell_volume)[0]
 
 
@@ -223,25 +214,21 @@ def besov_norm_fourier(
     _check_besov_params(r, p)
     if sys is None:
         sys = system_for(u, "smooth")
-    vol = u.cell_volume
-    if math.isinf(p):
-        best = 0.0
-        for k, block in _blocks(u, sys):
-            best = max(best, 2.0 ** (r * sum(k)) * float(np.max(np.abs(block))))
-        return best
     if p == 2.0:
         energy = _block_energies(u, sys)
         terms = ((k, energy[k]) for k in sys.levels())
     else:
-        terms = ((k, lp_norm_pow(block, p, vol)) for k, block in _blocks(u, sys))
+        terms = ((k, lp_norm_pow(block, p, u.cell_volume)) for k, block in _blocks(u, sys))
+    sup = math.isinf(p)
+    q = 1.0 if sup else p  # a term is a block's p-th power sum, or its sup at p = inf
     acc = 0.0
     for k, term in terms:
         try:
-            weight = 2.0 ** (r * sum(k) * p)
+            weight = 2.0 ** (r * sum(k) * q)
         except OverflowError:
-            raise NumericalAnomalyError(f"dyadic weight 2^{r * sum(k) * p:g} overflows a float") from None
-        acc += weight * term
-    return acc ** (1.0 / p)
+            raise NumericalAnomalyError(f"dyadic weight 2^{r * sum(k) * q:g} overflows a float") from None
+        acc = max(acc, weight * term) if sup else acc + weight * term
+    return acc if sup else acc ** (1.0 / p)
 
 
 def sobolev_norm_fourier(
@@ -269,10 +256,8 @@ def bandlimit(u: GridFunction, b: Sequence[float] | float) -> GridFunction:
     for bi in bv:
         if not bi > 0:
             raise GridError(f"band bounds must be positive, got {bv}")
-    coeffs = np.fft.fftn(u.values, norm="ortho")
     masks = [(np.abs(xi) <= bi).astype(float) for xi, bi in zip(_angular_freqs(u), bv)]
-    scale = float(np.max(np.abs(u.values))) if u.values.size else 0.0
-    return u.with_values(_windowed_inverse(coeffs, masks, scale))
+    return u.with_values(_masked_inverse(np.fft.rfftn(u.values, norm="ortho"), masks, u.n))
 
 
 def band_energy_fraction(u: GridFunction, b: Sequence[float] | float) -> float:
@@ -296,11 +281,22 @@ def spectral_derivative(u: GridFunction, alpha: Sequence[int] | int) -> GridFunc
     unpaired Nyquist mode is zeroed for odd orders.
     """
     av = tuple(_check_order(a) for a in _as_axis_vector(alpha, u.d, "alpha"))
-    if all(a == 0 for a in av):
-        return u
-    symbols = [_derivative_symbol(xi, a) if a else None for a, xi in zip(av, _angular_freqs(u))]
-    coeffs = np.fft.fftn(u.values, norm="ortho")
-    return u.with_values(_windowed_inverse(coeffs, symbols, None))
+    return next(_derivatives(u, [av]))
+
+
+def _derivatives(u: GridFunction, alphas):
+    # D^alpha u for each alpha in turn (checked orders), all from one forward transform;
+    # an all-zero alpha yields u itself
+    freqs = _angular_freqs(u)
+    spec = None
+    for alpha in alphas:
+        if not any(alpha):
+            yield u
+            continue
+        if spec is None:
+            spec = np.fft.rfftn(u.values, norm="ortho")
+        symbols = [_derivative_symbol(xi, a) if a else None for a, xi in zip(alpha, freqs)]
+        yield u.with_values(_masked_inverse(spec, symbols, u.n))
 
 
 def _check_exponents(p0: float, p: float) -> None:

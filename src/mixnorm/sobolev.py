@@ -3,7 +3,8 @@
 The full norm sums L_p norms of every mixed derivative D^alpha with
 |alpha|_inf <= m ((m+1)^d terms); the reduced norm keeps only the corner
 multi-indices alpha in {0, m}^d (2^d terms).  The norms differentiate
-spectrally; derivative(u, alpha, "central") gives an order-2 central-difference
+spectrally, every derivative of one call from one forward transform;
+derivative(u, alpha, "central") gives an order-2 central-difference
 stencil as a cross-check.  Non-smooth samples (ramps, indicators) should route
 through the difference-based Besov norms instead of spectral derivatives of
 order >= 2.
@@ -18,7 +19,7 @@ from typing import Sequence
 import numpy as np
 
 from .grid import GridError, GridFunction, _check_p, lp_norm, lp_norm_pow, power_table
-from .fourier import _angular_freqs, _check_order, _check_sobolev_params, _derivative_symbol, spectral_derivative
+from .fourier import _angular_freqs, _check_order, _check_sobolev_params, _derivative_symbol, _derivatives, spectral_derivative
 from .differences import _as_axis_vector
 from .spaces import SpaceSpec, space_norm, sup_norm
 
@@ -65,7 +66,7 @@ def _derivative_norm_sum(u: GridFunction, m: int, p: float, alphas) -> float:
                    for xi in _angular_freqs(u)]
         energy = power_table(u.values, [weights], u.cell_volume)[0]
         return sum(math.sqrt(energy[alpha]) for alpha in alphas)
-    return sum(lp_norm(spectral_derivative(u, alpha), p) for alpha in alphas)
+    return sum(lp_norm(dv, p) for dv in _derivatives(u, alphas))
 
 
 def sobolev_norm_full(u: GridFunction, m: int, p: float) -> float:
@@ -85,8 +86,8 @@ def cmix_norm(u: GridFunction, m: int) -> float:
     """Sup-norm analogue: sum of sup |D^alpha u| over |alpha|_inf <= m."""
     _check_order(m)
     total = 0.0
-    for alpha in itertools.product(range(m + 1), repeat=u.d):
-        total += float(np.max(np.abs(spectral_derivative(u, alpha).values)))
+    for dv in _derivatives(u, itertools.product(range(m + 1), repeat=u.d)):
+        total += float(np.max(np.abs(dv.values)))
     return total
 
 

@@ -19,11 +19,11 @@ from mixnorm import (
     sample,
     sobolev_norm_fourier,
     spectral_derivative,
-    spectrum,
     system_for,
     tensor_product,
 )
 from mixnorm.families import random_smooth_field, random_trig_field
+from mixnorm.fourier import _angular_freqs, _axis_windows, _derivative_symbol
 from mixnorm.grid import GridFunction, shift_values
 
 BOX1 = Box((-4.0,), (4.0,))
@@ -136,24 +136,115 @@ def test_p2_fourier_norms_match_block_oracle(shape, kind):
 
 
 def test_asymmetric_window_raises_at_p2_as_blocks_do():
-    # blocks of a real field are real only for mirror-symmetric windows
+    # blocks of a real field are real only for mirror-symmetric windows; a real
+    # inverse transform would symmetrize a tilted one, so every path checks them
     u = random_smooth_field((55, 0), BOX2, 64)
     sysk = system_for(u, "smooth")
     tilted = list(sysk.axis_windows[0])
     tilted[2] = tilted[2] * np.where(sysk.freqs[0] > 0, 1.5, 1.0)
     bad = DyadicSystem("smooth", sysk.shape, sysk.j_max, (tuple(tilted),) + sysk.axis_windows[1:], sysk.freqs)
-    with pytest.raises(NumericalAnomalyError):
-        besov_norm_fourier(u, 1.0, 3.0, bad)
-    with pytest.raises(NumericalAnomalyError):
-        besov_norm_fourier(u, 1.0, 2.0, bad)
-    with pytest.raises(NumericalAnomalyError):
-        sobolev_norm_fourier(u, 1, 2.0, bad)
+    calls = [
+        lambda: besov_norm_fourier(u, 1.0, 3.0, bad),
+        lambda: besov_norm_fourier(u, 1.0, 2.0, bad),
+        lambda: besov_norm_fourier(u, 1.0, math.inf, bad),
+        lambda: sobolev_norm_fourier(u, 1, 2.0, bad),
+        lambda: sobolev_norm_fourier(u, 1, 3.0, bad),
+        lambda: lp_block(u, (0, 0), bad),
+    ]
+    for call in calls:
+        with pytest.raises(NumericalAnomalyError, match="mirror-symmetric"):
+            call()
 
 
-def test_p2_fourier_weight_overflow_raises():
+@pytest.mark.parametrize("p", [2.0, 3.0, math.inf])
+def test_p2_fourier_weight_overflow_raises(p):
     u = random_smooth_field((56, 0), BOX2, 64)
     with pytest.raises(NumericalAnomalyError, match="overflows"):
-        besov_norm_fourier(u, 1e6, 2.0)
+        besov_norm_fourier(u, 1e6, p)
+
+
+def complex_masked_inverse(values, masks):
+    # reference: the complex transform pair, one mask per axis (None: no mask),
+    # whose imaginary residue stays within 1e-10 of the result when the masks are Hermitian
+    out = np.fft.fftn(values, norm="ortho")
+    for axis, mask in enumerate(masks):
+        if mask is not None:
+            out = out * mask.reshape([-1 if i == axis else 1 for i in range(values.ndim)])
+    block = np.fft.ifftn(out, norm="ortho")
+    assert np.max(np.abs(block.imag)) <= 1e-10 * max(float(np.max(np.abs(block))), 1e-300)
+    return block.real
+
+
+def oracle_symbol(xi, a):
+    # (i xi)^a, with the unpaired Nyquist mode of an even axis zeroed at odd a
+    mult = (1j * xi) ** a
+    if a % 2 == 1 and xi.shape[0] % 2 == 0:
+        mult[xi.shape[0] // 2] = 0.0
+    return mult
+
+
+def system_on(u, kind):
+    # build_system takes powers of two only; the windows are defined on any grid
+    freqs = tuple(_angular_freqs(u))
+    windows = tuple(tuple(_axis_windows(xi, kind)) for xi in freqs)
+    return DyadicSystem(kind, u.n, tuple(len(w) - 1 for w in windows), windows, freqs)
+
+
+def oracle_blocks(u, sysk):
+    return {k: complex_masked_inverse(u.values, [sysk.axis_windows[i][ki] for i, ki in enumerate(k)])
+            for k in sysk.levels()}
+
+
+# odd and even axes, an odd last axis among them; white noise fills every bin,
+# the Nyquist bin of even axes included
+ORACLE_SHAPES = [(64,), (45,), (32, 16), (31, 17), (16, 15), (8, 9, 10), (15, 16, 17)]
+
+
+def noise(shape, extension):
+    d = len(shape)
+    values = np.random.default_rng([*shape, extension == "zero"]).standard_normal(shape)
+    return GridFunction(Box((-4.0,) * d, (4.0,) * d), values, extension)
+
+
+@pytest.mark.parametrize("extension", ["zero", "periodic"])
+@pytest.mark.parametrize("shape", ORACLE_SHAPES, ids=lambda s: "x".join(map(str, s)))
+def test_real_transforms_match_complex_oracle(shape, extension):
+    u = noise(shape, extension)
+    d = len(shape)
+    for kind in ("smooth", "sharp"):
+        sysk = system_on(u, kind)
+        for k, want in oracle_blocks(u, sysk).items():
+            got = lp_block(u, k, sysk).values
+            # a block's rounding error scales with the whole spectrum, not with the block
+            assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(u.values)), (kind, k)
+    xi = _angular_freqs(u)
+    b = [0.4 * float(np.max(np.abs(x))) for x in xi]
+    want = complex_masked_inverse(u.values, [(np.abs(x) <= bi).astype(float) for x, bi in zip(xi, b)])
+    assert np.max(np.abs(bandlimit(u, b).values - want)) <= 1e-13 * np.max(np.abs(want))
+    for alpha in [(1,) * d, (2,) * d, (3,) + (0,) * (d - 1), (0,) * (d - 1) + (1,), (4, 1, 2)[:d]]:
+        want = complex_masked_inverse(u.values, [oracle_symbol(x, a) for x, a in zip(xi, alpha)])
+        got = spectral_derivative(u, alpha).values
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want)), alpha
+
+
+@pytest.mark.parametrize("extension", ["zero", "periodic"])
+@pytest.mark.parametrize("shape", ORACLE_SHAPES, ids=lambda s: "x".join(map(str, s)))
+def test_fourier_norms_match_complex_block_oracle(shape, extension):
+    u = noise(shape, extension)
+    vol = u.cell_volume
+    for kind in ("smooth", "sharp"):
+        sysk = system_on(u, kind)
+        blocks = oracle_blocks(u, sysk)
+        for p in (1.0, 1.5, 3.0, math.inf):
+            if math.isinf(p):
+                want = max(2.0 ** (0.7 * sum(k)) * np.max(np.abs(b)) for k, b in blocks.items())
+            else:
+                want = sum(2.0 ** (0.7 * sum(k) * p) * np.sum(np.abs(b) ** p) * vol for k, b in blocks.items()) ** (1 / p)
+            assert besov_norm_fourier(u, 0.7, p, sysk) == pytest.approx(want, rel=1e-13), (kind, p)
+        square_sum = sum(4.0 ** sum(k) * b * b for k, b in blocks.items())
+        for p in (1.5, 3.0):
+            want = (np.sum(np.sqrt(square_sum) ** p) * vol) ** (1 / p)
+            assert sobolev_norm_fourier(u, 1, p, sysk) == pytest.approx(want, rel=1e-13), (kind, p)
 
 
 def test_sobolev_fourier_requires_open_p_range():
@@ -355,8 +446,19 @@ def test_difference_maximal_one_dim_reduction():
     assert got == pytest.approx(manual, rel=1e-12)
 
 
-def test_spectrum_conjugate_symmetry():
-    u = random_smooth_field((60, 0), BOX1, 128, window=None)
-    co = spectrum(u).coefficients
-    flipped = np.conj(np.roll(co[::-1], 1))
-    assert np.max(np.abs(co - flipped)) < 1e-10 * np.max(np.abs(co))
+@pytest.mark.parametrize("n", [15, 16, 63, 64])
+def test_real_inverse_masks_are_hermitian(n):
+    # a real inverse transform reads half the bins of its last axis, so every
+    # mask must satisfy s[-k mod n] = conj s[k]: the derivative symbols ...
+    xi = 2.0 * np.pi * np.fft.fftfreq(n, d=8.0 / n)
+    mirror = -np.arange(n) % n
+    for a in range(5):
+        s = _derivative_symbol(xi, a)
+        assert np.max(np.abs(s[mirror] - np.conj(s))) <= 1e-13 * np.max(np.abs(s)), a
+    # ... and the windows of both system kinds, which on powers of two are the builder's
+    for kind in ("smooth", "sharp"):
+        windows = system_on(GridFunction(BOX1, np.zeros(n)), kind).axis_windows[0]
+        if n & (n - 1) == 0:
+            assert np.array_equal(build_system(kind, BOX1, n).axis_windows[0], windows)
+        for w in windows:
+            assert np.array_equal(w[mirror], w), kind

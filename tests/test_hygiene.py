@@ -123,3 +123,38 @@ def repository_reads() -> set[str]:
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_every_class_field_is_read(path, repository_reads):
     assert unread_fields(path.read_text(), repository_reads) == []
+
+
+COMPLEX_TRANSFORMS = {"fft", "ifft", "fftn", "ifftn"}
+
+
+def complex_transform_calls(source: str) -> list[str]:
+    """Calls of a complex FFT (fft, ifft, fftn, ifftn), as an attribute or a bare name."""
+    found = {}
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Call):
+            fn = node.func
+            name = fn.attr if isinstance(fn, ast.Attribute) else fn.id if isinstance(fn, ast.Name) else None
+            if name in COMPLEX_TRANSFORMS:
+                found[(node.lineno, node.col_offset)] = f"{name} (line {node.lineno})"
+    return [found[at] for at in sorted(found)]
+
+
+def test_complex_transform_scan_flags_complex_calls_only():
+    source = (
+        "import numpy as np\n"
+        "from numpy.fft import ifftn\n"
+        "a = np.fft.rfftn(x)\n"
+        "b = np.fft.fftn(x, norm='ortho')\n"
+        "c = np.fft.irfftn(a, s=x.shape)\n"
+        "d = ifftn(b).real\n"
+        "e = np.fft.fftfreq(8)\n"
+        "f = numpy.fft.ifft(np.fft.fft(x))\n"
+    )
+    assert complex_transform_calls(source) == ["fftn (line 4)", "ifftn (line 6)", "ifft (line 8)", "fft (line 8)"]
+
+
+@pytest.mark.parametrize("name", ["fourier.py", "sobolev.py"])
+def test_spectral_modules_take_real_transforms_only(name):
+    # the field is real, so one real-transform path serves every block and derivative
+    assert complex_transform_calls((SRC / name).read_text()) == []

@@ -79,6 +79,50 @@ def test_p2_spectral_norms_match_derivative_oracle(shape):
     assert sobolev_norm_reduced(u, m, 2.0) == pytest.approx(reduced, rel=1e-12)
 
 
+def complex_derivative(u, alpha):
+    # reference: one complex transform pair per alpha, the Nyquist mode of an
+    # even axis zeroed at odd orders
+    out = np.fft.fftn(u.values)
+    for axis, (n, dx, a) in enumerate(zip(u.n, u.dx, alpha)):
+        mult = (1j * 2.0 * np.pi * np.fft.fftfreq(n, d=dx)) ** a
+        if a % 2 == 1 and n % 2 == 0:
+            mult[n // 2] = 0.0
+        out = out * mult.reshape([-1 if i == axis else 1 for i in range(u.d)])
+    return np.fft.ifftn(out).real
+
+
+@pytest.mark.parametrize("p", [1.5, 3.0])
+@pytest.mark.parametrize("shape", [(64,), (63,), (32, 31), (31, 32), (15, 16, 17)])
+def test_spectral_norms_match_complex_derivatives_away_from_p2(shape, p, monkeypatch):
+    d = len(shape)
+    u = GridFunction(Box((-4.0,) * d, (4.0,) * d), np.random.default_rng(72).standard_normal(shape))
+    m = 2 if d < 3 else 1
+    vol = u.cell_volume
+    derivs = {a: complex_derivative(u, a) for a in itertools.product(range(m + 1), repeat=d)}
+    norm = {a: (np.sum(np.abs(v) ** p) * vol) ** (1 / p) for a, v in derivs.items()}
+    corners = set(itertools.product((0, m), repeat=d))
+    beta = (1,) + (m,) * (d - 1)
+    sup_lp = np.max(np.abs(derivs[beta]), axis=tuple(range(1, d))) if d > 1 else np.abs(derivs[beta])
+    forward = []
+    rfftn = np.fft.rfftn
+
+    def counted_rfftn(*args, **kwargs):
+        forward.append(args[0].shape)
+        return rfftn(*args, **kwargs)
+
+    monkeypatch.setattr(np.fft, "rfftn", counted_rfftn)
+    calls = [
+        (sobolev_norm_full, (u, m, p), sum(norm.values())),
+        (sobolev_norm_reduced, (u, m, p), sum(norm[a] for a in corners)),
+        (cmix_norm, (u, m), sum(np.max(np.abs(v)) for v in derivs.values())),
+        (mixed_sup_lp, (u, beta, 1, p), (np.sum(sup_lp**p) * u.dx[0]) ** (1 / p)),
+    ]
+    for fn, args, want in calls:
+        forward.clear()
+        assert fn(*args) == pytest.approx(want, rel=1e-13), fn.__name__
+        assert len(forward) == 1, fn.__name__
+
+
 def test_sobolev_p_range_enforced():
     u = random_smooth_field((72, 7), BOX1, 64)
     with pytest.raises(GridError, match="1 < p"):
