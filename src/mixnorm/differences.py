@@ -14,6 +14,7 @@ equal norms, so the norm tables run over positive step magnitudes only.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import warnings
@@ -221,10 +222,11 @@ def difference_table(
     orders = [int(m) for m in _as_axis_vector(orders, u.d, "orders")]
     values, pad, vol = u.values, [0] * u.d, u.cell_volume
     if u.extension == "zero":
-        nz = np.nonzero(values)
+        # per axis, the indices of the hyperplanes that hold a nonzero value
+        nz = [np.flatnonzero(values.any(axis=tuple(b for b in range(u.d) if b != a))) for a in range(u.d)]
         if not nz[0].size:
             return {e: np.zeros([len(magnitudes[a]) for a in e]) for e in sets}
-        values = values[tuple(slice(i.min(), i.max() + 1) for i in nz)]
+        values = values[tuple(slice(i[0], i[-1] + 1) for i in nz)]
         pad = [m * max(mags, default=0) for m, mags in zip(orders, magnitudes)]
     if p == 2.0:
         return _parseval_tables(values, sets, orders, magnitudes, pad, vol)
@@ -308,6 +310,20 @@ def _dyadic_levels(dx: Sequence[float]) -> tuple[int, ...]:
     return ks
 
 
+@functools.lru_cache(maxsize=64)
+def _level_plan(dx: tuple[float, ...]):
+    """Per axis of spacing dx: the sorted steps of every retained level and the read-only
+    (levels x steps) membership of admissible_cells(2^-k).  A too-coarse grid raises."""
+    mags, members = [], []
+    for step, kmax in zip(dx, _dyadic_levels(dx)):
+        levels = [admissible_cells(2.0**-k, step) for k in range(kmax + 1)]
+        mags.append(tuple(sorted(set().union(*levels))))
+        member = np.array([[s in cells for s in mags[-1]] for cells in levels])
+        member.flags.writeable = False
+        members.append(member)
+    return tuple(mags), tuple(members)
+
+
 def _check_besov_params(r: float, p: float, m_diff: int | None = None) -> None:
     """Besov parameters: r > 0, p in [1, inf] and, when given, an integer
     difference order m_diff > r."""
@@ -327,25 +343,23 @@ def besov_norm_diff(u: GridFunction, r: float, p: float, m_diff: int) -> float:
     difference order to exceed the smoothness r.
     """
     _check_besov_params(r, p, m_diff)
-    ks = _dyadic_levels(u.dx)
-    scale_sets = [[admissible_cells(2.0**-k, dx) for k in range(kmax + 1)] for dx, kmax in zip(u.dx, ks)]
-    mags = [sorted(set().union(*levels)) for levels in scale_sets]
+    mags, members = _level_plan(u.dx)
     sets = all_direction_sets(u.d)[1:]
     tables = difference_table(u, sets, m_diff, mags, p)
     total = lp_norm(u, p)
     for e in sets:
-        # per axis of e and level k: the table positions of the level's steps
-        where = [[[mags[a].index(s) for s in cells] for cells in scale_sets[a]] for a in e]
-        shape_k = tuple(ks[a] + 1 for a in e)
-        omega = np.empty(shape_k)
-        for kvec in np.ndindex(*shape_k):
-            omega[kvec] = np.max(tables[e][np.ix_(*(w[k] for w, k in zip(where, kvec)))])
+        # the modulus at exact level k is the table's max over the level's
+        # steps: one masked max per axis of e turns its steps into levels
+        omega = tables[e]
+        for pos, a in enumerate(e):
+            member = members[a].reshape(members[a].shape + (1,) * (len(e) - pos - 1))
+            omega = np.where(member, np.expand_dims(omega, pos), -np.inf).max(axis=pos + 1)
         # steps admissible at finer scales stay admissible: the modulus at
         # level k is the max over the upper orthant of exact-level maxima,
         # which keeps the discrete modulus monotone across scales
         for pos in range(len(e)):
             omega = np.flip(np.maximum.accumulate(np.flip(omega, axis=pos), axis=pos), axis=pos)
-        ksum = np.indices(shape_k).sum(axis=0)
+        ksum = np.indices(omega.shape).sum(axis=0)
         # 2^{r|k|p} may leave the float range: the total is then not finite
         # and raises below
         with np.errstate(over="ignore", invalid="ignore"):

@@ -144,14 +144,20 @@ def _support_slices(pou: PartitionOfUnity, mu: Sequence[int]):
     return out
 
 
+def _profile_block(pou: PartitionOfUnity, sl) -> np.ndarray:
+    # psi_mu on its support: the tensor product of the per-axis profile slices
+    block = pou.profiles[0][sl[0][1]]
+    for i in range(1, pou.d):
+        block = np.multiply.outer(block, pou.profiles[i][sl[i][1]])
+    return block
+
+
 def _translate_values(pou: PartitionOfUnity, mu: Sequence[int], u: GridFunction | None = None) -> np.ndarray:
     # psi_mu on the full grid, times the values of u when it is given
     values = np.zeros(pou.shape)
     sl = _support_slices(pou, mu)
     if sl is not None:
-        block = pou.profiles[0][sl[0][1]]
-        for i in range(1, pou.d):
-            block = np.multiply.outer(block, pou.profiles[i][sl[i][1]])
+        block = _profile_block(pou, sl)
         grid_sl = tuple(gs for gs, _ in sl)
         values[grid_sl] = block if u is None else u.values[grid_sl] * block
     return values
@@ -162,10 +168,14 @@ def translate_function(pou: PartitionOfUnity, mu: Sequence[int]) -> GridFunction
     return GridFunction(pou.box, _translate_values(pou, mu), "zero")
 
 
-def apply_translate(pou: PartitionOfUnity, u: GridFunction, mu: Sequence[int]) -> GridFunction:
-    """psi_mu * u on the full grid."""
+def _check_partition_grid(pou: PartitionOfUnity, u: GridFunction) -> None:
     if tuple(u.n) != pou.shape or u.box != pou.box:
         raise GridError("function grid does not match the partition grid")
+
+
+def apply_translate(pou: PartitionOfUnity, u: GridFunction, mu: Sequence[int]) -> GridFunction:
+    """psi_mu * u on the full grid."""
+    _check_partition_grid(pou, u)
     return GridFunction(pou.box, _translate_values(pou, mu, u), u.extension)
 
 
@@ -181,13 +191,15 @@ def partition_deviation(pou: PartitionOfUnity) -> float:
 def _cropped_translate_product(
     pou: PartitionOfUnity, u: GridFunction, mu: Sequence[int]
 ) -> GridFunction | None:
+    # psi_mu * u formed on the translate's support only: crop(apply_translate(...))
+    _check_partition_grid(pou, u)
     sl = _support_slices(pou, mu)
     if sl is None:
         return None
     sub = u.values[tuple(gs for gs, _ in sl)]
     if not np.any(sub):
         return None
-    return crop(apply_translate(pou, u, mu), [(gs.start, gs.stop) for gs, _ in sl])
+    return crop(u, [(gs.start, gs.stop) for gs, _ in sl]).with_values(sub * _profile_block(pou, sl))
 
 
 def uniform_norm(u: GridFunction, space: SpaceSpec, pou: PartitionOfUnity) -> float:
@@ -195,18 +207,11 @@ def uniform_norm(u: GridFunction, space: SpaceSpec, pou: PartitionOfUnity) -> fl
     if u.extension != "zero":
         raise GridError("uniform norms require zero extension")
     best = 0.0
-    if space.kind == "besov":
-        for mu in pou.centers():
-            piece = _cropped_translate_product(pou, u, mu)
-            if piece is None:
-                continue
-            best = max(best, besov_norm_diff(piece, space.r, space.p, space.m_diff))
-    else:
-        for mu in pou.centers():
-            sl = _support_slices(pou, mu)
-            if sl is None or not np.any(u.values[tuple(gs for gs, _ in sl)]):
-                continue
-            best = max(best, space_norm(apply_translate(pou, u, mu), space))
+    for mu in pou.centers():
+        piece = _cropped_translate_product(pou, u, mu)
+        if piece is not None:
+            # difference norms read the crop exactly, Fourier norms need the full grid
+            best = max(best, space_norm(piece if space.kind == "besov" else apply_translate(pou, u, mu), space))
     return best
 
 

@@ -26,8 +26,9 @@ from mixnorm import (
     sample,
     tensor_product,
 )
-from mixnorm.differences import ladder_cells
+from mixnorm.differences import _dyadic_levels, admissible_cells, ladder_cells
 from mixnorm.families import random_smooth_field
+from mixnorm import differences
 from mixnorm.grid import power_table, shift_values
 
 UNIT = Box((0.0,), (1.0,))
@@ -140,8 +141,10 @@ def test_besov_requires_order_above_smoothness():
 
 def test_besov_rejects_coarse_grid():
     u = sample(lambda x: x, BOX1, 16)  # dx = 0.5 leaves one dyadic level
-    with pytest.raises(GridError, match="coarse"):
-        besov_norm_diff(u, 1.0, 2.0, 2)
+    # the level plan is cached per spacing; a raise is not, so every call raises
+    for _ in range(2):
+        with pytest.raises(GridError, match="coarse"):
+            besov_norm_diff(u, 1.0, 2.0, 2)
 
 
 def test_besov_tensor_cross_norm():
@@ -541,3 +544,84 @@ def test_leibniz_expansions_match_shift_loop(extension):
         for ui in u_e:
             coeff *= math.comb(2 * m, ui)
         assert np.array_equal(term.values, coeff * left * right)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_zero_extension_crop_is_the_nonzero_bounding_box(d, monkeypatch):
+    # the p = 2 kernel receives the values cropped to the bounding box of
+    # their nonzeros, as np.nonzero gives it
+    seen, real = [], differences._parseval_tables
+
+    def spy(values, *rest):
+        seen.append(values)
+        return real(values, *rest)
+
+    monkeypatch.setattr(differences, "_parseval_tables", spy)
+    shape = TABLE_SHAPES[d]
+    box = Box((0.0,) * d, tuple(n / 8.0 for n in shape))
+    sets = all_direction_sets(d)[1:]
+    corners = list(itertools.product(*[(0, n - 1) for n in shape]))
+    rng = np.random.default_rng(70 + d)
+    fields = []
+    for points in [[tuple(rng.integers(n) for n in shape)], *[[c] for c in corners], corners]:
+        values = np.zeros(shape)
+        for at in points:
+            values[at] = rng.standard_normal()
+        fields.append(values)
+    for values in fields:
+        seen.clear()
+        difference_table(GridFunction(box, values), sets, 2, [TABLE_MAGS] * d, 2.0)
+        nz = np.nonzero(values)
+        assert len(seen) == 1 and np.array_equal(seen[0], values[tuple(slice(i.min(), i.max() + 1) for i in nz)])
+    # the zero field returns zero tables without a transform
+    seen.clear()
+    tables = difference_table(GridFunction(box, np.zeros(shape)), sets, 2, [TABLE_MAGS] * d, 2.0)
+    assert not seen
+    assert all(np.array_equal(tables[e], np.zeros((len(TABLE_MAGS),) * len(e))) for e in sets)
+
+
+def besov_norm_per_level(u, r, p, m_diff):
+    # besov_norm_diff with one gather and one max per level vector: the oracle
+    # of its masked per-axis reduction
+    ks = _dyadic_levels(u.dx)
+    scale_sets = [[admissible_cells(2.0**-k, dx) for k in range(kmax + 1)] for dx, kmax in zip(u.dx, ks)]
+    mags = [sorted(set().union(*levels)) for levels in scale_sets]
+    sets = all_direction_sets(u.d)[1:]
+    tables = difference_table(u, sets, m_diff, mags, p)
+    total = lp_norm(u, p)
+    for e in sets:
+        where = [[[mags[a].index(s) for s in cells] for cells in scale_sets[a]] for a in e]
+        shape_k = tuple(ks[a] + 1 for a in e)
+        omega = np.empty(shape_k)
+        for kvec in np.ndindex(*shape_k):
+            omega[kvec] = np.max(tables[e][np.ix_(*(w[k] for w, k in zip(where, kvec)))])
+        for pos in range(len(e)):
+            omega = np.flip(np.maximum.accumulate(np.flip(omega, axis=pos), axis=pos), axis=pos)
+        ksum = np.indices(shape_k).sum(axis=0)
+        if math.isinf(p):
+            total += float(np.max(2.0 ** (r * ksum) * omega))
+        else:
+            total += float(np.sum(2.0 ** (r * ksum * p) * omega)) ** (1.0 / p)
+    return total
+
+
+# (box widths, shape): the coarsest spacing _dyadic_levels accepts (dx = 1/8,
+# its minimum of 2 per axis) and an anisotropic grid with 4, 2 and 3 per axis
+LEVEL_GRIDS = {
+    1: [((1.0,), (8,)), ((1.0,), (32,))],
+    2: [((1.0, 1.0), (8, 8)), ((1.0, 2.0), (32, 24))],
+    3: [((1.0, 1.0, 1.0), (8, 8, 8)), ((1.0, 2.0, 1.0), (32, 24, 16))],
+}
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+@pytest.mark.parametrize("extension", ["zero", "periodic"])
+@pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 3.0, math.inf])
+def test_besov_norm_diff_equals_per_level_oracle(d, extension, p):
+    rng = np.random.default_rng(90 + d)
+    for widths, shape in LEVEL_GRIDS[d]:
+        values = np.zeros(shape)
+        # a zero margin on the low side, so the zero-extended table crops
+        values[tuple(slice(1, None) for _ in shape)] = rng.standard_normal([n - 1 for n in shape])
+        u = GridFunction(Box((0.0,) * d, widths), values, extension)
+        assert besov_norm_diff(u, 1.0, p, 2) == besov_norm_per_level(u, 1.0, p, 2)

@@ -128,14 +128,14 @@ def test_every_class_field_is_read(path, repository_reads):
 COMPLEX_TRANSFORMS = {"fft", "ifft", "fftn", "ifftn"}
 
 
-def complex_transform_calls(source: str) -> list[str]:
-    """Calls of a complex FFT (fft, ifft, fftn, ifftn), as an attribute or a bare name."""
+def calls_of(names: set[str], source: str) -> list[str]:
+    """Calls of any of the names, as an attribute or a bare name."""
     found = {}
     for node in ast.walk(ast.parse(source)):
         if isinstance(node, ast.Call):
             fn = node.func
             name = fn.attr if isinstance(fn, ast.Attribute) else fn.id if isinstance(fn, ast.Name) else None
-            if name in COMPLEX_TRANSFORMS:
+            if name in names:
                 found[(node.lineno, node.col_offset)] = f"{name} (line {node.lineno})"
     return [found[at] for at in sorted(found)]
 
@@ -151,10 +151,31 @@ def test_complex_transform_scan_flags_complex_calls_only():
         "e = np.fft.fftfreq(8)\n"
         "f = numpy.fft.ifft(np.fft.fft(x))\n"
     )
-    assert complex_transform_calls(source) == ["fftn (line 4)", "ifftn (line 6)", "ifft (line 8)", "fft (line 8)"]
+    assert calls_of(COMPLEX_TRANSFORMS, source) == ["fftn (line 4)", "ifftn (line 6)", "ifft (line 8)", "fft (line 8)"]
 
 
 @pytest.mark.parametrize("name", ["fourier.py", "sobolev.py"])
 def test_spectral_modules_take_real_transforms_only(name):
     # the field is real, so one real-transform path serves every block and derivative
-    assert complex_transform_calls((SRC / name).read_text()) == []
+    assert calls_of(COMPLEX_TRANSFORMS, (SRC / name).read_text()) == []
+
+
+PER_LEVEL_LOOPS = {"ix_", "ndindex"}
+
+
+def test_per_level_loop_scan_flags_index_grids_only():
+    source = (
+        "import numpy as np\n"
+        "from numpy import ndindex\n"
+        "for k in np.ndindex(3, 4):\n"
+        "    t[np.ix_(a, b)] = 0\n"
+        "k = np.indices((2, 3))\n"
+        "w = [ndindex(2) for _ in np.nditer(x)]\n"
+    )
+    assert calls_of(PER_LEVEL_LOOPS, source) == ["ndindex (line 3)", "ix_ (line 4)", "ndindex (line 6)"]
+
+
+def test_difference_norm_reduces_levels_without_a_per_level_loop():
+    # besov_norm_diff reads every level off its step table by one masked max
+    # per axis; a gather per level vector must not come back
+    assert calls_of(PER_LEVEL_LOOPS, (SRC / "differences.py").read_text()) == []

@@ -6,11 +6,13 @@ import pytest
 from mixnorm import (
     Box,
     GridError,
+    GridFunction,
     SpaceSpec,
     algebra_ratio,
     apply_translate,
     besov_norm_diff,
     build_partition,
+    crop,
     localization_ratio,
     lp_norm,
     moser_ratio,
@@ -117,6 +119,37 @@ def test_cropped_translate_norm_matches_full_grid():
     assert a == pytest.approx(b, rel=1e-12)
 
 
+@pytest.mark.parametrize("d", [1, 2])
+def test_cropped_translate_product_is_the_crop_of_the_full_product(d):
+    # every center, edge pieces and pieces that miss the support of u included
+    box = Box((-4.0,) * d, (4.0,) * d)
+    pou = build_partition(1.0, box, 64)
+    # random values up to the box edge on the side x_0 < 0, zero beyond
+    values = np.random.default_rng(84).standard_normal((64,) * d)
+    values[32:] = 0.0
+    u = GridFunction(box, values)
+    missed = 0
+    for mu in pou.centers():
+        piece = _cropped_translate_product(pou, u, mu)
+        full = apply_translate(pou, u, mu)
+        if piece is None:
+            missed += 1
+            assert not np.any(full.values)
+            continue
+        ranges = [(int(np.rint((a - b) / dx)), int(np.rint((c - b) / dx)))
+                  for a, c, b, dx in zip(piece.box.lower, piece.box.upper, box.lower, u.dx)]
+        want = crop(full, ranges)
+        assert piece.box == want.box and piece.extension == want.extension
+        assert np.array_equal(piece.values, want.values)
+    assert 0 < missed < len(pou.centers())
+
+
+def test_cropped_translate_product_rejects_another_grid():
+    pou = build_partition(1.0, BOX2, 64)
+    with pytest.raises(GridError, match="partition grid"):
+        _cropped_translate_product(pou, random_smooth_field((85, 0), BOX2, 128), (0, 0))
+
+
 def test_localization_single_bump_single_term():
     pou = build_partition(1.0, BOX2, 128)
     # supported well inside the plateau of psi_(0,0); neighbours see only the
@@ -208,8 +241,6 @@ def test_moser_and_algebra_denominators_consistent():
 def test_ratio_shift_equivariance_periodic():
     f0 = random_smooth_field((85, 0), BOX2, 64)
     g0 = random_smooth_field((85, 1), BOX2, 64)
-    from mixnorm import GridFunction
-
     f = GridFunction(BOX2, f0.values, "periodic")
     g = GridFunction(BOX2, g0.values, "periodic")
     spec = SpaceSpec("besov", 2.0, r=1.0, m_diff=2)
