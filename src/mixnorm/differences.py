@@ -216,7 +216,8 @@ def difference_table(
     zero-extended field is cropped to the bounding box of its nonzero values.
     p = 2 then goes through one power spectrum for every direction set
     (Parseval), zero-padded by the largest difference reach; other p difference
-    directly, each partial difference growing by its own reach.
+    directly, each partial difference growing by its own reach, from the last
+    axis of e to the first, so the most repeated one slices whole rows (axis 0).
     """
     sets = [tuple(sorted(set(int(a) for a in e))) for e in direction_sets]
     orders = [int(m) for m in _as_axis_vector(orders, u.d, "orders")]
@@ -238,11 +239,11 @@ def difference_table(
 
 
 def _fill_direct(table, arr, e, orders, magnitudes, p, vol, extension, index) -> None:
-    # depth first over the axes of e, so each partial difference is made once
+    # depth first from the last axis of e, so each partial difference is made once
     if len(index) == len(e):
-        table[index] = lp_norm_pow(arr, p, vol)
+        table[index[::-1]] = lp_norm_pow(arr, p, vol)
         return
-    axis = e[len(index)]
+    axis = e[-1 - len(index)]
     for i, s in enumerate(magnitudes[axis]):
         diff = _diff_values(arr, axis, orders[axis], s, extension)
         _fill_direct(table, diff, e, orders, magnitudes, p, vol, extension, index + (i,))

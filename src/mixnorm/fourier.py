@@ -337,65 +337,66 @@ _STOP_EVERY = 8  # offsets between two tests of the per-line early stop
 
 
 def _neighbour_max(src: np.ndarray, k: int, periodic: bool, out: np.ndarray) -> None:
-    # out[:, j] = max(src[:, j - k], src[:, j + k]) over the indices that exist
-    # (wrapped when periodic, k <= n // 2), 0 where neither does
-    n = src.shape[1]
+    # out[j] = max(src[j - k], src[j + k]) over the indices that exist (wrapped
+    # when periodic, k <= n // 2), 0 where neither does; slices whole rows only
+    n = src.shape[0]
     if periodic:
-        np.maximum(src[:, n - k:], src[:, k:2 * k], out=out[:, :k])
-        np.maximum(src[:, :n - 2 * k], src[:, 2 * k:], out=out[:, k:n - k])
-        np.maximum(src[:, n - 2 * k:n - k], src[:, :k], out=out[:, n - k:])
+        np.maximum(src[n - k:], src[k:2 * k], out=out[:k])
+        np.maximum(src[:n - 2 * k], src[2 * k:], out=out[k:n - k])
+        np.maximum(src[n - 2 * k:n - k], src[:k], out=out[n - k:])
     elif 2 * k <= n:
-        out[:, :k] = src[:, k:2 * k]
-        np.maximum(src[:, :n - 2 * k], src[:, 2 * k:], out=out[:, k:n - k])
-        out[:, n - k:] = src[:, n - 2 * k:n - k]
+        out[:k] = src[k:2 * k]
+        np.maximum(src[:n - 2 * k], src[2 * k:], out=out[k:n - k])
+        out[n - k:] = src[n - 2 * k:n - k]
     else:
-        out[:, :n - k] = src[:, k:]
-        out[:, n - k:k] = 0.0
-        out[:, k:] = src[:, :n - k]
+        out[:n - k] = src[k:]
+        out[n - k:k] = 0.0
+        out[k:] = src[:n - k]
 
 
 def _max_convolve_lines(src: np.ndarray, weights: Sequence[float], periodic: bool) -> np.ndarray:
-    """Rows of max over |s| < len(weights) of weights[|s|] * src[:, j - s].
+    """Columns of max over |s| < len(weights) of weights[|s|] * src[j - s].
 
-    src (rows, n), nonnegative, is overwritten.  A row stops as soon as
-    tail[k] * max(row of src) <= min(row of out), tail[k] being the largest
-    weight at distance k or more: rounding is monotone, so no farther offset
-    can raise any node of the row and the result is exact.  Finished rows
-    are swapped behind the active ones, which stay one contiguous block.
+    src (n, lines), C-ordered and nonnegative, is overwritten by the result,
+    which is returned.  One line per column makes every shifted slice a block
+    of whole rows, one contiguous loop in numpy (a slice offset along the last
+    axis runs several times slower).  A line stops as soon as tail[k] *
+    max(line of src) <= min(line of out), tail[k] being the largest weight at
+    distance k or more: rounding is monotone, so no farther offset can raise
+    any node of the line and the result is exact.  Stopped lines are dropped
+    once half the lines, later a quarter of the live ones, have stopped:
+    np.take gathers the rest in C order (a[:, idx] gives F order) into the
+    work arrays' own memory, since fresh arrays of each size fragment the heap.
     """
-    rows = src.shape[0]
     tail = np.maximum.accumulate(np.asarray(weights, dtype=float)[::-1])[::-1]
-    out = np.multiply(src, weights[0])
+    res = src  # out's lines end in res[:, cols]; until the first gather, out is res
+    src, cols, top = src.copy(), np.arange(src.shape[1]), src.max(axis=0)
+    out = np.multiply(res, weights[0], out=res)
     tmp = np.empty_like(src)
-    row = np.empty_like(src[0])
-    top = src.max(axis=1)
-    order = np.arange(rows)
-    live = rows
     for k in range(1, len(weights)):
         if (k - 1) % _STOP_EVERY == 0:
-            done = tail[k] * top[:live] <= out[:live].min(axis=1)
-            keep = live - int(np.count_nonzero(done))
-            holes = np.flatnonzero(done[:keep])
-            movers = keep + np.flatnonzero(~done[keep:])
-            for h, m in zip(holes, movers):
-                row[:] = out[h]
-                out[h] = out[m]
-                out[m] = row
-                src[h] = src[m]
-            top[holes] = top[movers]
-            order[holes], order[movers] = order[movers], order[holes]
-            live = keep
-            if live == 0:
+            done = tail[k] * top <= out.min(axis=0)
+            if done.all():
                 break
-        t = tmp[:live]
+            if np.count_nonzero(done) * (2 if out is res else 4) >= done.size:
+                # src moves into tmp's memory, out into src's and tmp into out's;
+                # the first time, out is res and tmp takes its own second half
+                keep = np.flatnonzero(~done)
+                size, mem = src.shape[0] * keep.size, [a.reshape(-1) for a in (src, out, tmp)]
+                # mode="clip": with "raise", take writes via a temporary copy
+                src = np.take(src, keep, axis=1, out=mem[2][:size].reshape(-1, keep.size), mode="clip")
+                if out is not res:
+                    res[:, cols[done]] = out[:, done]
+                tmp = (mem[2][size:2 * size] if out is res else mem[1][:size]).reshape(src.shape)
+                out = np.take(out, keep, axis=1, out=mem[0][:size].reshape(src.shape), mode="clip")
+                cols, top = cols[keep], top[keep]
         # +s and -s share a weight, and w * max(x, y) == max(w * x, w * y) in floats
-        _neighbour_max(src[:live], k, periodic, t)
-        np.multiply(t, weights[k], out=t)
-        np.maximum(out[:live], t, out=out[:live])
-    if np.array_equal(order, np.arange(rows)):
-        return out
-    src[order] = out
-    return src
+        _neighbour_max(src, k, periodic, tmp)
+        np.multiply(tmp, weights[k], out=tmp)
+        np.maximum(out, tmp, out=out)
+    if out is not res:
+        res[:, cols] = out
+    return res
 
 
 def _check_decay(a: float) -> None:
@@ -409,23 +410,21 @@ def peetre_maximal(u: GridFunction, b: Sequence[float] | float, a: float) -> Gri
     The offset search runs over all grid offsets within the box span (the
     field vanishes outside, so exterior offsets cannot win).  The separable
     weight makes the joint maximum a sequence of per-axis max-convolutions,
-    each run on contiguous lines with an exact per-line early stop.
+    each run with the axis first (whole-row slices) and an exact early stop.
     """
     _check_decay(a)
     bv = _as_axis_vector(b, u.d, "b")
     periodic = u.extension == "periodic"
     acc = np.abs(u.values)
-    for axis in range(u.d):
-        n = u.n[axis]
-        dxv = u.dx[axis]
+    for axis, (n, dxv) in enumerate(zip(u.n, u.dx)):
         # periodic: wrapped twins repeat the same values at larger |z|, so the
         # nearest representative per residue suffices
         reach = n // 2 if periodic else n - 1
         weights = [(1.0 + abs(bv[axis] * dxv * s)) ** (-a) for s in range(reach + 1)]
-        lines = np.ascontiguousarray(np.moveaxis(acc, axis, -1))
-        shape = lines.shape
+        lines = np.ascontiguousarray(np.moveaxis(acc, axis, 0))
         del acc  # frees the previous axis's result while this axis runs
-        acc = np.moveaxis(_max_convolve_lines(lines.reshape(-1, n), weights, periodic).reshape(shape), -1, axis)
+        _max_convolve_lines(lines.reshape(n, -1), weights, periodic)
+        acc = np.moveaxis(lines, 0, axis)
     return u.with_values(acc)
 
 

@@ -295,10 +295,10 @@ def test_criterion_08_algebra_boundedness():
     )
 
 
-def _equiv_brackets(resolution: int) -> dict[str, float]:
+def _equiv_brackets(resolution: int, p: float = 2.0) -> dict[str, float]:
     cfg = ExperimentConfig(
         experiment="equiv", d=2, resolution=resolution, count=30,
-        r=1.0, p=2.0, m=2, m_diff=2, seed=900,
+        r=1.0, p=p, m=2, m_diff=2, seed=900,
     )
     rows = run(cfg)
     bracket = rows[-1]
@@ -317,6 +317,13 @@ def test_criterion_09_norm_equivalence_brackets():
         f"{k.removeprefix('ratio_')}: C={base[k]:.2f}->{doubled[k]:.2f}" for k in base
     )
     report(9, ok, detail + " (C <= 10, doubling widens <= 2x)")
+
+
+def test_equivalence_brackets_at_p3():
+    # criterion 9's bound off p = 2, where the difference norms go through the
+    # direct table and the Fourier norms through p-th powers of the blocks
+    base = _equiv_brackets(128, p=3.0)
+    assert all(c <= 10.0 for c in base.values()), base
 
 
 def test_criterion_10_localization_bracket():

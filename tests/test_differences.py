@@ -478,6 +478,26 @@ def test_direct_table_matches_shift_loop(d, extension, m, p):
         assert np.max(np.abs(got[e] - want[e]) / want[e]) <= 1e-14
 
 
+@pytest.mark.parametrize("extension", ["zero", "periodic"])
+def test_direct_table_differences_axis_0_innermost(extension, monkeypatch):
+    # the most repeated difference runs along axis 0, whose shifted slices are
+    # blocks of whole rows: once per entry there, once per step on axis 1
+    u = _sparse_field(2, extension, 64)
+    mags = [[1, 2, 5], [1, 3, 4, 6]]
+    axes = []
+
+    def spy(values, axis, m, cells, extension):
+        axes.append(axis)
+        return real_diff_values(values, axis, m, cells, extension)
+
+    real_diff_values = differences._diff_values
+    monkeypatch.setattr(differences, "_diff_values", spy)
+    table = difference_table(u, [(0, 1)], 2, mags, 3.0)[(0, 1)]
+    assert table.shape == (3, 4)
+    assert axes.count(0) == len(mags[0]) * len(mags[1])
+    assert axes.count(1) == len(mags[1])
+
+
 def _edge_field(d, extension, seed):
     # random values up to every box edge, so windows and wraps carry mass
     rng = np.random.default_rng(seed)

@@ -411,11 +411,64 @@ def test_line_max_convolution_with_rising_weights(periodic):
     src = np.abs(rng.standard_normal((12, n))) * rng.uniform(0.0, 3.0, (12, 1))
     src[3] = 0.0
     src[5] = 1.5
+    expected = line_max_per_offset(src, weights, periodic)
+    # the helper runs its lines down the columns
+    assert np.array_equal(_max_convolve_lines(np.ascontiguousarray(src.T), weights, periodic).T, expected)
+
+
+def line_max_per_offset(src, weights, periodic):
+    # reference: rows of max over |s| < len(weights) of weights[|s|] * src[:, j - s]
     extension = "periodic" if periodic else "zero"
     expected = np.zeros_like(src)
-    for s in range(-reach, reach + 1):
+    for s in range(-(len(weights) - 1), len(weights)):
         expected = np.maximum(expected, weights[abs(s)] * shift_values(src, 1, -s, extension))
-    assert np.array_equal(_max_convolve_lines(src.copy(), weights, periodic), expected)
+    return expected
+
+
+@pytest.mark.parametrize("periodic", [True, False])
+def test_line_max_convolution_gathers_lines_that_stop_apart(periodic, monkeypatch):
+    # zero lines stop at the first test, densely spiked lines within a few
+    # offsets, sparsely spiked ones later, and lines with one spike at their
+    # end run to the last offset; so the live lines are gathered more than once
+    import mixnorm.fourier as fourier
+
+    n = 61
+    reach = n // 2 if periodic else n - 1
+    weights = [(1.0 + 0.05 * s) ** -1.0 for s in range(reach + 1)]
+    rng = np.random.default_rng(62)
+    src = np.zeros((16, n))
+    for line, gap in zip(range(4, 16, 4), (3, 20, n)):
+        src[line:line + 4, ::gap] = rng.uniform(0.5, 2.0, (4, len(range(0, n, gap))))
+    src[12:] = src[12:, ::-1]  # one spike at the last node
+    seen = []
+
+    def spy(lines, k, periodic, out):
+        assert lines.flags.c_contiguous and out.flags.c_contiguous
+        seen.append((lines.shape[1], k))
+        real_neighbour_max(lines, k, periodic, out)
+
+    real_neighbour_max = fourier._neighbour_max
+    monkeypatch.setattr(fourier, "_neighbour_max", spy)
+    got = fourier._max_convolve_lines(np.ascontiguousarray(src.T), weights, periodic).T
+    assert np.array_equal(got, line_max_per_offset(src, weights, periodic))
+    assert len({width for width, _ in seen}) >= 3
+    if not periodic:
+        assert any(2 * k > n for _, k in seen)
+
+
+def test_peetre_peak_memory_stays_flat():
+    # the lines, a copy of them and one scratch array, each of the field's
+    # size; the gathers of live lines reuse their memory
+    import tracemalloc
+
+    u, b = random_trig_field((7, 0), BOX2, 256, 4, 8, 0)
+    tracemalloc.start()
+    try:
+        peetre_maximal(u, b, 1.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3.5 * u.values.nbytes
 
 
 def test_peetre_rejects_bad_exponent():
