@@ -185,17 +185,32 @@ def ladder_cells(t: float, dx: float) -> list[int]:
     return sorted(out)
 
 
-def _parseval_tables(values, sets, orders, magnitudes, pad, cell_volume):
-    # one power spectrum of the values, zero-padded so that circular
-    # differences equal the zero-extended ones, contracted per axis with the
-    # difference symbol |e^{i theta s} - 1|^{2m} = (4 sin^2(theta s / 2))^m
-    shape = [n + q for n, q in zip(values.shape, pad)]
+def _fast_length(n: int) -> int:
+    """The smallest 5-smooth length >= n: its prime factors are all 2, 3 or 5,
+    the lengths a real transform runs fastest at."""
+    best = 1 << (n - 1).bit_length()  # a power of two >= n
+    p3 = 1
+    while p3 < best:
+        p35 = p3
+        while p35 < best:
+            # the smallest power-of-two multiple of p35 that is >= n
+            best = min(best, p35 << (-(-n // p35) - 1).bit_length())
+            p35 *= 5
+        p3 *= 3
+    return best
+
+
+def _parseval_tables(values, sets, orders, magnitudes, shape, cell_volume):
+    # one power spectrum of the values, zero-padded to shape, contracted per
+    # axis with the difference symbol |e^{i theta s} - 1|^{2m} = (4 sin^2(theta s / 2))^m
     weights = []
     for axis, (n, m, mags) in enumerate(zip(shape, orders, magnitudes)):
-        k = np.arange(n // 2 + 1 if axis == len(shape) - 1 else n)  # the bins power_table reads
+        bins = n // 2 + 1 if axis == len(shape) - 1 else n  # the bins power_table reads
         symbol = (4.0 * np.sin(np.pi / n * np.arange(n)) ** 2) ** m
-        # intp: modulus leaves the axes outside its direction set without steps
-        weights.append(symbol[np.multiply.outer(mags, k).astype(np.intp) % n])
+        # the symbol index s k mod n, formed in place; modulus leaves the axes
+        # outside its direction set without steps
+        idx = np.multiply.outer(np.asarray(mags, dtype=np.intp), np.arange(bins))
+        weights.append(symbol.take(np.remainder(idx, n, out=idx)))
     weight_sets = [[w if a in e else None for a, w in enumerate(weights)] for e in sets]
     return dict(zip(sets, power_table(values, weight_sets, cell_volume, shape)))
 
@@ -215,22 +230,30 @@ def difference_table(
     u extended by zero to all of Z^d, periodic reads it on the torus.  A
     zero-extended field is cropped to the bounding box of its nonzero values.
     p = 2 then goes through one power spectrum for every direction set
-    (Parseval), zero-padded by the largest difference reach; other p difference
-    directly, each partial difference growing by its own reach, from the last
-    axis of e to the first, so the most repeated one slices whole rows (axis 0).
+    (Parseval); a zero-extended field is zero-padded along each axis to the
+    smallest 5-smooth length (the fastest transform lengths) of at least
+    support + m * largest step, past which no circular difference wraps, so the
+    padding moves only rounding.  Other p difference directly, each partial
+    difference growing by its own reach, from the last axis of e to the first,
+    so the most repeated one slices whole rows (axis 0).
     """
     sets = [tuple(sorted(set(int(a) for a in e))) for e in direction_sets]
     orders = [int(m) for m in _as_axis_vector(orders, u.d, "orders")]
-    values, pad, vol = u.values, [0] * u.d, u.cell_volume
+    values, vol = u.values, u.cell_volume
     if u.extension == "zero":
         # per axis, the indices of the hyperplanes that hold a nonzero value
         nz = [np.flatnonzero(values.any(axis=tuple(b for b in range(u.d) if b != a))) for a in range(u.d)]
         if not nz[0].size:
             return {e: np.zeros([len(magnitudes[a]) for a in e]) for e in sets}
         values = values[tuple(slice(i[0], i[-1] + 1) for i in nz)]
-        pad = [m * max(mags, default=0) for m, mags in zip(orders, magnitudes)]
     if p == 2.0:
-        return _parseval_tables(values, sets, orders, magnitudes, pad, vol)
+        # circular differences on a zero-padded period equal the zero-extended
+        # ones once it exceeds support + reach: padding further changes no value
+        shape = values.shape
+        if u.extension == "zero":
+            shape = [_fast_length(n + m * max(mags, default=0))
+                     for n, m, mags in zip(shape, orders, magnitudes)]
+        return _parseval_tables(values, sets, orders, magnitudes, shape, vol)
     out = {}
     for e in sets:
         out[e] = np.empty([len(magnitudes[a]) for a in e])

@@ -7,6 +7,7 @@ dyadic dilations are exact in floating point.
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass, field
@@ -60,10 +61,36 @@ def _check_dilation(dx: float, n: int) -> None:
         raise GridError(f"grid spacing {dx:g} leaves {cells:.1f} < 16 cells across the support of member n={n}")
 
 
+@functools.lru_cache(maxsize=4)
+def _base_sample(grid_box: Box, resolution: int) -> GridFunction:
+    # the base bump on one grid, shared read-only by every dilate on it
+    return sample(lambda t: plateau_bump(t, 1.0, 2.0), grid_box, resolution)
+
+
 def dilated_member(grid_box: Box, resolution: int, n: int) -> GridFunction:
-    """Dyadic dilate f(2^n t) of the base bump, sampled from its closed form."""
-    scale = 2.0**n
-    return sample(lambda t: plateau_bump(scale * t, 1.0, 2.0), grid_box, resolution)
+    """Dyadic dilate f(2^n t) of the base bump, bit-identical to sampling its
+    closed form at the grid nodes.
+
+    Scaling by 2^n is exact, so where 2^n x_j is itself a node coordinate the
+    value is the base sample's there, gathered from one cached read-only sample
+    per grid; every other node inside the support |2^n t| < 2 is evaluated
+    from the closed form, and the nodes outside it are 0.
+    """
+    base = _base_sample(grid_box, resolution)
+    x = base.nodes(0)
+    values = np.zeros(resolution)
+    # |2^n x| < 2 exactly where |x| < 2^(1-n): the nodes where f(2^n t) can be nonzero
+    lim = 2.0 ** (1 - n)
+    support = slice(np.searchsorted(x, -lim, "right"), np.searchsorted(x, lim))
+    y = 2.0**n * x[support]
+    # the node nearest each scaled node: a hit only where the two are equal
+    k = np.clip(np.rint((y - x[0]) / base.dx[0]), 0, resolution - 1).astype(np.intp)
+    hit = x[k] == y
+    out = values[support]
+    out[hit] = base.values[k[hit]]
+    miss = ~hit
+    out[miss] = plateau_bump(y[miss], 1.0, 2.0)
+    return GridFunction(grid_box, values, "zero")
 
 
 def dilated_family(

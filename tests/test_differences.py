@@ -26,7 +26,7 @@ from mixnorm import (
     sample,
     tensor_product,
 )
-from mixnorm.differences import _dyadic_levels, admissible_cells, ladder_cells
+from mixnorm.differences import _dyadic_levels, _fast_length, admissible_cells, ladder_cells
 from mixnorm.families import random_smooth_field
 from mixnorm import differences
 from mixnorm.grid import power_table, shift_values
@@ -353,13 +353,14 @@ def test_parseval_table_matches_padded_oracle(d, extension, m):
 
 def _stepwise_parseval_tables(u, sets, m, magnitudes):
     # the p = 2 tables with one difference-symbol array per step s, built as
-    # (4 sin^2[k s mod n])^m: the oracle of the gathered symbol in difference_table
-    values, pad = u.values, [0] * u.d
+    # (4 sin^2[k s mod n])^m: the oracle of the gathered symbol in difference_table,
+    # on the kernel's transform length
+    values = u.values
+    shape = values.shape
     if u.extension == "zero":
         nz = np.nonzero(values)
         values = values[tuple(slice(i.min(), i.max() + 1) for i in nz)]
-        pad = [m * max(mags, default=0) for mags in magnitudes]
-    shape = [n + q for n, q in zip(values.shape, pad)]
+        shape = [_fast_length(n + m * max(mags, default=0)) for n, mags in zip(values.shape, magnitudes)]
     weights = []
     for axis, (n, mags) in enumerate(zip(shape, magnitudes)):
         k = np.arange(n // 2 + 1 if axis == len(shape) - 1 else n)
@@ -383,6 +384,62 @@ def test_parseval_table_equals_stepwise_symbols(d, extension, m):
     lone = [TABLE_MAGS] + [[]] * (d - 1)
     got = difference_table(u, [(0,)], m, lone, 2.0)
     assert np.array_equal(got[(0,)], _stepwise_parseval_tables(u, [(0,)], m, lone)[(0,)])
+
+
+@pytest.mark.parametrize("m", [1, 2])
+def test_parseval_table_past_the_int32_index_bound(m):
+    # s k reaches 69_999 * (n // 2) > 2^31 on the padded axis
+    rng = np.random.default_rng(80 + m)
+    values = np.zeros(64)
+    values[5:55] = rng.standard_normal(50)
+    u = GridFunction(Box((0.0,), (8.0,)), values)
+    mags = [[1, 69_999]]
+    n = _fast_length(50 + m * 69_999)
+    assert 69_999 * (n // 2) >= 2**31
+    got = difference_table(u, [(0,)], m, mags, 2.0)[(0,)]
+    assert np.array_equal(got, _stepwise_parseval_tables(u, [(0,)], m, mags)[(0,)])
+
+
+def test_fast_length_is_the_smallest_5_smooth_length():
+    def smooth(k):
+        for q in (2, 3, 5):
+            while k % q == 0:
+                k //= q
+        return k == 1
+
+    smooth_lengths = [k for k in range(1, 2100) if smooth(k)]
+    for n in range(1, 2001):
+        assert _fast_length(n) == next(k for k in smooth_lengths if k >= n)
+
+
+# nonzero blocks and steps whose support + reach is no 5-smooth length on some axis
+PADDING_BLOCKS = {1: (37,), 2: (19, 13), 3: (11, 7, 9)}
+PADDING_MAGS = [1, 2, 5, 7]
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+@pytest.mark.parametrize("extension", ["zero", "periodic"])
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_fast_length_padding_equals_padding_by_the_reach(d, extension, m):
+    # a longer zero padding moves only rounding: the tables match the ones
+    # padded by exactly the reach (periodic fields keep their torus length)
+    rng = np.random.default_rng(90 + d)
+    block = PADDING_BLOCKS[d]
+    values = np.zeros([b + 4 for b in block])
+    values[tuple(slice(2, 2 + b) for b in block)] = rng.standard_normal(block)
+    u = GridFunction(Box((0.0,) * d, tuple(n / 8.0 for n in values.shape)), values, extension)
+    sets = all_direction_sets(d)[1:]
+    mags = [PADDING_MAGS] * d
+    got = difference_table(u, sets, m, mags, 2.0)
+    if extension == "zero":
+        cropped = values[tuple(slice(2, 2 + b) for b in block)]
+        shape = [b + m * max(PADDING_MAGS) for b in block]
+        assert any(_fast_length(n) != n for n in shape)
+    else:
+        cropped, shape = values, values.shape
+    want = differences._parseval_tables(cropped, sets, [m] * d, mags, shape, u.cell_volume)
+    for e in sets:
+        np.testing.assert_allclose(got[e], want[e], rtol=1e-12, atol=0.0)
 
 
 @pytest.mark.parametrize("d", [1, 2])

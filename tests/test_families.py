@@ -15,10 +15,12 @@ from mixnorm import (
     sample,
     tensor_product,
 )
+from mixnorm import families, profiles
 from mixnorm.families import (
     base_bump,
     companion_bump,
     dilated_family,
+    dilated_member,
     oscillatory_family,
     oscillatory_profile,
     plateau_bump,
@@ -41,6 +43,60 @@ def test_dilated_self_similarity_bit_exact():
     for n in range(4):
         dil = dyadic_dilate(fam.members[n], 1)
         assert np.array_equal(dil.values, fam.members[n + 1].values)
+
+
+DILATE_GRIDS = [((-6.0, 6.0), 2**10), ((-6.0, 6.0), 2**14), ((-4.0, 4.0), 1000), ((-2.5, 3.1), 777),
+                ((-1.5, 1.5), 1000)]
+
+
+@pytest.mark.parametrize("bounds,resolution", DILATE_GRIDS)
+def test_dilated_member_equals_direct_sampling(bounds, resolution):
+    box = Box((bounds[0],), (bounds[1],))
+    for n in range(7):
+        direct = sample(lambda t: plateau_bump(2.0**n * t, 1.0, 2.0), box, resolution)
+        assert np.array_equal(dilated_member(box, resolution, n).values, direct.values)
+
+
+def test_dilated_base_sample_is_cached_read_only():
+    box = Box((-6.0,), (6.0,))
+    base = families._base_sample(box, 1024)
+    assert families._base_sample(box, 1024) is base
+    assert not base.values.flags.writeable
+    with pytest.raises(ValueError):
+        base.values[0] = 2.0
+
+
+@pytest.mark.parametrize("bounds,resolution", DILATE_GRIDS)
+def test_second_dilate_evaluates_only_off_the_base_nodes(bounds, resolution, monkeypatch):
+    # once the base sample is cached, a member passes to the closed form only
+    # the scaled nodes that are no node of the grid, and the mollifier
+    # quadrature sees only those of them on the transition 1 < |t| < 2
+    box = Box((bounds[0],), (bounds[1],))
+    families._base_sample.cache_clear()
+    dilated_member(box, resolution, 0)
+    evaluated, integrated = [], []
+    real_bump, real_integral = families.plateau_bump, profiles._mollifier_integral
+
+    def bump_spy(t, *rest):
+        evaluated.append(np.array(t, dtype=float))
+        return real_bump(t, *rest)
+
+    def integral_spy(tau):
+        integrated.append(np.size(tau))
+        return real_integral(tau)
+
+    monkeypatch.setattr(families, "plateau_bump", bump_spy)
+    monkeypatch.setattr(profiles, "_mollifier_integral", integral_spy)
+    nodes = families._base_sample(box, resolution).nodes(0)
+    for n in (0, 2):
+        evaluated.clear()
+        integrated.clear()
+        dilated_member(box, resolution, n)
+        args = np.concatenate(evaluated) if evaluated else np.empty(0)
+        assert not np.isin(args, nodes).any()
+        assert sum(integrated) == np.count_nonzero((np.abs(args) > 1.0) & (np.abs(args) < 2.0))
+        if bounds == (-6.0, 6.0):  # every node inside the support is a base node
+            assert args.size == 0 and not integrated
 
 
 def test_dilated_lp_scaling_matched_grids():

@@ -56,3 +56,23 @@ def test_mollifier_integral_equals_masked_quadrature():
         want = _masked_integral(taus)
     assert np.array_equal(got, want)
     assert got[0] == 0.0
+
+
+def _unblocked_integral(tau):
+    # the quadrature formula over every element at once
+    half = (tau + 1.0) / 2.0
+    nodes = -1.0 + half[..., None] * (_GL_NODES + 1.0)
+    with np.errstate(divide="ignore"):
+        values = np.exp(-1.0 / (1.0 - nodes * nodes))
+    return half * np.sum(values * _GL_WEIGHTS, axis=-1)
+
+
+@pytest.mark.parametrize("shape", [(10_000,), (1,), (0,), (), (37, 29)])
+def test_blocked_mollifier_integral_equals_unblocked_formula(shape):
+    rng = np.random.default_rng(4)
+    taus = rng.uniform(-1.0, 1.0, shape)
+    if taus.size >= 2:
+        taus.flat[:2] = [-1.0, 1.0]
+    got = _mollifier_integral(taus)
+    assert got.shape == taus.shape
+    assert np.array_equal(got, _unblocked_integral(taus))
