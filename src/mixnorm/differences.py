@@ -26,10 +26,10 @@ import numpy as np
 from .grid import (
     GridError,
     GridFunction,
-    NumericalAnomalyError,
     _check_p,
+    _dyadic_aggregate,
     lp_norm,
-    lp_norm_pow,
+    lp_norm_values,
     pointwise_multiply,
     power_table,
     require_same_grid,
@@ -222,13 +222,16 @@ def difference_table(
     magnitudes: Sequence[Sequence[int]],
     p: float,
 ) -> dict[tuple[int, ...], np.ndarray]:
-    """Powered L_p norms of mixed differences over positive step magnitudes.
+    """L_p norms of mixed differences over positive step magnitudes.
 
     For each direction set e (keyed as a sorted tuple), entry [i_a for a in e]
-    is sum |Delta^{m, e}_s u|^p * cell volume (max |.| when p = inf) with step
-    s_a = magnitudes[a][i_a] cells and order orders[a].  Zero extension reads
-    u extended by zero to all of Z^d, periodic reads it on the torus.  A
-    zero-extended field is cropped to the bounding box of its nonzero values.
+    is (sum |Delta^{m, e}_s u|^p * cell volume)^(1/p), max |.| when p = inf,
+    with step s_a = magnitudes[a][i_a] cells and order orders[a]: a norm, not
+    its p-th power, so it is finite whenever the norm fits a float
+    (grid.lp_norm_values and grid.power_table scale by exact powers of two).
+    Zero extension reads u extended by zero to all of Z^d, periodic reads it
+    on the torus.  A zero-extended field is cropped to the bounding box of its
+    nonzero values.
     p = 2 then goes through one power spectrum for every direction set
     (Parseval); a zero-extended field is zero-padded along each axis to the
     smallest 5-smooth length (the fastest transform lengths) of at least
@@ -264,7 +267,7 @@ def difference_table(
 def _fill_direct(table, arr, e, orders, magnitudes, p, vol, extension, index) -> None:
     # depth first from the last axis of e, so each partial difference is made once
     if len(index) == len(e):
-        table[index[::-1]] = lp_norm_pow(arr, p, vol)
+        table[index[::-1]] = lp_norm_values(arr, p, vol)
         return
     axis = e[-1 - len(index)]
     for i, s in enumerate(magnitudes[axis]):
@@ -319,10 +322,8 @@ def modulus(
             for a, s in zip(axes, combo):
                 arr = _same_grid_diff(arr, a, orders[a], s, u.extension)
                 sl[a] = slice(-orders[a] * s, None) if s < 0 else slice(0, u.n[a] - orders[a] * s)
-            best = max(best, lp_norm_pow(arr[tuple(sl)], p, u.cell_volume))
-    if math.isinf(p):
-        return best
-    return best ** (1.0 / p)
+            best = max(best, lp_norm_values(arr[tuple(sl)], p, u.cell_volume))
+    return best
 
 
 def _dyadic_levels(dx: Sequence[float]) -> tuple[int, ...]:
@@ -383,16 +384,7 @@ def besov_norm_diff(u: GridFunction, r: float, p: float, m_diff: int) -> float:
         # which keeps the discrete modulus monotone across scales
         for pos in range(len(e)):
             omega = np.flip(np.maximum.accumulate(np.flip(omega, axis=pos), axis=pos), axis=pos)
-        ksum = np.indices(omega.shape).sum(axis=0)
-        # 2^{r|k|p} may leave the float range: the total is then not finite
-        # and raises below
-        with np.errstate(over="ignore", invalid="ignore"):
-            if math.isinf(p):
-                total += float(np.max(2.0 ** (r * ksum) * omega))
-            else:
-                total += float(np.sum(2.0 ** (r * ksum * p) * omega)) ** (1.0 / p)
-    if not math.isfinite(total):  # the p-th power sums are not scale-safe
-        raise NumericalAnomalyError(f"difference norm at p={p:g} overflows a float")
+        total += _dyadic_aggregate(omega, r * np.indices(omega.shape).sum(axis=0), p)
     return total
 
 
@@ -414,44 +406,28 @@ def besov_norm_integral(u: GridFunction, r: float, p: float, m_diff: int) -> flo
     """
     _check_besov_params(r, p, m_diff)
     ks = _dyadic_levels(u.dx)
-    # per axis: panel list of (cells, weight mass, or |h|^-r at p = inf)
+    # per axis: panel list of (cells, log2 of the weight on the panel's L_p norm): |h|^-r at
+    # p = inf, else the p-th root of twice (+s and -s) the panel mass 2^{rp(k+1)} (1 - 2^{-rp}) / (rp)
+    offset = 0.0 if math.isinf(p) else (1.0 + math.log2(-math.expm1(-r * p * math.log(2.0)) / (r * p))) / p
     panels: list[list[tuple[int, float]]] = []
-    for axis in range(u.d):
-        dxv = u.dx[axis]
+    for dxv, kmax in zip(u.dx, ks):
         entries = []
-        for k in range(ks[axis]):
+        for k in range(kmax):
             t_hi, t_lo = 2.0**-k, 2.0 ** -(k + 1)
             s_lo = int(math.floor(t_lo / dxv + 1e-12)) + 1
             s_hi = int(math.floor(t_hi / dxv + 1e-12))
             if s_hi < s_lo:
                 continue
             s = min(max(int(np.rint(0.75 * t_hi / dxv)), s_lo), s_hi)
-            if math.isinf(p):
-                entries.append((s, (s * dxv) ** (-r)))
-            else:
-                try:
-                    entries.append((s, (2.0 ** (r * p * (k + 1)) - 2.0 ** (r * p * k)) / (r * p)))
-                except OverflowError:
-                    raise NumericalAnomalyError(f"dyadic weight 2^{r * p * (k + 1):g} overflows a float") from None
+            entries.append((s, -r * math.log2(s * dxv) if math.isinf(p) else r * (k + 1) + offset))
         panels.append(entries)
 
     sets = all_direction_sets(u.d)[1:]
     tables = difference_table(u, sets, m_diff, [[s for s, _ in entries] for entries in panels], p)
     total = lp_norm(u, p)
     for e in sets:
-        # products of panel weights may leave the float range: the total is
-        # then not finite and raises below
-        with np.errstate(over="ignore", invalid="ignore"):
-            weight = np.ones(())
-            for a in e:
-                weight = np.multiply.outer(weight, [w for _, w in panels[a]])
-            if math.isinf(p):
-                total += float(np.max(weight * tables[e]))
-            else:
-                # +s and -s contribute equally: 2^|e| sign choices per step vector
-                total += float(2 ** len(e) * np.sum(weight * tables[e])) ** (1.0 / p)
-    if not math.isfinite(total):  # the p-th power sums are not scale-safe
-        raise NumericalAnomalyError(f"difference norm at p={p:g} overflows a float")
+        log2_weights = functools.reduce(np.add.outer, [[w for _, w in panels[a]] for a in e], 0.0)
+        total += _dyadic_aggregate(tables[e], log2_weights, p)
     return total
 
 

@@ -27,7 +27,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .grid import GridError, GridFunction, NumericalAnomalyError, _as_shape, lp_norm, lp_norm_pow, power_table
+from .grid import (GridError, GridFunction, NumericalAnomalyError, _as_shape, _binary_exponent, _dyadic_aggregate,
+                   lp_norm, lp_norm_values, power_table)
 from .differences import _as_axis_vector, _check_besov_params, mixed_difference, snap_step
 from .profiles import smoothstep
 
@@ -200,8 +201,8 @@ def _blocks(u: GridFunction, sys: DyadicSystem):
         yield k, _masked_inverse(spec, [w[ki] for w, ki in zip(windows, k)], u.n)
 
 
-def _block_energies(u: GridFunction, sys: DyadicSystem) -> np.ndarray:
-    # squared L_2 norm of every block, indexed by level, from one power spectrum
+def _block_norms(u: GridFunction, sys: DyadicSystem) -> np.ndarray:
+    # L_2 norm of every block, indexed by level, from one power spectrum
     windows = _checked_windows(u, sys)
     return power_table(u.values, [[w**2 for w in windows]], u.cell_volume)[0]
 
@@ -215,20 +216,11 @@ def besov_norm_fourier(
     if sys is None:
         sys = system_for(u, "smooth")
     if p == 2.0:
-        energy = _block_energies(u, sys)
-        terms = ((k, energy[k]) for k in sys.levels())
+        norms = _block_norms(u, sys)
     else:
-        terms = ((k, lp_norm_pow(block, p, u.cell_volume)) for k, block in _blocks(u, sys))
-    sup = math.isinf(p)
-    q = 1.0 if sup else p  # a term is a block's p-th power sum, or its sup at p = inf
-    acc = 0.0
-    for k, term in terms:
-        try:
-            weight = 2.0 ** (r * sum(k) * q)
-        except OverflowError:
-            raise NumericalAnomalyError(f"dyadic weight 2^{r * sum(k) * q:g} overflows a float") from None
-        acc = max(acc, weight * term) if sup else acc + weight * term
-    return acc if sup else acc ** (1.0 / p)
+        norms = np.reshape([lp_norm_values(block, p, u.cell_volume) for _, block in _blocks(u, sys)],
+                           [j + 1 for j in sys.j_max])
+    return _dyadic_aggregate(norms, r * np.indices(norms.shape).sum(axis=0), p)
 
 
 def sobolev_norm_fourier(
@@ -242,12 +234,14 @@ def sobolev_norm_fourier(
     if sys is None:
         sys = system_for(u, "smooth")
     if p == 2.0:
-        energy = _block_energies(u, sys)
-        return math.sqrt(sum(4.0 ** (sum(k) * m) * energy[k] for k in sys.levels()))
+        norms = _block_norms(u, sys)
+        return _dyadic_aggregate(norms, m * np.indices(norms.shape).sum(axis=0), 2.0)
+    # the square function of u / 2^e times 2^e: exact scalings that keep every square in range
+    e = _binary_exponent(u.values)
     acc = np.zeros(u.n)
-    for k, block in _blocks(u, sys):
+    for k, block in _blocks(u.with_values(np.ldexp(u.values, -e)), sys):
         acc += 4.0 ** (sum(k) * m) * block * block
-    return lp_norm_pow(np.sqrt(acc), p, u.cell_volume) ** (1.0 / p)
+    return lp_norm_values(np.ldexp(np.sqrt(acc), e), p, u.cell_volume)
 
 
 def bandlimit(u: GridFunction, b: Sequence[float] | float) -> GridFunction:
@@ -265,7 +259,7 @@ def band_energy_fraction(u: GridFunction, b: Sequence[float] | float) -> float:
     bv = _as_axis_vector(b, u.d, "b")
     masks = [(np.abs(xi[None]) <= bi).astype(float) for xi, bi in zip(_angular_freqs(u), bv)]
     inside, total = (float(t.sum()) for t in power_table(u.values, [masks, [None] * u.d], 1.0))
-    return 0.0 if total == 0.0 else max(0.0, 1.0 - inside / total)
+    return 0.0 if total == 0.0 else max(0.0, 1.0 - (inside / total) ** 2)
 
 
 def _check_band_limited(u: GridFunction, b: Sequence[float]) -> None:
@@ -324,11 +318,9 @@ def nikolskij_ratio(
     denom_norm = lp_norm(u, p0)
     if denom_norm == 0.0:
         raise GridError("nikolskij ratio undefined for the zero function")
-    inv_p0 = 0.0 if math.isinf(p0) else 1.0 / p0
-    inv_p = 0.0 if math.isinf(p) else 1.0 / p
     scale = 1.0
     for bi, ai in zip(bv, av):
-        scale *= bi ** (ai + inv_p0 - inv_p)
+        scale *= bi ** (ai + 1.0 / p0 - 1.0 / p)  # 1 / inf is 0
     num = lp_norm(spectral_derivative(u, av), p)
     return num / (scale * denom_norm)
 

@@ -178,29 +178,52 @@ def _check_p(p: float) -> None:
 def lp_norm(u: GridFunction, p: float) -> float:
     """Discrete L_p norm: (sum |u|^p * prod dx)^(1/p); max |u| when p = inf."""
     _check_p(p)
-    total = lp_norm_pow(u.values, p, u.cell_volume)
-    return total if math.isinf(p) else total ** (1.0 / p)
+    return lp_norm_values(u.values, p, u.cell_volume)
 
 
 _MAX_CHAIN_POWER = 64
 
 
-def lp_norm_pow(values: np.ndarray, p: float, cell_volume: float) -> float:
-    """sum |values|^p * cell_volume, or max |values| for p = inf.
+def _binary_exponent(values: np.ndarray) -> int:
+    # e with 2^(e-1) <= max |values| < 2^e, by max and min (np.abs would allocate)
+    return math.frexp(max(float(values.max()), -float(values.min())))[1]
 
-    Powered form used by dyadic-scale accumulations to avoid repeated roots.
-    An integer p up to 64 forms |values|^p by square-and-multiply, whose
-    relative error grows like p rounding errors (exact at p = 1, and a*a at
-    p = 2 as `**` gives); other p use `**`.
+
+def lp_norm_values(values: np.ndarray, p: float, cell_volume: float) -> float:
+    """(sum |values|^p * cell_volume)^(1/p), or max |values| for p = inf.
+
+    The one place a powered sum is formed and its p-th root taken: tables and
+    aggregates carry norms.  The plain sum comes first; only outside [2^-900,
+    inf), where a term that moves the root may be subnormal, is it formed again
+    from values / 2^e, e the binary exponent of max |values| (an exact
+    division), with the root multiplied back by 2^e.  That holds every
+    amplitude for p up to about 1000 (past 1074 the largest term, at least
+    2^-p, can underflow).  An integer p up to 64 forms |values|^p by
+    square-and-multiply, whose relative error grows like p rounding errors
+    (exact at p = 1, and a*a at p = 2 as `**` gives); other p use `**`.  A norm
+    outside the float range raises NumericalAnomalyError.
     """
-    a = np.abs(values)
     if math.isinf(p):
-        return float(np.max(a))
+        norm = float(np.abs(values).max())
+    else:
+        with np.errstate(over="ignore"):
+            e, total = 0, _powered_sum(values, p, cell_volume)
+            if not 2.0**-900 <= total < math.inf:
+                e = _binary_exponent(values)
+                total = _powered_sum(np.ldexp(values, -e), p, cell_volume)
+            norm = float(np.ldexp(total ** (1.0 / p), e))
+    if not math.isfinite(norm):
+        raise NumericalAnomalyError(f"L_{p:g} norm overflows a float")
+    return norm
+
+
+def _powered_sum(values: np.ndarray, p: float, cell_volume: float) -> float:
+    a = np.abs(values)
     if 1 <= p <= _MAX_CHAIN_POWER and p == int(p):
         a = _integer_power(a, int(p))
     else:
         np.power(a, p, out=a)
-    return float(np.sum(a) * cell_volume)
+    return float(a.sum() * cell_volume)
 
 
 def _integer_power(a: np.ndarray, k: int) -> np.ndarray:
@@ -214,18 +237,32 @@ def _integer_power(a: np.ndarray, k: int) -> np.ndarray:
     return acc
 
 
+def _dyadic_aggregate(norms: np.ndarray, log2_weights: np.ndarray, p: float) -> float:
+    # l_p norm (max at p = inf) of 2^log2_weights * norms, each term formed as one
+    # exp2: a dyadic weight and a norm may leave the float range, their product not
+    with np.errstate(divide="ignore", over="ignore"):
+        terms = np.exp2(log2_weights + np.log2(norms))
+    return lp_norm_values(terms, p, 1.0)
+
+
 def power_table(values: np.ndarray, weight_sets: Sequence[Sequence[np.ndarray | None]],
                 cell_volume: float, shape: Sequence[int] | None = None) -> list[np.ndarray]:
-    """Weighted L_2 energies of real values from one power spectrum (Parseval).
+    """Weighted L_2 norms of real values from one power spectrum (Parseval).
 
     values are zero-padded to shape and transformed once.  Each entry of weight_sets gives per
     axis a matrix of rows over the frequency indices 0..shape[a]-1, or None to sum the axis; its
-    table is cell_volume / N * sum_xi |F(xi)|^2 prod_a w_a[i_a, xi_a] over the N transform points.
-    Only the bins 0..n//2 of the last axis are transformed and read (its rows may stop there),
-    with the mirrored bins counted twice; so every row must be mirror-symmetric, w[k] = w[-k mod n].
+    table is (cell_volume / N * sum_xi |F(xi)|^2 prod_a w_a[i_a, xi_a])^(1/2) over the N transform
+    points, squared from F / 2^e (e the binary exponent of max |values|) and multiplied back by 2^e:
+    exact steps, which keep every square in the float range.  Only the bins 0..n//2 of the last axis
+    are transformed and read (its rows may stop there), with the mirrored bins counted twice; so
+    every row must be mirror-symmetric, w[k] = w[-k mod n].
     """
     shape = tuple(values.shape if shape is None else shape)
+    e = _binary_exponent(values)
     spec = np.fft.rfftn(values, s=shape, axes=range(len(shape)))
+    # in place and exact for every e (F * 2.0**-e overflows for e < -1023, and values / 2^e costs a copy)
+    parts = spec.view(np.float64)  # the (re, im) pairs of the C-ordered transform
+    np.ldexp(parts, -e, out=parts)
     power = spec.real**2 + spec.imag**2
     # count the mirrored bins of the last axis twice
     power[..., 1 : (shape[-1] + 1) // 2] *= 2.0
@@ -238,7 +275,7 @@ def power_table(values: np.ndarray, weight_sets: Sequence[Sequence[np.ndarray | 
                 t = t.sum(axis=0)
             else:
                 t = np.tensordot(t, np.ascontiguousarray(w[:, : power.shape[axis]]), axes=(0, 1))
-        tables.append(cell_volume / math.prod(shape) * t)
+        tables.append(np.ldexp(np.sqrt(cell_volume / math.prod(shape) * t), e))
     return tables
 
 

@@ -25,7 +25,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .grid import Box, GridError, GridFunction, _as_shape, crop, lp_norm_pow, pointwise_multiply
+from .grid import Box, GridError, GridFunction, _as_shape, crop, lp_norm_values, pointwise_multiply
 from .differences import besov_norm_diff
 from .families import _check_tensor_d, companion_bump
 from .profiles import smooth_partition_base
@@ -235,8 +235,7 @@ def localization_ratio(
             pieces.append(besov_norm_diff(piece, r, p, m_diff))
     if not pieces:
         raise GridError("no translate overlaps the support of u")
-    denom = lp_norm_pow(np.asarray(pieces), p, 1.0)
-    return numer / (denom if math.isinf(p) else denom ** (1.0 / p))
+    return numer / lp_norm_values(np.asarray(pieces), p, 1.0)
 
 
 def pair_terms(f: GridFunction, g: GridFunction, space: SpaceSpec) -> dict:

@@ -13,12 +13,11 @@ order >= 2.
 from __future__ import annotations
 
 import itertools
-import math
 from typing import Sequence
 
 import numpy as np
 
-from .grid import GridError, GridFunction, _check_p, lp_norm, lp_norm_pow, power_table
+from .grid import GridError, GridFunction, _check_p, lp_norm, lp_norm_values, power_table
 from .fourier import _angular_freqs, _check_order, _check_sobolev_params, _derivative_symbol, _derivatives, spectral_derivative
 from .differences import _as_axis_vector
 from .spaces import SpaceSpec, space_norm, sup_norm
@@ -60,12 +59,12 @@ def derivative(
 
 
 def _derivative_norm_sum(u: GridFunction, m: int, p: float, alphas) -> float:
-    # p = 2: every ||D^alpha u||_2^2 from one power spectrum (Parseval)
+    # p = 2: every ||D^alpha u||_2 from one power spectrum (Parseval)
     if p == 2.0:
         weights = [np.array([np.abs(_derivative_symbol(xi, a)) ** 2 for a in range(m + 1)])
                    for xi in _angular_freqs(u)]
-        energy = power_table(u.values, [weights], u.cell_volume)[0]
-        return sum(math.sqrt(energy[alpha]) for alpha in alphas)
+        norms = power_table(u.values, [weights], u.cell_volume)[0]
+        return sum(float(norms[alpha]) for alpha in alphas)
     return sum(lp_norm(dv, p) for dv in _derivatives(u, alphas))
 
 
@@ -101,16 +100,13 @@ def mixed_sup_lp(u: GridFunction, beta: Sequence[int], n_split: int, p: float) -
 
     Takes D^beta u, the pointwise sup over the trailing d - n_split axes, and
     the L_p quadrature over the leading n_split axes.  n_split = d reduces to
-    the plain L_p norm of the derivative (bit-identical code path).
+    the plain L_p norm of the derivative, bit for bit.
     """
     _check_split(n_split, u.d)
     _check_p(p)
     dv = spectral_derivative(u, tuple(int(b) for b in beta))
-    if n_split == u.d:
-        return lp_norm(dv, p)
     reduced = np.max(np.abs(dv.values), axis=tuple(range(n_split, u.d)))
-    total = lp_norm_pow(reduced, p, float(np.prod(dv.dx[:n_split])))
-    return total if math.isinf(p) else total ** (1.0 / p)
+    return lp_norm_values(reduced, p, float(np.prod(dv.dx[:n_split])))
 
 
 def embedding_ratio(u: GridFunction, space: SpaceSpec) -> float:

@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -246,11 +247,15 @@ def test_main_reports_numerical_anomaly(monkeypatch, tmp_path):
 
 
 def test_main_reports_weight_overflow_as_numerical_anomaly(tmp_path, monkeypatch):
-    # at p = 400 the dyadic weights 2^(r |k| p) of the difference and the
-    # Littlewood-Paley norms exceed the float range
+    # at p = 400 every norm fits a float (their p-th power sums do not), and the
+    # run succeeds without a warning; at r = 200 the dyadic weights 2^(r |k|)
+    # carry the difference norm past the float range, and the run exits 3
     monkeypatch.chdir(tmp_path)
-    assert main(["norm", "--family", "random", "--d", "2", "--resolution", "64",
-                 "--count", "1", "--p", "400"]) == 3
+    args = ["norm", "--family", "random", "--d", "2", "--resolution", "64", "--count", "1"]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(args + ["--p", "400"]) == 0
+    assert main(args + ["--r", "200", "--m_diff", "201"]) == 3
 
 
 def test_main_sidecar_records_elapsed_time(tmp_path, monkeypatch):

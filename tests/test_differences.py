@@ -29,7 +29,7 @@ from mixnorm import (
 from mixnorm.differences import _dyadic_levels, _fast_length, admissible_cells, ladder_cells
 from mixnorm.families import random_smooth_field
 from mixnorm import differences
-from mixnorm.grid import power_table, shift_values
+from mixnorm.grid import _dyadic_aggregate, power_table, shift_values
 
 UNIT = Box((0.0,), (1.0,))
 BOX1 = Box((-4.0,), (4.0,))
@@ -151,7 +151,7 @@ def test_besov_tensor_cross_norm():
     f = random_smooth_field((23, 0), BOX1, 128, band_fraction=0.2)
     g = random_smooth_field((23, 1), BOX1, 128, band_fraction=0.2)
     T = tensor_product(f, g)
-    for p in (2.0, math.inf):
+    for p in (2.0, 400.0, math.inf):
         lhs = besov_norm_diff(T, 1.0, p, 2)
         rhs = isotropic_besov_norm(f, 1.0, p, 2) * isotropic_besov_norm(g, 1.0, p, 2)
         assert lhs == pytest.approx(rhs, rel=1e-10)
@@ -164,25 +164,35 @@ def test_besov_dominates_lp():
             assert besov_norm_diff(u, 0.5, p, 1) >= lp_norm(u, p)
 
 
+def _quarter_amplitude_field(n):
+    u = random_smooth_field((58, 0), BOX2, n)
+    return u.with_values(0.25 * u.values / np.max(np.abs(u.values)))
+
+
 @pytest.mark.parametrize("norm", [besov_norm_diff, besov_norm_integral])
 def test_difference_norm_overflow_raises(norm):
-    # 2^(r k p) at p = 400 leaves the float range, as in the Fourier norm
+    # at p = 400 the weighted terms 2^(r|k|) omega_k fit a float, though their
+    # p-th powers do not: the norm is finite.  At r = 200 (2^(200|k|)) the norm
+    # itself leaves the float range, and that raises
     u = random_smooth_field((58, 0), BOX2, 64)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert math.isfinite(norm(u, 1.0, 400.0, 2))
     with pytest.raises(NumericalAnomalyError, match="overflows"):
-        norm(u, 1.0, 400.0, 2)
+        norm(u, 200.0, 2.0, 201)
 
 
 @pytest.mark.parametrize("n", [64, 256])
 @pytest.mark.parametrize("norm", [besov_norm_diff, besov_norm_integral])
 def test_difference_norm_weight_overflow_raises_without_warnings(norm, n):
-    # amplitude 1/4 keeps |u|^p and |D^2 u|^p in range at p = 400, so only the
-    # dyadic weights leave it; they raise, and no numpy warning comes first
-    u = random_smooth_field((58, 0), BOX2, n)
-    u = u.with_values(0.25 * u.values / np.max(np.abs(u.values)))
+    # amplitude 1/4 at p = 400: a finite norm, with no numpy warning; a norm
+    # that overflows through its dyadic weights raises, again with no warning
+    # first (on the 64^2 grid: the 256^2 one pads to 6500^2 at m_diff = 201)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
+        assert math.isfinite(norm(_quarter_amplitude_field(n), 1.0, 400.0, 2))
         with pytest.raises(NumericalAnomalyError, match="overflows"):
-            norm(u, 1.0, 400.0, 2)
+            norm(_quarter_amplitude_field(64), 200.0, 2.0, 201)
 
 
 def test_besov_integral_brackets_diff_norm():
@@ -307,9 +317,9 @@ def _sparse_field(d, extension, seed):
     return GridFunction(Box((0.0,) * d, tuple(n / 8.0 for n in shape)), values, extension)
 
 
-def _oracle_pow(u, e, m, steps, p):
-    # direct mixed difference on the values zero-padded by the full reach on
-    # both sides (zero extension) or on the torus itself (periodic)
+def _oracle_norm(u, e, m, steps, p):
+    # L_p norm of the direct mixed difference on the values zero-padded by the
+    # full reach on both sides (zero extension) or on the torus itself (periodic)
     if u.extension == "zero":
         reach = m * max(abs(s) for s in steps)
         values = np.pad(u.values, reach)
@@ -319,8 +329,7 @@ def _oracle_pow(u, e, m, steps, p):
     h = [0.0] * u.d
     for a, s in zip(e, steps):
         h[a] = s * u.dx[a]
-    norm = lp_norm(mixed_difference(u, e, m, h), p)
-    return norm if math.isinf(p) else norm**p
+    return lp_norm(mixed_difference(u, e, m, h), p)
 
 
 def test_difference_orders_below_one_are_checked_alike():
@@ -347,7 +356,7 @@ def test_parseval_table_matches_padded_oracle(d, extension, m):
         assert tables[e].shape == (len(TABLE_MAGS),) * len(e)
         for idx in np.ndindex(*tables[e].shape):
             steps = [TABLE_MAGS[i] for i in idx]
-            want = _oracle_pow(u, e, m, steps, 2.0)
+            want = _oracle_norm(u, e, m, steps, 2.0)
             assert tables[e][idx] == pytest.approx(want, rel=1e-12)
 
 
@@ -444,7 +453,7 @@ def test_fast_length_padding_equals_padding_by_the_reach(d, extension, m):
 
 @pytest.mark.parametrize("d", [1, 2])
 @pytest.mark.parametrize("extension", ["zero", "periodic"])
-@pytest.mark.parametrize("p", [1.0, 3.0, math.inf])
+@pytest.mark.parametrize("p", [1.0, 3.0, 400.0, math.inf])
 def test_direct_table_equal_for_both_step_signs(d, extension, p):
     u = _sparse_field(d, extension, 50 + d)
     sets = all_direction_sets(d)[1:]
@@ -454,7 +463,7 @@ def test_direct_table_equal_for_both_step_signs(d, extension, p):
             steps = [TABLE_MAGS[i] for i in idx]
             for signs in itertools.product((1, -1), repeat=len(e)):
                 signed = [sg * s for sg, s in zip(signs, steps)]
-                want = _oracle_pow(u, e, 2, signed, p)
+                want = _oracle_norm(u, e, 2, signed, p)
                 assert tables[e][idx] == pytest.approx(want, rel=1e-12)
 
 
@@ -497,7 +506,7 @@ def _shift_loop_diff(values, axis, m, cells, extension):
 
 def _shift_loop_table(u, sets, m, mags, p):
     # the direct table over the crop padded by the largest reach below the
-    # support, differenced with the shift loop, reduced with `**`
+    # support, differenced with the shift loop, reduced to L_p norms with `**`
     values, pad = u.values, [0] * u.d
     if u.extension == "zero":
         nz = np.nonzero(values)
@@ -507,7 +516,7 @@ def _shift_loop_table(u, sets, m, mags, p):
     def fill(table, arr, e, index):
         if len(index) == len(e):
             a = np.abs(arr)
-            table[index] = np.max(a) if math.isinf(p) else np.sum(a**p) * u.cell_volume
+            table[index] = np.max(a) if math.isinf(p) else (np.sum(a**p) * u.cell_volume) ** (1.0 / p)
             return
         axis = e[len(index)]
         for i, s in enumerate(mags[axis]):
@@ -674,11 +683,7 @@ def besov_norm_per_level(u, r, p, m_diff):
             omega[kvec] = np.max(tables[e][np.ix_(*(w[k] for w, k in zip(where, kvec)))])
         for pos in range(len(e)):
             omega = np.flip(np.maximum.accumulate(np.flip(omega, axis=pos), axis=pos), axis=pos)
-        ksum = np.indices(shape_k).sum(axis=0)
-        if math.isinf(p):
-            total += float(np.max(2.0 ** (r * ksum) * omega))
-        else:
-            total += float(np.sum(2.0 ** (r * ksum * p) * omega)) ** (1.0 / p)
+        total += _dyadic_aggregate(omega, r * np.indices(shape_k).sum(axis=0), p)
     return total
 
 

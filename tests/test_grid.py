@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from mixnorm import (
     GridError,
     GridFunction,
     GridMismatchError,
+    NumericalAnomalyError,
     coarsen,
     crop,
     dyadic_dilate,
@@ -20,7 +22,7 @@ from mixnorm import (
 )
 from mixnorm.differences import _check_besov_params
 from mixnorm.fourier import _check_order
-from mixnorm.grid import _check_p, lp_norm_pow
+from mixnorm.grid import _check_p, lp_norm_values
 
 UNIT = Box((0.0,), (1.0,))
 
@@ -231,12 +233,32 @@ def test_lp_norm_pow_integer_chain_matches_power(p):
     rng = np.random.default_rng(p)
     values = rng.uniform(-3.0, 3.0, (37, 29))
     kept = values.copy()
-    got = lp_norm_pow(values, p, 0.125)
-    want = float(np.sum(np.abs(values) ** float(p)) * 0.125)
+    got = lp_norm_values(values, p, 0.125)
+    want = float(np.sum(np.abs(values) ** float(p)) * 0.125) ** (1.0 / p)
     assert np.array_equal(values, kept)
     if p <= 2:
         assert got == want
     else:
         assert got == pytest.approx(want, rel=1e-14)
     u = GridFunction(Box((0.0, 0.0), (37 * 0.5, 29 * 0.25)), values)  # cell volume 0.125
-    assert lp_norm(u, float(p)) == got ** (1.0 / p)
+    assert lp_norm(u, float(p)) == got
+
+
+@pytest.mark.parametrize("level, p", [(10.0, 400.0), (1e-3, 200.0), (1e-300, 1.5), (1e300, 3.0)])
+def test_lp_norm_values_rescales_sums_outside_the_float_range(level, p):
+    # the plain powered sum overflows or underflows; the sum formed again
+    # from values / 2^e gives the norm level * volume^(1/p)
+    values = np.full((6, 5), level)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = lp_norm_values(values, p, 0.125)
+    assert got == pytest.approx(level * 3.75 ** (1.0 / p), rel=1e-14)
+
+
+def test_lp_norm_values_raises_when_the_norm_overflows():
+    values = np.full(4, 1e308)
+    assert lp_norm_values(values, math.inf, 1.0) == 1e308
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NumericalAnomalyError, match="overflows"):
+            lp_norm_values(values, 1.0, 1.0)

@@ -179,3 +179,35 @@ def test_difference_norm_reduces_levels_without_a_per_level_loop():
     # besov_norm_diff reads every level off its step table by one masked max
     # per axis; a gather per level vector must not come back
     assert calls_of(PER_LEVEL_LOOPS, (SRC / "differences.py").read_text()) == []
+
+
+POWERED_SUM_MARKS = ("** (1.0 / p)", "errstate(over", "except OverflowError")
+
+
+def powered_sum_sites(source: str) -> list[str]:
+    """Lines that take the p-th root of a powered sum or handle a float overflow."""
+    return [f"{mark} (line {n})" for n, line in enumerate(source.splitlines(), 1)
+            for mark in POWERED_SUM_MARKS if mark in line]
+
+
+def test_powered_sum_scan_flags_roots_and_overflow_handlers():
+    source = (
+        "norm = total ** (1.0 / p)\n"
+        "with np.errstate(over='ignore', invalid='ignore'):\n"
+        "    q = 2.0 ** (1.0 / 3)\n"
+        "try:\n"
+        "    w = 2.0 ** k\n"
+        "except OverflowError:\n"
+        "    pass\n"
+        "with np.errstate(divide='ignore'):\n"
+        "    r = total ** (1.0 / q)\n"
+    )
+    assert powered_sum_sites(source) == ["** (1.0 / p) (line 1)", "errstate(over (line 2)",
+                                         "except OverflowError (line 6)"]
+
+
+@pytest.mark.parametrize("path", [p for p in MODULES if p.name != "grid.py"], ids=lambda p: p.name)
+def test_powered_sums_stay_in_grid(path):
+    # tables and aggregates carry L_p norms: only grid forms a p-th power sum,
+    # takes its root or handles its overflow
+    assert powered_sum_sites(path.read_text()) == []
