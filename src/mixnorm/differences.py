@@ -228,7 +228,7 @@ def difference_table(
     is (sum |Delta^{m, e}_s u|^p * cell volume)^(1/p), max |.| when p = inf,
     with step s_a = magnitudes[a][i_a] cells and order orders[a]: a norm, not
     its p-th power, so it is finite whenever the norm fits a float
-    (grid.lp_norm_values and grid.power_table scale by exact powers of two).
+    (grid.lp_norm_values and grid.power_table rescale sums that leave it).
     Zero extension reads u extended by zero to all of Z^d, periodic reads it
     on the torus.  A zero-extended field is cropped to the bounding box of its
     nonzero values.

@@ -20,6 +20,7 @@ and raises NumericalAnomalyError otherwise.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -28,7 +29,7 @@ from typing import Sequence
 import numpy as np
 
 from .grid import (GridError, GridFunction, NumericalAnomalyError, _as_shape, _binary_exponent, _dyadic_aggregate,
-                   lp_norm, lp_norm_values, power_table)
+                   lp_norm, lp_norm_values)
 from .differences import _as_axis_vector, _check_besov_params, mixed_difference, snap_step
 from .profiles import smoothstep
 
@@ -85,12 +86,13 @@ class DyadicSystem:
     3 * 2^(j-1)).  kind "sharp": level 0 is the indicator of [-1, 1], level j
     the indicator of the dyadic annulus (2^(j-1), 2^j].  Windows sum to 1 at
     every retained frequency; sharp windows partition the grid exactly.
+    build_system gives each axis one shared read-only (level, frequency) matrix.
     """
 
     kind: str
     shape: tuple[int, ...]
     j_max: tuple[int, ...]
-    axis_windows: tuple[tuple[np.ndarray, ...], ...] = field(repr=False)
+    axis_windows: tuple[Sequence[np.ndarray], ...] = field(repr=False)
     freqs: tuple[np.ndarray, ...] = field(repr=False)
 
     def levels(self) -> itertools.product:
@@ -133,20 +135,29 @@ def _check_samples(n: int) -> None:
         raise GridError(f"resolution must be >= 16 per axis, got {n}")
 
 
+@functools.lru_cache(maxsize=64)
+def _axis_system(kind: str, n: int, dx: float) -> tuple[np.ndarray, np.ndarray]:
+    # the angular frequencies of one axis and its (level, frequency) window matrix, read-only
+    xi = 2.0 * np.pi * np.fft.fftfreq(n, d=dx)
+    windows = np.array(_axis_windows(xi, kind))
+    xi.flags.writeable = windows.flags.writeable = False
+    return xi, windows
+
+
 def build_system(kind: str, box, resolution: Sequence[int] | int) -> DyadicSystem:
     """Dyadic decomposition of unity on the frequency grid of a box.
 
-    Resolution must be a power of two, at least 16 per axis.
+    Resolution must be a power of two, at least 16 per axis; it is checked on
+    every call.  Each axis's frequencies and (level, frequency) window matrix
+    are built once per (kind, n, dx) and shared, read-only, by every system
+    that has that axis.
     """
     resolution = _as_shape(resolution, box.d)
     for n in resolution:
         _check_samples(n)
         _check_power_of_two(n)
-    dx = [w / n for w, n in zip(box.widths, resolution)]
-    freqs = tuple(2.0 * np.pi * np.fft.fftfreq(n, d=d_) for n, d_ in zip(resolution, dx))
-    axis_windows = tuple(tuple(_axis_windows(xi, kind)) for xi in freqs)
-    j_max = tuple(len(w) - 1 for w in axis_windows)
-    return DyadicSystem(kind, resolution, j_max, axis_windows, freqs)
+    freqs, axis_windows = zip(*(_axis_system(kind, n, w / n) for w, n in zip(box.widths, resolution)))
+    return DyadicSystem(kind, resolution, tuple(len(w) - 1 for w in axis_windows), axis_windows, freqs)
 
 
 def system_for(u: GridFunction, kind: str = "smooth") -> DyadicSystem:
@@ -176,7 +187,7 @@ def _checked_windows(u: GridFunction, sys: DyadicSystem) -> list[np.ndarray]:
     # real inverse transform would silently symmetrize any other, so this is their one guard
     if tuple(u.n) != sys.shape:
         raise GridError(f"system built for shape {sys.shape}, function has {u.n}")
-    windows = [np.array(w) for w in sys.axis_windows]
+    windows = [np.asarray(w) for w in sys.axis_windows]
     for axis, w in enumerate(windows):
         if np.max(np.abs(w - w[:, -np.arange(w.shape[1]) % w.shape[1]])) > 1e-10:
             raise NumericalAnomalyError(f"axis {axis}: a window is not mirror-symmetric, so blocks are complex")
@@ -204,7 +215,7 @@ def _blocks(u: GridFunction, sys: DyadicSystem):
 def _block_norms(u: GridFunction, sys: DyadicSystem) -> np.ndarray:
     # L_2 norm of every block, indexed by level, from one power spectrum
     windows = _checked_windows(u, sys)
-    return power_table(u.values, [[w**2 for w in windows]], u.cell_volume)[0]
+    return u._power_table([[w**2 for w in windows]], u.cell_volume)[0]
 
 
 def besov_norm_fourier(
@@ -258,7 +269,7 @@ def band_energy_fraction(u: GridFunction, b: Sequence[float] | float) -> float:
     """Fraction of spectral energy outside the band (0 for band-limited input)."""
     bv = _as_axis_vector(b, u.d, "b")
     masks = [(np.abs(xi[None]) <= bi).astype(float) for xi, bi in zip(_angular_freqs(u), bv)]
-    inside, total = (float(t.sum()) for t in power_table(u.values, [masks, [None] * u.d], 1.0))
+    inside, total = (float(t.sum()) for t in u._power_table([masks, [None] * u.d], 1.0))
     return 0.0 if total == 0.0 else max(0.0, 1.0 - (inside / total) ** 2)
 
 

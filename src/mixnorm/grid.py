@@ -74,7 +74,7 @@ class GridFunction:
     vanishes there) or "periodic" (indices wrap).
     """
 
-    __slots__ = ("box", "values", "extension")
+    __slots__ = ("box", "values", "extension", "_spectrum")
 
     def __init__(self, box: Box, values: np.ndarray, extension: Extension = "zero"):
         values = np.asarray(values, dtype=float)
@@ -92,6 +92,7 @@ class GridFunction:
         object.__setattr__(self, "box", box)
         object.__setattr__(self, "values", values)
         object.__setattr__(self, "extension", extension)
+        object.__setattr__(self, "_spectrum", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("GridFunction is immutable")
@@ -116,6 +117,15 @@ class GridFunction:
         """Cell-left node coordinates along one axis."""
         n = self.values.shape[axis]
         return self.box.lower[axis] + self.dx[axis] * np.arange(n)
+
+    def _power_table(self, weight_sets, cell_volume: float) -> list[np.ndarray]:
+        # power_table(values, weight_sets, cell_volume) off one own-shape power spectrum, formed
+        # on first use and kept read-only (a field is immutable, with_values makes a new one)
+        if self._spectrum is None:
+            e, power = _power_spectrum(self.values, self.n)
+            power.flags.writeable = False
+            object.__setattr__(self, "_spectrum", (e, power))
+        return _contract_power(self._spectrum, weight_sets, cell_volume, self.n)
 
     def with_values(self, values: np.ndarray) -> "GridFunction":
         return GridFunction(self.box, values, self.extension)
@@ -184,9 +194,14 @@ def lp_norm(u: GridFunction, p: float) -> float:
 _MAX_CHAIN_POWER = 64
 
 
+def _peak(values: np.ndarray) -> float:
+    # max |values|, by max and min (np.abs would allocate)
+    return max(float(values.max()), -float(values.min()))
+
+
 def _binary_exponent(values: np.ndarray) -> int:
-    # e with 2^(e-1) <= max |values| < 2^e, by max and min (np.abs would allocate)
-    return math.frexp(max(float(values.max()), -float(values.min())))[1]
+    # e with 2^(e-1) <= max |values| < 2^e
+    return math.frexp(_peak(values))[1]
 
 
 def lp_norm_values(values: np.ndarray, p: float, cell_volume: float) -> float:
@@ -195,11 +210,9 @@ def lp_norm_values(values: np.ndarray, p: float, cell_volume: float) -> float:
     The one place a powered sum is formed and its p-th root taken: tables and
     aggregates carry norms.  The plain sum comes first; only outside [2^-900,
     inf), where a term that moves the root may be subnormal, is it formed again
-    from values / 2^e, e the binary exponent of max |values| (an exact
-    division), with the root multiplied back by 2^e.  That holds every
-    amplitude for p up to about 1000 (past 1074 the largest term, at least
-    2^-p, can underflow).  An integer p up to 64 forms |values|^p by
-    square-and-multiply, whose relative error grows like p rounding errors
+    from values / max |values|, whose largest term is 1 at every p, with the
+    root multiplied back by max |values|.  An integer p up to 64 forms
+    |values|^p by square-and-multiply, whose relative error grows like p rounding errors
     (exact at p = 1, and a*a at p = 2 as `**` gives); other p use `**`.  A norm
     outside the float range raises NumericalAnomalyError.
     """
@@ -207,11 +220,11 @@ def lp_norm_values(values: np.ndarray, p: float, cell_volume: float) -> float:
         norm = float(np.abs(values).max())
     else:
         with np.errstate(over="ignore"):
-            e, total = 0, _powered_sum(values, p, cell_volume)
-            if not 2.0**-900 <= total < math.inf:
-                e = _binary_exponent(values)
-                total = _powered_sum(np.ldexp(values, -e), p, cell_volume)
-            norm = float(np.ldexp(total ** (1.0 / p), e))
+            top, total = 1.0, _powered_sum(values, p, cell_volume)
+            # (an infinite or all-zero values array keeps its plain sum)
+            if not 2.0**-900 <= total < math.inf and 0.0 < (peak := _peak(values)) < math.inf:
+                top, total = peak, _powered_sum(values / peak, p, cell_volume)
+            norm = total ** (1.0 / p) * top
     if not math.isfinite(norm):
         raise NumericalAnomalyError(f"L_{p:g} norm overflows a float")
     return norm
@@ -255,17 +268,29 @@ def power_table(values: np.ndarray, weight_sets: Sequence[Sequence[np.ndarray | 
     points, squared from F / 2^e (e the binary exponent of max |values|) and multiplied back by 2^e:
     exact steps, which keep every square in the float range.  Only the bins 0..n//2 of the last axis
     are transformed and read (its rows may stop there), with the mirrored bins counted twice; so
-    every row must be mirror-symmetric, w[k] = w[-k mod n].
+    every row must be mirror-symmetric, w[k] = w[-k mod n].  The spectrum and the contraction are
+    two steps, so a field keeps its own-shape spectrum for later tables (GridFunction._power_table).
     """
     shape = tuple(values.shape if shape is None else shape)
+    return _contract_power(_power_spectrum(values, shape), weight_sets, cell_volume, shape)
+
+
+def _power_spectrum(values: np.ndarray, shape: tuple[int, ...]) -> tuple[int, np.ndarray]:
+    # (e, |rfftn(values, shape) / 2^e|^2), the mirrored bins of the last axis counted twice
     e = _binary_exponent(values)
     spec = np.fft.rfftn(values, s=shape, axes=range(len(shape)))
     # in place and exact for every e (F * 2.0**-e overflows for e < -1023, and values / 2^e costs a copy)
     parts = spec.view(np.float64)  # the (re, im) pairs of the C-ordered transform
     np.ldexp(parts, -e, out=parts)
     power = spec.real**2 + spec.imag**2
-    # count the mirrored bins of the last axis twice
     power[..., 1 : (shape[-1] + 1) // 2] *= 2.0
+    return e, power
+
+
+def _contract_power(spectrum: tuple[int, np.ndarray], weight_sets, cell_volume: float,
+                    shape: tuple[int, ...]) -> list[np.ndarray]:
+    # the tables of power_table from a _power_spectrum; reads power without writing it
+    e, power = spectrum
     tables = []
     for weights in weight_sets:
         t = power

@@ -17,7 +17,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .grid import GridError, GridFunction, _check_p, lp_norm, lp_norm_values, power_table
+from .grid import GridError, GridFunction, _check_p, lp_norm, lp_norm_values
 from .fourier import _angular_freqs, _check_order, _check_sobolev_params, _derivative_symbol, _derivatives, spectral_derivative
 from .differences import _as_axis_vector
 from .spaces import SpaceSpec, space_norm, sup_norm
@@ -63,7 +63,7 @@ def _derivative_norm_sum(u: GridFunction, m: int, p: float, alphas) -> float:
     if p == 2.0:
         weights = [np.array([np.abs(_derivative_symbol(xi, a)) ** 2 for a in range(m + 1)])
                    for xi in _angular_freqs(u)]
-        norms = power_table(u.values, [weights], u.cell_volume)[0]
+        norms = u._power_table([weights], u.cell_volume)[0]
         return sum(float(norms[alpha]) for alpha in alphas)
     return sum(lp_norm(dv, p) for dv in _derivatives(u, alphas))
 

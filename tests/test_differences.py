@@ -24,6 +24,7 @@ from mixnorm import (
     modulus,
     pointwise_multiply,
     sample,
+    shift,
     tensor_product,
 )
 from mixnorm.differences import _dyadic_levels, _fast_length, admissible_cells, ladder_cells
@@ -278,7 +279,7 @@ def test_mixed_leibniz_empty_set():
     assert np.array_equal(terms[0][1].values, f.values * g.values)
 
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 
 @settings(max_examples=30, deadline=None)
@@ -707,3 +708,37 @@ def test_besov_norm_diff_equals_per_level_oracle(d, extension, p):
         values[tuple(slice(1, None) for _ in shape)] = rng.standard_normal([n - 1 for n in shape])
         u = GridFunction(Box((0.0,) * d, widths), values, extension)
         assert besov_norm_diff(u, 1.0, p, 2) == besov_norm_per_level(u, 1.0, p, 2)
+
+
+# a windowed field supported on the nodes 17..47 of each axis of the 64^2 grid,
+# and the unwindowed periodic field of the same seed
+SHIFT_FIELD = random_smooth_field(3, BOX2, 64, band_cells=8)
+SUPPORT = [(int(a.min()), int(a.max())) for a in np.nonzero(SHIFT_FIELD.values)]
+PERIODIC_FIELD = GridFunction(BOX2, random_smooth_field(3, BOX2, 64, band_cells=8, window=None).values,
+                              "periodic")
+TRANSLATED_NORMS = (besov_norm_diff, besov_norm_integral)
+SHIFT_P = [1.0, 2.0, 3.0, math.inf]
+
+
+@settings(max_examples=8, deadline=None)
+@given(cells=st.tuples(*(st.integers(hi - 63, lo) for lo, hi in SUPPORT)))
+@example(cells=tuple(lo for lo, _ in SUPPORT))
+@example(cells=tuple(hi - 63 for _, hi in SUPPORT))
+def test_whole_cell_translation_keeps_zero_extended_norms(cells):
+    # node j takes the value at j + cells, so the support stays inside the box for
+    # hi - 63 <= cells <= lo; the zero-extended tables then crop to the same input
+    moved = shift(SHIFT_FIELD, cells)
+    assert np.count_nonzero(moved.values) == np.count_nonzero(SHIFT_FIELD.values)
+    for norm in TRANSLATED_NORMS:
+        for p in SHIFT_P:
+            assert norm(moved, 1.0, p, 2) == norm(SHIFT_FIELD, 1.0, p, 2), (norm.__name__, p)
+
+
+@settings(max_examples=8, deadline=None)
+@given(cells=st.tuples(st.integers(-100, 100), st.integers(-100, 100)))
+def test_whole_cell_translation_keeps_periodic_norms(cells):
+    moved = shift(PERIODIC_FIELD, cells)
+    assert np.array_equal(moved.values, np.roll(PERIODIC_FIELD.values, [-c for c in cells], axis=(0, 1)))
+    for norm in TRANSLATED_NORMS:
+        for p in SHIFT_P:
+            assert norm(moved, 1.0, p, 2) == pytest.approx(norm(PERIODIC_FIELD, 1.0, p, 2), rel=1e-13)

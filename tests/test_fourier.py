@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -23,8 +24,9 @@ from mixnorm import (
     tensor_product,
 )
 from mixnorm.families import random_smooth_field, random_trig_field
-from mixnorm.fourier import _angular_freqs, _axis_windows, _derivative_symbol
-from mixnorm.grid import GridFunction, shift_values
+from mixnorm.fourier import _angular_freqs, _axis_windows, _derivative_symbol, band_energy_fraction
+from mixnorm.grid import GridFunction, _dyadic_aggregate, power_table, shift_values
+from mixnorm.sobolev import sobolev_norm_full, sobolev_norm_reduced
 
 BOX1 = Box((-4.0,), (4.0,))
 BOX2 = Box((-4.0, -4.0), (4.0, 4.0))
@@ -58,6 +60,7 @@ def test_smooth_window_support():
 
 
 def test_build_system_validation():
+    build_system("smooth", BOX1, 64)  # a cached axis does not bypass the checks of later calls
     with pytest.raises(GridError, match=">= 16"):
         build_system("smooth", BOX1, 8)
     with pytest.raises(GridError, match="power of two"):
@@ -515,3 +518,64 @@ def test_real_inverse_masks_are_hermitian(n):
             assert np.array_equal(build_system(kind, BOX1, n).axis_windows[0], windows)
         for w in windows:
             assert np.array_equal(w[mirror], w), kind
+
+
+@pytest.mark.parametrize("kind", ["smooth", "sharp"])
+@pytest.mark.parametrize("n", [16, 64, 256])
+def test_memoized_windows_are_read_only_and_match_a_fresh_build(kind, n):
+    sysk = build_system(kind, BOX1, n)
+    windows, xi = sysk.axis_windows[0], sysk.freqs[0]
+    for arr in (windows, windows[0], xi):
+        with pytest.raises(ValueError, match="read-only"):
+            arr[0] = 1.0
+    fresh_xi = 2.0 * np.pi * np.fft.fftfreq(n, d=8.0 / n)
+    assert np.array_equal(xi, fresh_xi)
+    assert np.array_equal(windows, _axis_windows(fresh_xi, kind))
+    # a later system on the same axis reads the same arrays, however its resolution is spelled
+    assert np.array_equal(build_system(kind, BOX1, (n,)).axis_windows[0], windows)
+    assert build_system(kind, BOX2, (n, n)).axis_windows[1] is windows
+
+
+def uncached_p2_norms(u):
+    # the four norms from power_table(u.values, ...), which keeps no spectrum
+    windows = [np.asarray(w) for w in system_for(u, "smooth").axis_windows]
+    blocks = power_table(u.values, [[w**2 for w in windows]], u.cell_volume)[0]
+    besov = _dyadic_aggregate(blocks, 0.7 * np.indices(blocks.shape).sum(axis=0), 2.0)
+    symbols = [np.array([np.abs(_derivative_symbol(xi, a)) ** 2 for a in range(2)]) for xi in _angular_freqs(u)]
+    derivs = power_table(u.values, [symbols], u.cell_volume)[0]
+    full = sum(float(derivs[alpha]) for alpha in itertools.product(range(2), repeat=u.d))
+    reduced = sum(float(derivs[alpha]) for alpha in sorted(set(itertools.product((0, 1), repeat=u.d))))
+    masks = [(np.abs(xi[None]) <= 3.0).astype(float) for xi in _angular_freqs(u)]
+    inside, total = (float(t.sum()) for t in power_table(u.values, [masks, [None] * u.d], 1.0))
+    return {"besov_fourier": besov, "sobolev_full": full, "sobolev_reduced": reduced,
+            "band_energy": max(0.0, 1.0 - (inside / total) ** 2)}
+
+
+CACHED_P2_NORMS = {
+    "besov_fourier": lambda u: besov_norm_fourier(u, 0.7, 2.0),
+    "sobolev_full": lambda u: sobolev_norm_full(u, 1, 2.0),
+    "sobolev_reduced": lambda u: sobolev_norm_reduced(u, 1, 2.0),
+    "band_energy": lambda u: band_energy_fraction(u, 3.0),
+}
+
+
+@pytest.mark.parametrize("extension", ["zero", "periodic"])
+@pytest.mark.parametrize("shape", [(256,), (64, 32), (16, 32, 16)])
+def test_p2_norms_off_the_cached_spectrum_equal_the_uncached_oracle(shape, extension):
+    d = len(shape)
+    base = random_smooth_field((57, d), Box((-4.0,) * d, (4.0,) * d), shape, band_cells=6)
+    u = GridFunction(base.box, base.values, extension)
+    oracle = uncached_p2_norms(u)
+    # every order of first use: the slot is filled by whichever norm comes first
+    for names in (list(CACHED_P2_NORMS), list(reversed(CACHED_P2_NORMS))):
+        fresh = u.with_values(u.values)
+        for name in names:
+            assert CACHED_P2_NORMS[name](fresh) == oracle[name], (name, names)
+    # a new field from a filled one carries no stale spectrum
+    once = {name: norm(u) for name, norm in CACHED_P2_NORMS.items()}
+    doubled = u.with_values(2.0 * u.values)
+    for name in ("sobolev_full", "sobolev_reduced"):
+        assert CACHED_P2_NORMS[name](doubled) == 2.0 * once[name]
+    assert besov_norm_fourier(doubled, 0.7, 2.0) == uncached_p2_norms(doubled)["besov_fourier"]
+    assert besov_norm_fourier(doubled, 0.7, 2.0) == pytest.approx(2.0 * oracle["besov_fourier"], rel=1e-14)
+    assert band_energy_fraction(doubled, 3.0) == oracle["band_energy"]

@@ -62,7 +62,7 @@ def test_sample_sine_quarter_nodes():
 
 
 def test_sample_rejects_nonfinite_with_location():
-    with pytest.raises(GridError, match="0.5"):
+    with pytest.raises(GridError, match="0.5"), np.errstate(divide="ignore"):
         sample(lambda x: 1.0 / (x - 0.5), UNIT, 4)
 
 
@@ -247,12 +247,21 @@ def test_lp_norm_pow_integer_chain_matches_power(p):
 @pytest.mark.parametrize("level, p", [(10.0, 400.0), (1e-3, 200.0), (1e-300, 1.5), (1e300, 3.0)])
 def test_lp_norm_values_rescales_sums_outside_the_float_range(level, p):
     # the plain powered sum overflows or underflows; the sum formed again
-    # from values / 2^e gives the norm level * volume^(1/p)
+    # from values / max |values| gives the norm level * volume^(1/p)
     values = np.full((6, 5), level)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         got = lp_norm_values(values, p, 0.125)
     assert got == pytest.approx(level * 3.75 ** (1.0 / p), rel=1e-14)
+
+
+@pytest.mark.parametrize("p", [1100.0, 2000.0, 1e4])
+def test_lp_norm_values_holds_past_the_subnormal_range_of_p(p):
+    # 0.5^p underflows to 0 past p = 1074; dividing by the peak itself makes every term 1
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = lp_norm_values(np.full(4, 0.5), p, 1.0)
+    assert got == pytest.approx(0.5 * 4.0 ** (1.0 / p), rel=1e-15)
 
 
 def test_lp_norm_values_raises_when_the_norm_overflows():

@@ -1,9 +1,10 @@
 """Every norm is 1-homogeneous, N(lam u) = lam N(u), at every amplitude.
 
-Tables and dyadic aggregates carry L_p norms, and grid.lp_norm_values and
-grid.power_table scale by exact powers of two wherever a p-th power sum would
-leave the float range, so the identity holds to rounding for lam as small as
-1e-300 and as large as 1e300, at p up to 400 and at p = inf.
+Tables and dyadic aggregates carry L_p norms, and grid.lp_norm_values (by
+max |values|) and grid.power_table (by an exact power of two) rescale wherever
+a p-th power sum would leave the float range, so the identity holds to
+rounding for lam as small as 1e-300 and as large as 1e300, at p up to 400 and
+at p = inf.
 """
 
 import functools
