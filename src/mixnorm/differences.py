@@ -185,6 +185,7 @@ def ladder_cells(t: float, dx: float) -> list[int]:
     return sorted(out)
 
 
+@functools.lru_cache(maxsize=256)
 def _fast_length(n: int) -> int:
     """The smallest 5-smooth length >= n: its prime factors are all 2, 3 or 5,
     the lengths a real transform runs fastest at."""
@@ -200,17 +201,24 @@ def _fast_length(n: int) -> int:
     return best
 
 
-def _parseval_tables(values, sets, orders, magnitudes, shape, cell_volume):
+def _parseval_tables(values, sets, orders, magnitudes, shape, cell_volume, extents=None):
     # one power spectrum of the values, zero-padded to shape, contracted per
-    # axis with the difference symbol |e^{i theta s} - 1|^{2m} = (4 sin^2(theta s / 2))^m
+    # axis with the difference symbol |e^{i theta s} - 1|^{2m} = (4 sin^2(theta s / 2))^m;
+    # a step s >= extents[axis] clears the support, and its row is c(m, 2)^2 = C(2m, m)
     weights = []
     for axis, (n, m, mags) in enumerate(zip(shape, orders, magnitudes)):
         bins = n // 2 + 1 if axis == len(shape) - 1 else n  # the bins power_table reads
         symbol = (4.0 * np.sin(np.pi / n * np.arange(n)) ** 2) ** m
-        # the symbol index s k mod n, formed in place; modulus leaves the axes
-        # outside its direction set without steps
-        idx = np.multiply.outer(np.asarray(mags, dtype=np.intp), np.arange(bins))
-        weights.append(symbol.take(np.remainder(idx, n, out=idx)))
+        # the symbol index s k mod n, formed in place in blocks of about 2^16 entries (at
+        # least 8 steps) so its int64 work array stays small; it lies in [0, n), so clip
+        # gathers unbuffered.  modulus leaves the axes outside its direction set without steps
+        mags, rows = np.asarray(mags, dtype=np.intp), max(8, 2**16 // bins)
+        weights.append(np.empty((mags.size, bins)))
+        for lo in range(0, mags.size, rows):
+            idx = np.multiply.outer(mags[lo : lo + rows], np.arange(bins))
+            symbol.take(np.remainder(idx, n, out=idx), out=weights[-1][lo : lo + rows], mode="clip")
+        if extents is not None:
+            weights[-1][mags >= extents[axis]] = comb(2 * m, m)
     weight_sets = [[w if a in e else None for a, w in enumerate(weights)] for e in sets]
     return dict(zip(sets, power_table(values, weight_sets, cell_volume, shape)))
 
@@ -231,48 +239,66 @@ def difference_table(
     (grid.lp_norm_values and grid.power_table rescale sums that leave it).
     Zero extension reads u extended by zero to all of Z^d, periodic reads it
     on the torus.  A zero-extended field is cropped to the bounding box of its
-    nonzero values.
+    nonzero values, L_a cells along axis a.  A far step s_a >= L_a moves the
+    m_a + 1 translates of the difference apart, so exactly |Delta^{m, e}_s u|_p
+    = c(m_a, p) |Delta^{m, e - a}_s u|_p, with c(m, p) the l_p norm of the
+    binomials C(m, 0..m); the kernels take that closed form for far steps and
+    difference or transform only along the near steps s_a < L_a.
     p = 2 then goes through one power spectrum for every direction set
-    (Parseval); a zero-extended field is zero-padded along each axis to the
-    smallest 5-smooth length (the fastest transform lengths) of at least
-    support + m * largest step, past which no circular difference wraps, so the
+    (Parseval), a far step's symbol row being the constant c(m, 2)^2; a
+    zero-extended field is zero-padded along each axis to the smallest 5-smooth
+    length (the fastest transform lengths) of at least L_a + m_a * largest near
+    step, past which no circular difference along a near step wraps, so the
     padding moves only rounding.  Other p difference directly, each partial
     difference growing by its own reach, from the last axis of e to the first,
-    so the most repeated one slices whole rows (axis 0).
+    so the most repeated one slices whole rows (axis 0); a far step scales the
+    norm by c(m, p) instead of differencing.
     """
     sets = [tuple(sorted(set(int(a) for a in e))) for e in direction_sets]
     orders = [int(m) for m in _as_axis_vector(orders, u.d, "orders")]
-    values, vol = u.values, u.cell_volume
+    values, vol, extents = u.values, u.cell_volume, None
     if u.extension == "zero":
         # per axis, the indices of the hyperplanes that hold a nonzero value
         nz = [np.flatnonzero(values.any(axis=tuple(b for b in range(u.d) if b != a))) for a in range(u.d)]
         if not nz[0].size:
             return {e: np.zeros([len(magnitudes[a]) for a in e]) for e in sets}
         values = values[tuple(slice(i[0], i[-1] + 1) for i in nz)]
+        extents = values.shape
     if p == 2.0:
         # circular differences on a zero-padded period equal the zero-extended
         # ones once it exceeds support + reach: padding further changes no value
         shape = values.shape
         if u.extension == "zero":
-            shape = [_fast_length(n + m * max(mags, default=0))
+            shape = [_fast_length(n + m * max((s for s in mags if s < n), default=0))
                      for n, m, mags in zip(shape, orders, magnitudes)]
-        return _parseval_tables(values, sets, orders, magnitudes, shape, vol)
+        return _parseval_tables(values, sets, orders, magnitudes, shape, vol, extents)
     out = {}
     for e in sets:
         out[e] = np.empty([len(magnitudes[a]) for a in e])
-        _fill_direct(out[e], values, e, orders, magnitudes, p, vol, u.extension, ())
+        _fill_direct(out[e], values, e, orders, magnitudes, p, vol, u.extension, (), extents)
     return out
 
 
-def _fill_direct(table, arr, e, orders, magnitudes, p, vol, extension, index) -> None:
-    # depth first from the last axis of e, so each partial difference is made once
+@functools.lru_cache(maxsize=64)
+def _cleared_factor(m: int, p: float) -> float:
+    # c(m, p): the l_p norm of the binomials C(m, 0..m), the weights of the m + 1 translates
+    return lp_norm_values(np.array([comb(m, ell) for ell in range(m + 1)], dtype=float), p, 1.0)
+
+
+def _fill_direct(table, arr, e, orders, magnitudes, p, vol, extension, index, extents, scale=1.0) -> None:
+    # depth first from the last axis of e, so each partial difference is made once per
+    # prefix of steps; a step s >= extents[axis] passes arr on undifferenced and
+    # scales the norm by c(m, p)
     if len(index) == len(e):
-        table[index[::-1]] = lp_norm_values(arr, p, vol)
+        table[index[::-1]] = scale * lp_norm_values(arr, p, vol)
         return
     axis = e[-1 - len(index)]
     for i, s in enumerate(magnitudes[axis]):
-        diff = _diff_values(arr, axis, orders[axis], s, extension)
-        _fill_direct(table, diff, e, orders, magnitudes, p, vol, extension, index + (i,))
+        if extents is not None and s >= extents[axis]:
+            sub, c = arr, _cleared_factor(orders[axis], p)
+        else:
+            sub, c = _diff_values(arr, axis, orders[axis], s, extension), 1.0
+        _fill_direct(table, sub, e, orders, magnitudes, p, vol, extension, index + (i,), extents, scale * c)
 
 
 def modulus(

@@ -67,6 +67,14 @@ def _base_sample(grid_box: Box, resolution: int) -> GridFunction:
     return sample(lambda t: plateau_bump(t, 1.0, 2.0), grid_box, resolution)
 
 
+@functools.lru_cache(maxsize=4)
+def _base_nodes(grid_box: Box, resolution: int) -> np.ndarray:
+    # the base sample's nodes, shared read-only by every dilate on the grid
+    x = _base_sample(grid_box, resolution).nodes(0)
+    x.flags.writeable = False
+    return x
+
+
 def dilated_member(grid_box: Box, resolution: int, n: int) -> GridFunction:
     """Dyadic dilate f(2^n t) of the base bump, bit-identical to sampling its
     closed form at the grid nodes.
@@ -76,8 +84,7 @@ def dilated_member(grid_box: Box, resolution: int, n: int) -> GridFunction:
     per grid; every other node inside the support |2^n t| < 2 is evaluated
     from the closed form, and the nodes outside it are 0.
     """
-    base = _base_sample(grid_box, resolution)
-    x = base.nodes(0)
+    base, x = _base_sample(grid_box, resolution), _base_nodes(grid_box, resolution)
     values = np.zeros(resolution)
     # |2^n x| < 2 exactly where |x| < 2^(1-n): the nodes where f(2^n t) can be nonzero
     lim = 2.0 ** (1 - n)

@@ -28,7 +28,7 @@ from mixnorm import (
     tensor_product,
 )
 from mixnorm.differences import _dyadic_levels, _fast_length, admissible_cells, ladder_cells
-from mixnorm.families import random_smooth_field
+from mixnorm.families import dilated_member, random_smooth_field
 from mixnorm import differences
 from mixnorm.grid import _dyadic_aggregate, power_table, shift_values
 
@@ -320,12 +320,15 @@ def _sparse_field(d, extension, seed):
 
 def _oracle_norm(u, e, m, steps, p):
     # L_p norm of the direct mixed difference on the values zero-padded by the
-    # full reach on both sides (zero extension) or on the torus itself (periodic)
+    # full reach on both sides of each axis of e (zero extension) or on the
+    # torus itself (periodic)
     if u.extension == "zero":
-        reach = m * max(abs(s) for s in steps)
-        values = np.pad(u.values, reach)
-        lo = tuple(a - reach * dx for a, dx in zip(u.box.lower, u.dx))
-        hi = tuple(b + reach * dx for b, dx in zip(u.box.upper, u.dx))
+        reach = [0] * u.d
+        for a, s in zip(e, steps):
+            reach[a] = m * abs(s)
+        values = np.pad(u.values, [(r, r) for r in reach])
+        lo = tuple(a - r * dx for a, r, dx in zip(u.box.lower, reach, u.dx))
+        hi = tuple(b + r * dx for b, r, dx in zip(u.box.upper, reach, u.dx))
         u = GridFunction(Box(lo, hi), values, "zero")
     h = [0.0] * u.d
     for a, s in zip(e, steps):
@@ -361,16 +364,31 @@ def test_parseval_table_matches_padded_oracle(d, extension, m):
             assert tables[e][idx] == pytest.approx(want, rel=1e-12)
 
 
-def _stepwise_parseval_tables(u, sets, m, magnitudes):
-    # the p = 2 tables with one difference-symbol array per step s, built as
-    # (4 sin^2[k s mod n])^m: the oracle of the gathered symbol in difference_table,
-    # on the kernel's transform length
+def _unsplit_inputs(u, m, magnitudes):
+    # the values and transform shape of one p = 2 kernel over every step: the
+    # nonzero bounding box, zero-padded past the reach of the largest step
     values = u.values
     shape = values.shape
     if u.extension == "zero":
         nz = np.nonzero(values)
         values = values[tuple(slice(i.min(), i.max() + 1) for i in nz)]
         shape = [_fast_length(n + m * max(mags, default=0)) for n, mags in zip(values.shape, magnitudes)]
+    return values, shape
+
+
+def _unsplit_tables(u, sets, m, magnitudes):
+    # differences._parseval_tables with every step's gathered symbol (no extents, so no
+    # step takes the closed form), padded past the reach of the largest step
+    values, shape = _unsplit_inputs(u, m, magnitudes)
+    sets = [tuple(e) for e in sets]
+    return differences._parseval_tables(values, sets, [m] * u.d, magnitudes, shape, u.cell_volume)
+
+
+def _stepwise_parseval_tables(u, sets, m, magnitudes):
+    # the p = 2 tables with one difference-symbol array per step s, built as
+    # (4 sin^2[k s mod n])^m: the oracle of the gathered symbol in the p = 2
+    # kernel, on its transform length
+    values, shape = _unsplit_inputs(u, m, magnitudes)
     weights = []
     for axis, (n, mags) in enumerate(zip(shape, magnitudes)):
         k = np.arange(n // 2 + 1 if axis == len(shape) - 1 else n)
@@ -387,12 +405,12 @@ def test_parseval_table_equals_stepwise_symbols(d, extension, m):
     u = _sparse_field(d, extension, 60 + d)
     sets = all_direction_sets(d)
     mags = [TABLE_MAGS] * d
-    got = difference_table(u, sets, m, mags, 2.0)
+    got = _unsplit_tables(u, sets, m, mags)
     want = _stepwise_parseval_tables(u, sets, m, mags)
     assert all(np.array_equal(got[e], want[e]) for e in sets)
     # modulus gives the axes outside its direction set no steps
     lone = [TABLE_MAGS] + [[]] * (d - 1)
-    got = difference_table(u, [(0,)], m, lone, 2.0)
+    got = _unsplit_tables(u, [(0,)], m, lone)
     assert np.array_equal(got[(0,)], _stepwise_parseval_tables(u, [(0,)], m, lone)[(0,)])
 
 
@@ -406,8 +424,22 @@ def test_parseval_table_past_the_int32_index_bound(m):
     mags = [[1, 69_999]]
     n = _fast_length(50 + m * 69_999)
     assert 69_999 * (n // 2) >= 2**31
-    got = difference_table(u, [(0,)], m, mags, 2.0)[(0,)]
+    got = _unsplit_tables(u, [(0,)], m, mags)[(0,)]
     assert np.array_equal(got, _stepwise_parseval_tables(u, [(0,)], m, mags)[(0,)])
+
+
+@pytest.mark.parametrize("extension", ["zero", "periodic"])
+def test_parseval_table_gathers_more_steps_than_one_block(extension):
+    # past 2^13 bins the kernel gathers the symbol 8 steps at a time: 19 steps
+    # make two full blocks and a partial one, each equal to the per-step symbol
+    rng = np.random.default_rng(110)
+    values = np.zeros(20_000)
+    values[3:-2] = rng.standard_normal(values.size - 5)
+    u = GridFunction(Box((0.0,), (2500.0,)), values, extension)
+    mags = [list(range(1, 20))]
+    assert _unsplit_inputs(u, 2, mags)[1][0] // 2 + 1 > 2**13
+    got = _unsplit_tables(u, [(0,)], 2, mags)[(0,)]
+    assert np.array_equal(got, _stepwise_parseval_tables(u, [(0,)], 2, mags)[(0,)])
 
 
 def test_fast_length_is_the_smallest_5_smooth_length():
@@ -665,6 +697,94 @@ def test_zero_extension_crop_is_the_nonzero_bounding_box(d, monkeypatch):
     tables = difference_table(GridFunction(box, np.zeros(shape)), sets, 2, [TABLE_MAGS] * d, 2.0)
     assert not seen
     assert all(np.array_equal(tables[e], np.zeros((len(TABLE_MAGS),) * len(e))) for e in sets)
+
+
+# --- steps that clear the support: the closed form against direct oracles ---
+
+CLEARING_P = [1.0, 2.0, 3.0, 400.0, math.inf]
+
+
+@st.composite
+def supported_fields(draw):
+    # a zero-extended field on a box of up to 9 cells per axis (6 in 3-d) that is
+    # nonzero exactly on a random block in it, and per axis the steps L - 1, L,
+    # L + 1 and 3L around the block's extent L, in a random order
+    d = draw(st.integers(1, 3))
+    box = [draw(st.integers(1, 6 if d == 3 else 9)) for _ in range(d)]
+    lo = [draw(st.integers(0, n - 1)) for n in box]
+    extent = [draw(st.integers(1, n - a)) for a, n in zip(lo, box)]
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    values = np.zeros(box)
+    values[tuple(slice(a, a + n) for a, n in zip(lo, extent))] = (
+        rng.uniform(0.5, 2.0, extent) * rng.choice([-1.0, 1.0], extent))
+    mags = [draw(st.permutations([s for s in (n - 1, n, n + 1, 3 * n) if s >= 1])) for n in extent]
+    return GridFunction(Box((0.0,) * d, tuple(n / 8.0 for n in box)), values), mags
+
+
+@settings(max_examples=60, deadline=None)
+@given(field=supported_fields(), m=st.integers(1, 3), p=st.sampled_from(CLEARING_P))
+def test_tables_with_steps_that_clear_the_support_match_the_direct_oracle(field, m, p):
+    u, mags = field
+    sets = all_direction_sets(u.d)
+    tables = difference_table(u, sets, m, mags, p)
+    for e in sets:
+        assert tables[e].shape == tuple(len(mags[a]) for a in e)
+        for idx in itertools.product(*(range(len(mags[a])) for a in e)):
+            want = _oracle_norm(u, e, m, [mags[a][i] for a, i in zip(e, idx)], p)
+            assert tables[e][idx] == pytest.approx(want, rel=1e-12, abs=0.0), (e, idx)
+
+
+@settings(max_examples=30, deadline=None)
+@given(field=supported_fields(), m=st.integers(1, 3))
+def test_p2_kernel_pads_past_the_near_steps_only(field, m):
+    # one transform of the crop, padded to _fast_length(L + m * largest step s < L)
+    # per axis, with the crop's extents marking the steps s >= L that clear it; an
+    # axis whose every step clears the support pads to _fast_length(L)
+    u, mags = field
+    seen, real = [], differences._parseval_tables
+
+    def spy(values, sets, orders, magnitudes, shape, cell_volume, extents=None):
+        seen.append((values, [list(steps) for steps in magnitudes], list(shape), extents))
+        return real(values, sets, orders, magnitudes, shape, cell_volume, extents)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(differences, "_parseval_tables", spy)
+        difference_table(u, all_direction_sets(u.d)[1:], m, mags, 2.0)
+    crop, _ = _unsplit_inputs(u, m, mags)
+    near = [[s for s in steps if s < n] for steps, n in zip(mags, crop.shape)]
+    assert len(seen) == 1
+    values, kernel_mags, shape, extents = seen[0]
+    assert np.array_equal(values, crop)
+    assert kernel_mags == [list(steps) for steps in mags]
+    assert tuple(extents) == crop.shape
+    assert shape == [_fast_length(n + m * max(steps, default=0)) for n, steps in zip(crop.shape, near)]
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+@pytest.mark.parametrize("extension", ["zero", "periodic"])
+def test_tables_without_far_steps_take_the_unsplit_kernel(d, extension):
+    # periodic fields, and supports at least as long as every step, keep one
+    # transform over all steps at the full padding, bit for bit
+    u = _edge_field(d, extension, 100 + d)
+    sets = all_direction_sets(d)
+    mags = [TABLE_MAGS] * d
+    got = difference_table(u, sets, 2, mags, 2.0)
+    want = _unsplit_tables(u, sets, 2, mags)
+    assert all(np.array_equal(got[e], want[e]) for e in sets)
+
+
+@pytest.mark.parametrize("n", [4, 8])
+@pytest.mark.parametrize("norm", [besov_norm_diff, besov_norm_integral])
+def test_besov_norms_of_a_fine_dilate_match_the_unsplit_kernel(norm, n, monkeypatch):
+    # at 2^16 on [-6, 6] the support of member 4 (1365 cells) or 8 (85 cells) is
+    # shorter than the coarse steps (up to 5461 cells), which clear it
+    u = dilated_member(Box((-6.0,), (6.0,)), 2**16, n)
+    nz = np.flatnonzero(u.values)
+    assert max(differences._level_plan(u.dx)[0][0]) >= nz[-1] - nz[0] + 1
+    got = norm(u, 1.0, 2.0, 2)
+    monkeypatch.setattr(differences, "difference_table",
+                        lambda u, sets, m, mags, p: _unsplit_tables(u, sets, m, mags))
+    assert got == pytest.approx(norm(u, 1.0, 2.0, 2), rel=1e-13, abs=0.0)
 
 
 def besov_norm_per_level(u, r, p, m_diff):

@@ -211,3 +211,53 @@ def test_powered_sums_stay_in_grid(path):
     # tables and aggregates carry L_p norms: only grid forms a p-th power sum,
     # takes its root or handles its overflow
     assert powered_sum_sites(path.read_text()) == []
+
+
+def loose_caches(source: str) -> list[str]:
+    """Caches that are not functools.lru_cache with an explicit integer maxsize:
+    functools.cache, lru_cache bare or with maxsize=None, or either imported by name."""
+    tree = ast.parse(source)
+    sized = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call):
+            size = [k.value for k in node.keywords if k.arg == "maxsize"] or node.args[:1]
+            if size and isinstance(size[0], ast.Constant) and type(size[0].value) is int:
+                sized.add(id(node.func))
+    found = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "functools":
+            for alias in node.names:
+                if alias.name in ("cache", "lru_cache"):
+                    found[(node.lineno, node.col_offset)] = f"{alias.name} (line {node.lineno})"
+        elif isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id == "functools":
+            if node.attr == "cache" or (node.attr == "lru_cache" and id(node) not in sized):
+                found[(node.lineno, node.col_offset)] = f"functools.{node.attr} (line {node.lineno})"
+    return [found[at] for at in sorted(found)]
+
+
+def test_loose_cache_scan_flags_unbounded_and_unsized_caches():
+    source = (
+        "import functools\n"
+        "from functools import lru_cache\n"
+        "@functools.lru_cache(maxsize=8)\n"
+        "def a(x): return x\n"
+        "@functools.lru_cache(16)\n"
+        "def b(x): return x\n"
+        "@functools.lru_cache\n"
+        "def c(x): return x\n"
+        "@functools.lru_cache(maxsize=None)\n"
+        "def d(x): return x\n"
+        "@functools.cache\n"
+        "def e(x): return x\n"
+        "f = functools.lru_cache(maxsize=True)(len)\n"
+        "g = functools.reduce(max, [1], 0)\n"
+    )
+    assert loose_caches(source) == ["lru_cache (line 2)", "functools.lru_cache (line 7)",
+                                    "functools.lru_cache (line 9)", "functools.cache (line 11)",
+                                    "functools.lru_cache (line 13)"]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_every_cache_has_an_integer_bound(path):
+    # a cache without a bound grows with every grid, field or order a run meets
+    assert loose_caches(path.read_text()) == []
