@@ -49,17 +49,22 @@ def _mollifier_integral(tau: np.ndarray) -> np.ndarray:
     return out
 
 
-_MOLLIFIER_MASS = float(_mollifier_integral(np.asarray([1.0]))[0])
+# twice the half mass: the 64-node rule on [-1, 0] is accurate to 3e-15, on [-1, 1] to 2e-12
+_MOLLIFIER_MASS = 2.0 * float(_mollifier_integral(np.asarray([0.0]))[0])
 
 
 def smoothstep(s: np.ndarray | float) -> np.ndarray:
-    """C-infinity ramp: 0 for s <= 0, 1 for s >= 1, strictly monotone between."""
-    s = np.asarray(s, dtype=float)
-    tau = 2.0 * np.clip(s, 0.0, 1.0) - 1.0
-    out = _mollifier_integral(tau) / _MOLLIFIER_MASS
-    out = np.where(s <= 0.0, 0.0, out)
-    out = np.where(s >= 1.0, 1.0, out)
-    return out
+    """C-infinity ramp: 0 for s <= 0, 1 for s >= 1, non-decreasing between.
+
+    The upper half s > 1/2 is 1 - smoothstep(1 - s), by the mollifier's
+    symmetry, so each half integrates from its own end and the ramp never
+    leaves [0, 1].  The mass is twice the half integral, so smoothstep(1/2) is
+    exactly 1/2 and the halves meet without a step.
+    """
+    c = np.clip(np.asarray(s, dtype=float), 0.0, 1.0)
+    upper = c > 0.5
+    out = _mollifier_integral(2.0 * np.where(upper, 1.0 - c, c) - 1.0) / _MOLLIFIER_MASS
+    return np.where(upper, 1.0 - out, out)
 
 
 def plateau_bump(x: np.ndarray | float, plateau: float, support: float) -> np.ndarray:

@@ -14,18 +14,35 @@ def test_plateau_bump_is_one_on_plateau_and_zero_outside_support(plateau, suppor
     assert np.all(y[np.abs(x) <= plateau] == 1.0)
     assert np.all(y[np.abs(x) >= support] == 0.0)
 
-# Near the end of the transition the 64-node quadrature of smoothstep overshoots
-# 1 by up to 1.3e-13, so there the bump dips below 0 and rises again by as much.
-QUADRATURE_ERROR = 1e-12
-
-
 @pytest.mark.parametrize("plateau,support", [(0.0, 1.0), (1.0, 2.0), (0.5, 3.0)])
 def test_plateau_bump_is_monotone_on_the_transition(plateau, support):
     a = np.linspace(plateau, support, 100001)
     y = plateau_bump(a, plateau, support)
-    assert np.all(np.maximum.accumulate(y[::-1])[::-1] - y <= QUADRATURE_ERROR)
-    assert np.all((y >= -QUADRATURE_ERROR) & (y <= 1.0))
+    assert np.all(np.diff(y) <= 0.0)
+    assert np.all((y >= 0.0) & (y <= 1.0))
     assert np.array_equal(plateau_bump(-a, plateau, support), y)
+
+
+def _neighbours(s, count):
+    # the count floats below s, s itself and the count floats above it
+    down, up = [s], [s]
+    for _ in range(count):
+        down.append(np.nextafter(down[-1], -np.inf))
+        up.append(np.nextafter(up[-1], np.inf))
+    return np.array(down[:0:-1] + up)
+
+
+def test_smoothstep_stays_in_the_unit_interval_and_never_decreases():
+    # each half integrates from its own end, so neither end overshoots, and
+    # the halves meet at s = 1/2 without a step
+    s = np.sort(np.concatenate([np.linspace(0.0, 1.0, 1_000_001), _neighbours(0.5, 50),
+                                _neighbours(1.0, 50), _neighbours(0.0, 50)]))
+    y = smoothstep(s)
+    assert np.all(np.diff(y) >= 0.0)
+    assert y.min() == 0.0 and y.max() == 1.0
+    half = smoothstep(_neighbours(0.5, 1))
+    assert half[1] == 0.5
+    assert np.all(np.abs(half - 0.5) <= 4 * np.spacing(0.5))
 
 
 def test_plateau_bump_rejects_an_empty_transition():
