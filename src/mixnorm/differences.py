@@ -28,6 +28,7 @@ from .grid import (
     GridFunction,
     _check_p,
     _dyadic_aggregate,
+    _memoized,
     lp_norm,
     lp_norm_values,
     pointwise_multiply,
@@ -258,8 +259,9 @@ def difference_table(
     orders = [int(m) for m in _as_axis_vector(orders, u.d, "orders")]
     values, vol, extents = u.values, u.cell_volume, None
     if u.extension == "zero":
-        # per axis, the indices of the hyperplanes that hold a nonzero value
-        nz = [np.flatnonzero(values.any(axis=tuple(b for b in range(u.d) if b != a))) for a in range(u.d)]
+        # per axis, the indices of the hyperplanes that hold a nonzero value, off one mask
+        mask = values != 0.0
+        nz = [np.flatnonzero(mask.any(axis=tuple(b for b in range(u.d) if b != a))) for a in range(u.d)]
         if not nz[0].size:
             return {e: np.zeros([len(magnitudes[a]) for a in e]) for e in sets}
         values = values[tuple(slice(i[0], i[-1] + 1) for i in nz)]
@@ -363,16 +365,35 @@ def _dyadic_levels(dx: Sequence[float]) -> tuple[int, ...]:
 
 @functools.lru_cache(maxsize=64)
 def _level_plan(dx: tuple[float, ...]):
-    """Per axis of spacing dx: the sorted steps of every retained level and the read-only
-    (levels x steps) membership of admissible_cells(2^-k).  A too-coarse grid raises."""
-    mags, members = [], []
+    """Per axis of spacing dx: the sorted steps, the read-only (levels x steps) membership
+    of admissible_cells(2^-k) at every retained level k, and the panels of the integral
+    form as (k, index into the steps).  Panel k is [2^-k-1, 2^-k], probed at the whole-cell
+    step nearest 3/4 of 2^-k, clipped into it: admissible_cells' 3/4 probe at level k on
+    every grid swept (8 to 4,099 cells on widths 1 to 12, and 2^16 cells on 12), so the
+    steps, the union of every level's and every panel's, are the ladder itself and both
+    Besov forms read one difference table.  A too-coarse grid raises."""
+    mags, members, panels = [], [], []
     for step, kmax in zip(dx, _dyadic_levels(dx)):
         levels = [admissible_cells(2.0**-k, step) for k in range(kmax + 1)]
-        mags.append(tuple(sorted(set().union(*levels))))
+        probes = []
+        for k in range(kmax):
+            s_lo = int(math.floor(2.0 ** -(k + 1) / step + 1e-12)) + 1
+            s_hi = int(math.floor(2.0**-k / step + 1e-12))
+            if s_lo <= s_hi:
+                probes.append((k, min(max(int(np.rint(0.75 * 2.0**-k / step)), s_lo), s_hi)))
+        mags.append(tuple(sorted(set().union(*levels, (s for _, s in probes)))))
         member = np.array([[s in cells for s in mags[-1]] for cells in levels])
         member.flags.writeable = False
         members.append(member)
-    return tuple(mags), tuple(members)
+        panels.append(tuple((k, mags[-1].index(s)) for k, s in probes))
+    return tuple(mags), tuple(members), tuple(panels)
+
+
+def _plan_tables(u: GridFunction, m_diff: int, p: float) -> dict[tuple[int, ...], np.ndarray]:
+    # difference_table of every nonempty direction set at the level plan's steps, formed
+    # once per field, order and p: both Besov forms read it
+    return _memoized(u, ("tables", m_diff, p), lambda: difference_table(
+        u, all_direction_sets(u.d)[1:], m_diff, _level_plan(u.dx)[0], p))
 
 
 def _check_besov_params(r: float, p: float, m_diff: int | None = None) -> None:
@@ -394,11 +415,10 @@ def besov_norm_diff(u: GridFunction, r: float, p: float, m_diff: int) -> float:
     difference order to exceed the smoothness r.
     """
     _check_besov_params(r, p, m_diff)
-    mags, members = _level_plan(u.dx)
-    sets = all_direction_sets(u.d)[1:]
-    tables = difference_table(u, sets, m_diff, mags, p)
+    members = _level_plan(u.dx)[1]
+    tables = _plan_tables(u, m_diff, p)
     total = lp_norm(u, p)
-    for e in sets:
+    for e in all_direction_sets(u.d)[1:]:
         # the modulus at exact level k is the table's max over the level's
         # steps: one masked max per axis of e turns its steps into levels
         omega = tables[e]
@@ -428,32 +448,25 @@ def besov_norm_integral(u: GridFunction, r: float, p: float, m_diff: int) -> flo
     The step integral over [-1, 1]^|e| with weight prod |h_i|^(-rp) dh_i/|h_i|
     is evaluated per axis by a midpoint rule on dyadic panels
     [2^-k-1, 2^-k], matching the scale set of the discrete norm; the panel
-    mass of the singular weight is used exactly.
+    mass of the singular weight is used exactly.  Each panel's step is a step
+    of the level plan, so the norms are rows of the difference table that
+    besov_norm_diff reads, formed once per field, m_diff and p.
     """
     _check_besov_params(r, p, m_diff)
-    ks = _dyadic_levels(u.dx)
-    # per axis: panel list of (cells, log2 of the weight on the panel's L_p norm): |h|^-r at
-    # p = inf, else the p-th root of twice (+s and -s) the panel mass 2^{rp(k+1)} (1 - 2^{-rp}) / (rp)
+    mags, _, panels = _level_plan(u.dx)
+    # per axis: the panels' rows of the table and the log2 of the weight on their L_p norms: |h|^-r
+    # at p = inf, else the p-th root of twice (+s and -s) the panel mass 2^{rp(k+1)} (1 - 2^{-rp}) / (rp)
     offset = 0.0 if math.isinf(p) else (1.0 + math.log2(-math.expm1(-r * p * math.log(2.0)) / (r * p))) / p
-    panels: list[list[tuple[int, float]]] = []
-    for dxv, kmax in zip(u.dx, ks):
-        entries = []
-        for k in range(kmax):
-            t_hi, t_lo = 2.0**-k, 2.0 ** -(k + 1)
-            s_lo = int(math.floor(t_lo / dxv + 1e-12)) + 1
-            s_hi = int(math.floor(t_hi / dxv + 1e-12))
-            if s_hi < s_lo:
-                continue
-            s = min(max(int(np.rint(0.75 * t_hi / dxv)), s_lo), s_hi)
-            entries.append((s, -r * math.log2(s * dxv) if math.isinf(p) else r * (k + 1) + offset))
-        panels.append(entries)
-
-    sets = all_direction_sets(u.d)[1:]
-    tables = difference_table(u, sets, m_diff, [[s for s, _ in entries] for entries in panels], p)
+    rows = [[i for _, i in axis_panels] for axis_panels in panels]
+    log2_weights = [[-r * math.log2(steps[i] * dxv) if math.isinf(p) else r * (k + 1) + offset
+                     for k, i in axis_panels] for steps, dxv, axis_panels in zip(mags, u.dx, panels)]
+    tables = _plan_tables(u, m_diff, p)
     total = lp_norm(u, p)
-    for e in sets:
-        log2_weights = functools.reduce(np.add.outer, [[w for _, w in panels[a]] for a in e], 0.0)
-        total += _dyadic_aggregate(tables[e], log2_weights, p)
+    for e in all_direction_sets(u.d)[1:]:
+        norms = tables[e]
+        for pos, a in enumerate(e):
+            norms = np.take(norms, rows[a], axis=pos)
+        total += _dyadic_aggregate(norms, functools.reduce(np.add.outer, [log2_weights[a] for a in e], 0.0), p)
     return total
 
 

@@ -8,7 +8,6 @@ dyadic dilations are exact in floating point.
 from __future__ import annotations
 
 import functools
-import math
 import warnings
 from dataclasses import dataclass, field
 from typing import Sequence
@@ -300,6 +299,15 @@ def _check_band(band_cells: int, n: int) -> None:
         raise GridError(f"band {band_cells} exceeds the Nyquist range of {n} samples")
 
 
+@functools.lru_cache(maxsize=16)
+def _axis_window(lower: float, width: float, n: int, plateau: float, support: float) -> np.ndarray:
+    # plateau_bump at the n nodes of one axis as GridFunction.nodes forms them, shared
+    # read-only by every random field on the grid
+    win = plateau_bump(lower + width / n * np.arange(n), plateau, support)
+    win.flags.writeable = False
+    return win
+
+
 def random_smooth_field(
     seed_key,
     box: Box,
@@ -317,6 +325,12 @@ def random_smooth_field(
     smallest axis.  The field is normalized by its spectral L2 mass and, if
     window is given, multiplied by the plateau bump prod_i plateau_bump(x_i),
     which confines the support with margin.
+
+    The values are ifftn of the coefficient array, bit for bit, formed by its
+    1-d inverse transforms in ifftn's order, last axis first, on the pencils
+    that hold a coefficient only: before axis a is transformed (in place),
+    the block is embedded at kappa mod n along a, and every pencil off it
+    stays zero.  The window's factors are sampled once per grid axis.
     """
     shape = _as_shape(shape, box.d)
     if band_fraction is not None:
@@ -329,20 +343,20 @@ def random_smooth_field(
     # hermitian part of the draw: real field, resolution-independent content
     flip = tuple(slice(None, None, -1) for _ in range(d))
     sym = 0.5 * (draw + np.conj(draw[flip]))
-    coeffs = np.zeros(shape, dtype=complex)
     kappa = np.arange(-band_cells, band_cells + 1)
-    coeffs[np.ix_(*(kappa % n for n in shape))] = sym
+    block = sym
+    for axis in reversed(range(d)):
+        coeffs = np.zeros(block.shape[:axis] + (shape[axis],) + block.shape[axis + 1:], dtype=complex)
+        coeffs[(slice(None),) * axis + (kappa % shape[axis],)] = block
+        block = np.fft.ifft(coeffs, axis=axis, out=coeffs)
     mass = float(np.sqrt(np.sum(np.abs(sym) ** 2)))
-    values = np.fft.ifftn(coeffs).real * (np.prod(shape) / mass)
-    u = GridFunction(box, values, "zero")
+    values = block.real * (np.prod(shape) / mass)
     if window is not None:
-        plateau, support = window
-        win = math.prod(
-            plateau_bump(u.nodes(a), plateau, support).reshape([-1 if i == a else 1 for i in range(d)])
-            for a in range(d)
-        )
-        u = u.with_values(u.values * win)
-    return u
+        *head, last = (_axis_window(box.lower[a], box.widths[a], n, *window).reshape(
+            [-1 if i == a else 1 for i in range(d)]) for a, n in enumerate(shape))
+        # prod_i plateau_bump(x_i), its last product written over the spent transform
+        values *= np.multiply(functools.reduce(np.multiply, head, 1), last, out=block.imag)
+    return GridFunction(box, values, "zero")
 
 
 def random_trig_field(

@@ -74,7 +74,7 @@ class GridFunction:
     vanishes there) or "periodic" (indices wrap).
     """
 
-    __slots__ = ("box", "values", "extension", "_spectrum")
+    __slots__ = ("box", "values", "extension", "_memo")
 
     def __init__(self, box: Box, values: np.ndarray, extension: Extension = "zero"):
         values = np.asarray(values, dtype=float)
@@ -92,7 +92,7 @@ class GridFunction:
         object.__setattr__(self, "box", box)
         object.__setattr__(self, "values", values)
         object.__setattr__(self, "extension", extension)
-        object.__setattr__(self, "_spectrum", None)
+        object.__setattr__(self, "_memo", {})
 
     def __setattr__(self, name, value):
         raise AttributeError("GridFunction is immutable")
@@ -119,19 +119,28 @@ class GridFunction:
         return self.box.lower[axis] + self.dx[axis] * np.arange(n)
 
     def _power_table(self, weight_sets, cell_volume: float) -> list[np.ndarray]:
-        # power_table(values, weight_sets, cell_volume) off one own-shape power spectrum, formed
-        # on first use and kept read-only (a field is immutable, with_values makes a new one)
-        if self._spectrum is None:
-            e, power = _power_spectrum(self.values, self.n)
-            power.flags.writeable = False
-            object.__setattr__(self, "_spectrum", (e, power))
-        return _contract_power(self._spectrum, weight_sets, cell_volume, self.n)
+        # power_table(values, weight_sets, cell_volume) off the field's own-shape power spectrum
+        spectrum = _memoized(self, "spectrum", lambda: _power_spectrum(self.values, self.n))
+        return _contract_power(spectrum, weight_sets, cell_volume, self.n)
 
     def with_values(self, values: np.ndarray) -> "GridFunction":
         return GridFunction(self.box, values, self.extension)
 
     def __repr__(self) -> str:
         return f"GridFunction(d={self.d}, n={self.n}, box=[{self.box.lower}, {self.box.upper}], extension={self.extension!r})"
+
+
+def _memoized(u: GridFunction, key, make: Callable):
+    """make(), formed on the first call for key and kept on u with every array in it
+    read-only: u is immutable, and with_values makes a new field with an empty memo.
+    The one writer of the memo, so what it holds is a pure function of u and key."""
+    if key not in u._memo:
+        value = make()
+        for a in value.values() if isinstance(value, dict) else value:
+            if isinstance(a, np.ndarray):
+                a.flags.writeable = False
+        u._memo[key] = value
+    return u._memo[key]
 
 
 def require_same_grid(u: GridFunction, v: GridFunction) -> None:

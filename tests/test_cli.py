@@ -162,6 +162,35 @@ def test_run_rows_deterministic_and_worker_independent(tmp_path, monkeypatch):
     assert path_a.read_bytes() == path_b.read_bytes()
 
 
+def test_equiv_member_forms_one_difference_table_and_no_full_inverse_transform(monkeypatch):
+    # both difference forms read one table per member, and the random field
+    # transforms only the pencils that hold its coefficients
+    import numpy as np
+
+    from mixnorm import cli as cli_mod, differences
+
+    cfg = ExperimentConfig(experiment="equiv", count=3, resolution=64, seed=11)
+    want = [cli_mod._equiv_row(cfg, str(i)) for i in range(cfg.count)]
+    tables, inverses = [], []
+    real_table, real_ifftn = differences.difference_table, np.fft.ifftn
+
+    def table_spy(*args):
+        tables.append(args[0])
+        return real_table(*args)
+
+    def ifftn_spy(*args, **kwargs):
+        inverses.append(args[0].shape)
+        return real_ifftn(*args, **kwargs)
+
+    monkeypatch.setattr(differences, "difference_table", table_spy)
+    monkeypatch.setattr(np.fft, "ifftn", ifftn_spy)
+    for i in range(cfg.count):
+        tables.clear()
+        assert cli_mod._equiv_row(cfg, str(i)) == want[i]
+        assert len(tables) == 1
+    assert inverses == []
+
+
 def test_emit_rejects_empty():
     with pytest.raises(ValidationError, match="no results"):
         emit([], "csv", "/tmp/never.csv")

@@ -1,3 +1,4 @@
+import functools
 import itertools
 import math
 import warnings
@@ -782,9 +783,16 @@ def test_besov_norms_of_a_fine_dilate_match_the_unsplit_kernel(norm, n, monkeypa
     nz = np.flatnonzero(u.values)
     assert max(differences._level_plan(u.dx)[0][0]) >= nz[-1] - nz[0] + 1
     got = norm(u, 1.0, 2.0, 2)
-    monkeypatch.setattr(differences, "difference_table",
-                        lambda u, sets, m, mags, p: _unsplit_tables(u, sets, m, mags))
-    assert got == pytest.approx(norm(u, 1.0, 2.0, 2), rel=1e-13, abs=0.0)
+    calls = []
+
+    def unsplit(u, sets, m, mags, p):
+        calls.append(p)
+        return _unsplit_tables(u, sets, m, mags)
+
+    monkeypatch.setattr(differences, "difference_table", unsplit)
+    # u keeps its table, so the oracle runs on a fresh field of the same values
+    assert got == pytest.approx(norm(u.with_values(u.values), 1.0, 2.0, 2), rel=1e-13, abs=0.0)
+    assert calls == [2.0]
 
 
 def besov_norm_per_level(u, r, p, m_diff):
@@ -828,6 +836,106 @@ def test_besov_norm_diff_equals_per_level_oracle(d, extension, p):
         values[tuple(slice(1, None) for _ in shape)] = rng.standard_normal([n - 1 for n in shape])
         u = GridFunction(Box((0.0,) * d, widths), values, extension)
         assert besov_norm_diff(u, 1.0, p, 2) == besov_norm_per_level(u, 1.0, p, 2)
+
+
+# --- one table for both difference forms --------------------------------------
+
+# spacings width / n: n from 8 to 4,099 in strides of 7 on widths 1 to 12, every
+# power of two up to 2^16 on the widest box, and the equiv grid 8 / 256
+PLAN_SPACINGS = sorted({w / n for w in range(1, 13) for n in range(8, 4100, 7)}
+                       | {12.0 / 2**j for j in range(3, 17)} | {8.0 / 256})
+
+
+def _integral_panels(dxv, kmax):
+    # (cells, k) per nonempty panel [2^-k-1, 2^-k], k < kmax: the whole-cell step
+    # nearest 3/4 of 2^-k clipped into the panel, as the integral form has always probed it
+    out = []
+    for k in range(kmax):
+        s_lo = int(math.floor(2.0 ** -(k + 1) / dxv + 1e-12)) + 1
+        s_hi = int(math.floor(2.0**-k / dxv + 1e-12))
+        if s_lo <= s_hi:
+            out.append((min(max(int(np.rint(0.75 * 2.0**-k / dxv)), s_lo), s_hi), k))
+    return out
+
+
+def _ladder(dxv, kmax):
+    return sorted(set().union(*(admissible_cells(2.0**-k, dxv) for k in range(kmax + 1))))
+
+
+def test_integral_panel_steps_are_ladder_steps():
+    swept = 0
+    for dxv in PLAN_SPACINGS:
+        try:
+            (kmax,) = _dyadic_levels((dxv,))
+        except GridError:
+            continue
+        swept += 1
+        (mags,), _, (panels,) = differences._level_plan.__wrapped__((dxv,))
+        ladder = _ladder(dxv, kmax)
+        assert list(mags) == ladder, dxv
+        assert [(mags[i], k) for k, i in panels] == _integral_panels(dxv, kmax), dxv
+        assert all(s in ladder for s, _ in _integral_panels(dxv, kmax)), dxv
+    assert swept > 6000
+
+
+def besov_norm_integral_oracle(u, r, p, m_diff, plan_steps):
+    # the integral form with one loop over its panels, from an unshared
+    # difference_table at the ladder's steps (plan_steps) or at the panel steps alone
+    panels = [_integral_panels(dxv, kmax) for dxv, kmax in zip(u.dx, _dyadic_levels(u.dx))]
+    offset = 0.0 if math.isinf(p) else (1.0 + math.log2(-math.expm1(-r * p * math.log(2.0)) / (r * p))) / p
+    weights = [[-r * math.log2(s * dxv) if math.isinf(p) else r * (k + 1) + offset for s, k in ps]
+               for ps, dxv in zip(panels, u.dx)]
+    if plan_steps:
+        mags = [_ladder(dxv, kmax) for dxv, kmax in zip(u.dx, _dyadic_levels(u.dx))]
+    else:
+        mags = [[s for s, _ in ps] for ps in panels]
+    sets = all_direction_sets(u.d)[1:]
+    tables = difference_table(u, sets, m_diff, mags, p)
+    total = lp_norm(u, p)
+    for e in sets:
+        norms = tables[e]
+        for pos, a in enumerate(e):
+            norms = norms[(slice(None),) * pos + ([mags[a].index(s) for s, _ in panels[a]],)]
+        total += _dyadic_aggregate(norms, functools.reduce(np.add.outer, [weights[a] for a in e], 0.0), p)
+    return total
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+@pytest.mark.parametrize("extension", ["zero", "periodic"])
+@pytest.mark.parametrize("p", [1.0, 2.0, 3.0, math.inf])
+def test_both_difference_forms_read_one_table_in_either_order(d, extension, p):
+    rng = np.random.default_rng(120 + d)
+    widths, shape = LEVEL_GRIDS[d][1]
+    values = np.zeros(shape)
+    values[tuple(slice(1, None) for _ in shape)] = rng.standard_normal([n - 1 for n in shape])
+    u = GridFunction(Box((0.0,) * d, widths), values, extension)
+    want_diff = besov_norm_per_level(u, 1.0, p, 2)
+    want = besov_norm_integral_oracle(u, 1.0, p, 2, plan_steps=True)
+    for first, second in ((besov_norm_diff, besov_norm_integral), (besov_norm_integral, besov_norm_diff)):
+        fresh = u.with_values(u.values)
+        got = {norm: norm(fresh, 1.0, p, 2) for norm in (first, second)}
+        assert got[besov_norm_diff] == want_diff, first.__name__
+        assert got[besov_norm_integral] == want, first.__name__
+        assert list(fresh._memo) == [("tables", 2, p)]
+    # the panel steps alone move only the padding of the p = 2 transform
+    assert want == pytest.approx(besov_norm_integral_oracle(u, 1.0, p, 2, plan_steps=False), rel=1e-13, abs=0.0)
+
+
+def test_field_memo_keeps_read_only_tables_per_order_and_p():
+    u = random_smooth_field(5, BOX2, 64, band_cells=8)
+    plan = differences._level_plan(u.dx)[0]
+    sets = all_direction_sets(2)[1:]
+    besov_norm_diff(u, 1.0, 2.0, 2)
+    besov_norm_integral(u, 1.0, 3.0, 2)
+    besov_norm_diff(u, 1.0, 2.0, 3)
+    assert list(u._memo) == [("tables", 2, 2.0), ("tables", 2, 3.0), ("tables", 3, 2.0)]
+    for (_, m, p), tables in u._memo.items():
+        want = difference_table(u, sets, m, plan, p)
+        assert list(tables) == sets and all(np.array_equal(tables[e], want[e]) for e in sets)
+        for table in tables.values():
+            with pytest.raises(ValueError, match="read-only"):
+                table[...] = 0.0
+    assert u.with_values(u.values)._memo == {}
 
 
 # a windowed field supported on the nodes 17..47 of each axis of the 64^2 grid,

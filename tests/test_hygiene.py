@@ -261,3 +261,36 @@ def test_loose_cache_scan_flags_unbounded_and_unsized_caches():
 def test_every_cache_has_an_integer_bound(path):
     # a cache without a bound grows with every grid, field or order a run meets
     assert loose_caches(path.read_text()) == []
+
+
+def memo_writers(source: str) -> list[str]:
+    """Calls of object.__setattr__, which writes past an immutable class's guard,
+    and any use of a field memo (an attribute named _memo)."""
+    found = {}
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Attribute) and node.attr == "_memo":
+            found[(node.lineno, node.col_offset)] = f"_memo (line {node.lineno})"
+        elif (isinstance(node, ast.Attribute) and node.attr == "__setattr__"
+              and isinstance(node.value, ast.Name) and node.value.id == "object"):
+            found[(node.lineno, node.col_offset)] = f"object.__setattr__ (line {node.lineno})"
+    return [found[at] for at in sorted(found)]
+
+
+def test_memo_writer_scan_flags_setattr_and_memo_uses():
+    source = (
+        "object.__setattr__(u, 'values', v)\n"
+        "u._memo[key] = table\n"
+        "super().__setattr__('x', 1)\n"
+        "t = u._memo.get(key)\n"
+        "setattr(u, '_memo', {})\n"
+        "f = object.__setattr__\n"
+    )
+    assert memo_writers(source) == ["object.__setattr__ (line 1)", "_memo (line 2)", "_memo (line 4)",
+                                    "object.__setattr__ (line 6)"]
+
+
+@pytest.mark.parametrize("path", [p for p in MODULES if p.name != "grid.py"], ids=lambda p: p.name)
+def test_only_grid_writes_past_immutability(path):
+    # grid.GridFunction's memo has one writer, grid._memoized, which makes what it keeps
+    # read-only; no other module sets attributes of a frozen object or reaches the memo
+    assert memo_writers(path.read_text()) == []
