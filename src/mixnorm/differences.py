@@ -28,6 +28,7 @@ from .grid import (
     GridFunction,
     _check_p,
     _dyadic_aggregate,
+    _memo_get,
     _memoized,
     lp_norm,
     lp_norm_values,
@@ -391,7 +392,8 @@ def _level_plan(dx: tuple[float, ...]):
 
 def _plan_tables(u: GridFunction, m_diff: int, p: float) -> dict[tuple[int, ...], np.ndarray]:
     # difference_table of every nonempty direction set at the level plan's steps, formed
-    # once per field, order and p: both Besov forms read it
+    # once per field, order and p: besov_norm_diff reads it, and so does besov_norm_integral
+    # at p = 2 or once it is formed
     return _memoized(u, ("tables", m_diff, p), lambda: difference_table(
         u, all_direction_sets(u.d)[1:], m_diff, _level_plan(u.dx)[0], p))
 
@@ -450,7 +452,12 @@ def besov_norm_integral(u: GridFunction, r: float, p: float, m_diff: int) -> flo
     [2^-k-1, 2^-k], matching the scale set of the discrete norm; the panel
     mass of the singular weight is used exactly.  Each panel's step is a step
     of the level plan, so the norms are rows of the difference table that
-    besov_norm_diff reads, formed once per field, m_diff and p.
+    besov_norm_diff reads, formed once per field, m_diff and p.  At p = 2 one
+    transform serves every step and the integral forms that table itself, a
+    transform padded past the ladder's steps rather than its own.  At
+    other p each entry is differenced on its own, with the same bits in any
+    step list, so while the table is not yet formed the integral differences
+    at its panel steps alone and keeps nothing.
     """
     _check_besov_params(r, p, m_diff)
     mags, _, panels = _level_plan(u.dx)
@@ -460,9 +467,14 @@ def besov_norm_integral(u: GridFunction, r: float, p: float, m_diff: int) -> flo
     rows = [[i for _, i in axis_panels] for axis_panels in panels]
     log2_weights = [[-r * math.log2(steps[i] * dxv) if math.isinf(p) else r * (k + 1) + offset
                      for k, i in axis_panels] for steps, dxv, axis_panels in zip(mags, u.dx, panels)]
-    tables = _plan_tables(u, m_diff, p)
+    sets = all_direction_sets(u.d)[1:]
+    if p == 2.0 or _memo_get(u, ("tables", m_diff, p)) is not None:
+        tables = _plan_tables(u, m_diff, p)
+    else:
+        tables = difference_table(u, sets, m_diff, [[steps[i] for i in idx] for steps, idx in zip(mags, rows)], p)
+        rows = [range(len(idx)) for idx in rows]
     total = lp_norm(u, p)
-    for e in all_direction_sets(u.d)[1:]:
+    for e in sets:
         norms = tables[e]
         for pos, a in enumerate(e):
             norms = np.take(norms, rows[a], axis=pos)

@@ -8,6 +8,7 @@ dyadic dilations are exact in floating point.
 from __future__ import annotations
 
 import functools
+import math
 import warnings
 from dataclasses import dataclass, field
 from typing import Sequence
@@ -299,15 +300,6 @@ def _check_band(band_cells: int, n: int) -> None:
         raise GridError(f"band {band_cells} exceeds the Nyquist range of {n} samples")
 
 
-@functools.lru_cache(maxsize=16)
-def _axis_window(lower: float, width: float, n: int, plateau: float, support: float) -> np.ndarray:
-    # plateau_bump at the n nodes of one axis as GridFunction.nodes forms them, shared
-    # read-only by every random field on the grid
-    win = plateau_bump(lower + width / n * np.arange(n), plateau, support)
-    win.flags.writeable = False
-    return win
-
-
 def random_smooth_field(
     seed_key,
     box: Box,
@@ -330,7 +322,8 @@ def random_smooth_field(
     1-d inverse transforms in ifftn's order, last axis first, on the pencils
     that hold a coefficient only: before axis a is transformed (in place),
     the block is embedded at kappa mod n along a, and every pencil off it
-    stays zero.  The window's factors are sampled once per grid axis.
+    stays zero.  Each window factor is sampled at the nodes as
+    GridFunction.nodes forms them.
     """
     shape = _as_shape(shape, box.d)
     if band_fraction is not None:
@@ -352,10 +345,12 @@ def random_smooth_field(
     mass = float(np.sqrt(np.sum(np.abs(sym) ** 2)))
     values = block.real * (np.prod(shape) / mass)
     if window is not None:
-        *head, last = (_axis_window(box.lower[a], box.widths[a], n, *window).reshape(
-            [-1 if i == a else 1 for i in range(d)]) for a, n in enumerate(shape))
-        # prod_i plateau_bump(x_i), its last product written over the spent transform
-        values *= np.multiply(functools.reduce(np.multiply, head, 1), last, out=block.imag)
+        plateau, support = window
+        values *= math.prod(
+            plateau_bump(box.lower[a] + box.widths[a] / n * np.arange(n), plateau, support).reshape(
+                [-1 if i == a else 1 for i in range(d)])
+            for a, n in enumerate(shape)
+        )
     return GridFunction(box, values, "zero")
 
 

@@ -143,6 +143,11 @@ def _memoized(u: GridFunction, key, make: Callable):
     return u._memo[key]
 
 
+def _memo_get(u: GridFunction, key):
+    """What _memoized keeps on u for key, or None if it has not been formed."""
+    return u._memo.get(key)
+
+
 def require_same_grid(u: GridFunction, v: GridFunction) -> None:
     """Raise GridMismatchError naming the first mismatched field."""
     if u.box != v.box:

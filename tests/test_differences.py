@@ -925,8 +925,8 @@ def test_field_memo_keeps_read_only_tables_per_order_and_p():
     u = random_smooth_field(5, BOX2, 64, band_cells=8)
     plan = differences._level_plan(u.dx)[0]
     sets = all_direction_sets(2)[1:]
-    besov_norm_diff(u, 1.0, 2.0, 2)
-    besov_norm_integral(u, 1.0, 3.0, 2)
+    besov_norm_integral(u, 1.0, 2.0, 2)
+    besov_norm_diff(u, 1.0, 3.0, 2)
     besov_norm_diff(u, 1.0, 2.0, 3)
     assert list(u._memo) == [("tables", 2, 2.0), ("tables", 2, 3.0), ("tables", 3, 2.0)]
     for (_, m, p), tables in u._memo.items():
@@ -936,6 +936,26 @@ def test_field_memo_keeps_read_only_tables_per_order_and_p():
             with pytest.raises(ValueError, match="read-only"):
                 table[...] = 0.0
     assert u.with_values(u.values)._memo == {}
+
+
+@pytest.mark.parametrize("p", [1.0, 2.0, 3.0, math.inf])
+def test_integral_alone_differences_only_its_panel_steps_off_p_2(p, monkeypatch):
+    # at p != 2 the integral on a field without the shared table differences at its
+    # panel steps alone and keeps nothing; p = 2 forms the shared table (one transform)
+    u = random_smooth_field(6, BOX2, 64, band_cells=8)
+    mags, _, panels = differences._level_plan(u.dx)
+    seen, real = [], differences.difference_table
+    monkeypatch.setattr(differences, "difference_table",
+                        lambda v, sets, m, steps, q: seen.append([list(s) for s in steps]) or real(v, sets, m, steps, q))
+    alone = besov_norm_integral(u, 1.0, p, 2)
+    if p == 2.0:
+        assert seen == [[list(s) for s in mags]] and list(u._memo) == [("tables", 2, p)]
+    else:
+        assert seen == [[[s[i] for _, i in ps] for s, ps in zip(mags, panels)]] and u._memo == {}
+    # once the difference form has formed the table, the integral reads its rows: the same bits
+    besov_norm_diff(u, 1.0, p, 2)
+    seen.clear()
+    assert besov_norm_integral(u, 1.0, p, 2) == alone and seen == []
 
 
 # a windowed field supported on the nodes 17..47 of each axis of the 64^2 grid,

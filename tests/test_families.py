@@ -66,26 +66,6 @@ def test_dilated_base_sample_is_cached_read_only():
         base.values[0] = 2.0
 
 
-def test_random_field_window_is_sampled_once_per_grid(monkeypatch):
-    # every seed on one grid multiplies by the same cached read-only axis windows
-    box = Box((-4.0, -4.0), (4.0, 4.0))
-    families._axis_window.cache_clear()
-    first = random_smooth_field(1, box, (48, 40), band_cells=4)
-    axes = [families._axis_window(-4.0, 8.0, n, 1.5, 2.0) for n in (48, 40)]
-    assert families._axis_window.cache_info().hits == 2
-    for win in axes:
-        assert not win.flags.writeable
-        with pytest.raises(ValueError):
-            win[0] = 2.0
-    calls = []
-    monkeypatch.setattr(families, "plateau_bump", lambda *args: calls.append(args))
-    second = random_smooth_field(2, box, (48, 40), band_cells=4)
-    assert calls == []
-    unwindowed = [random_smooth_field(k, box, (48, 40), band_cells=4, window=None) for k in (1, 2)]
-    for u, bare in zip((first, second), unwindowed):
-        assert np.array_equal(u.values, bare.values * np.multiply.outer(*axes))
-
-
 @pytest.mark.parametrize("bounds,resolution", DILATE_GRIDS)
 def test_second_dilate_evaluates_only_off_the_base_nodes(bounds, resolution, monkeypatch):
     # once the base sample is cached, a member passes to the closed form only

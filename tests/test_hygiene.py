@@ -1,4 +1,5 @@
 import ast
+import re
 import sys
 from pathlib import Path
 
@@ -294,3 +295,21 @@ def test_only_grid_writes_past_immutability(path):
     # grid.GridFunction's memo has one writer, grid._memoized, which makes what it keeps
     # read-only; no other module sets attributes of a frozen object or reaches the memo
     assert memo_writers(path.read_text()) == []
+
+
+def fft_out_calls(source: str) -> list[str]:
+    """np.fft calls given an out= argument, which numpy.fft takes since NumPy 2.0."""
+    return [f"{ast.unparse(node.func)} (line {node.lineno})" for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+            and ast.unparse(node.func.value) in ("np.fft", "numpy.fft") and any(k.arg == "out" for k in node.keywords)]
+
+
+def test_fft_out_scan_flags_only_out_arguments():
+    source = "np.fft.ifft(c, axis=0, out=c)\nnp.fft.rfftn(v, s)\nnp.add(a, b, out=a)\nnumpy.fft.fft(c, out=b)\n"
+    assert fft_out_calls(source) == ["np.fft.ifft (line 1)", "numpy.fft.fft (line 4)"]
+
+
+def test_declared_numpy_floor_takes_every_fft_out_argument():
+    uses = [call for path in MODULES for call in fft_out_calls(path.read_text())]
+    floor = re.search(r'"numpy>=(\d+)', (ROOT / "pyproject.toml").read_text())
+    assert not uses or int(floor.group(1)) >= 2, uses
