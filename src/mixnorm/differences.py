@@ -28,6 +28,7 @@ from .grid import (
     GridFunction,
     _check_p,
     _dyadic_aggregate,
+    _dyadic_aggregates,
     _memo_get,
     _memoized,
     lp_norm,
@@ -203,26 +204,52 @@ def _fast_length(n: int) -> int:
     return best
 
 
-def _parseval_tables(values, sets, orders, magnitudes, shape, cell_volume, extents=None):
-    # one power spectrum of the values, zero-padded to shape, contracted per
-    # axis with the difference symbol |e^{i theta s} - 1|^{2m} = (4 sin^2(theta s / 2))^m;
-    # a step s >= extents[axis] clears the support, and its row is c(m, 2)^2 = C(2m, m)
-    weights = []
-    for axis, (n, m, mags) in enumerate(zip(shape, orders, magnitudes)):
-        bins = n // 2 + 1 if axis == len(shape) - 1 else n  # the bins power_table reads
-        symbol = (4.0 * np.sin(np.pi / n * np.arange(n)) ** 2) ** m
-        # the symbol index s k mod n, formed in place in blocks of about 2^16 entries (at
-        # least 8 steps) so its int64 work array stays small; it lies in [0, n), so clip
-        # gathers unbuffered.  modulus leaves the axes outside its direction set without steps
-        mags, rows = np.asarray(mags, dtype=np.intp), max(8, 2**16 // bins)
-        weights.append(np.empty((mags.size, bins)))
-        for lo in range(0, mags.size, rows):
-            idx = np.multiply.outer(mags[lo : lo + rows], np.arange(bins))
-            symbol.take(np.remainder(idx, n, out=idx), out=weights[-1][lo : lo + rows], mode="clip")
-        if extents is not None:
-            weights[-1][mags >= extents[axis]] = comb(2 * m, m)
+# the symbol index s k and its quotient by n are formed in blocks of about this many
+# int64 entries each (at least one step), and the p = 2 transforms of same-shape crops
+# are stacked up to about this many points (at least one field)
+_INDEX_BLOCK = 2**15
+_STACK_POINTS = 2**15
+
+
+def _symbol_rows(n: int, bins: int, m: int, mags, extent: int | None = None) -> np.ndarray:
+    # (steps x bins): the difference symbol |e^{i theta s} - 1|^{2m} = (4 sin^2(theta s / 2))^m of a
+    # length-n transform at theta = 2 pi k / n, k < bins; a step s >= extent clears the support,
+    # and its row is c(m, 2)^2 = C(2m, m)
+    symbol = (4.0 * np.sin(np.pi / n * np.arange(n)) ** 2) ** m
+    mags, k = np.asarray(mags, dtype=np.intp), np.arange(bins)
+    rows, block = np.empty((mags.size, bins)), max(1, _INDEX_BLOCK // bins)
+    lo = 0
+    for near, run in itertools.groupby(extent is None or s < extent for s in mags):
+        hi = lo + len(list(run))
+        if not near:
+            rows[lo:hi] = comb(2 * m, m)
+        else:
+            # a run of near steps gathers the symbol at s k mod n, block by block: floor division by
+            # the scalar n beats np.remainder, and the index lies in [0, n), so clip gathers unbuffered
+            for at in range(lo, hi, block):
+                idx = np.multiply.outer(mags[at : min(at + block, hi)], k)
+                idx -= n * (idx // n)
+                symbol.take(idx, out=rows[at : at + idx.shape[0]], mode="clip")
+        lo = hi
+    return rows
+
+
+def _parseval_tables(crops, sets, orders, magnitudes, shape, cell_volume, extents=None) -> list[dict]:
+    # the tables of same-shape values (crops), each zero-padded to shape: one power spectrum per
+    # stack of at most _STACK_POINTS transform points (at least one field), contracted per axis
+    # with the symbol rows, which are built once.  modulus leaves the axes outside its direction
+    # set without steps
+    weights = [_symbol_rows(n, n // 2 + 1 if axis == len(shape) - 1 else n, m, mags,
+                            None if extents is None else extents[axis])
+               for axis, (n, m, mags) in enumerate(zip(shape, orders, magnitudes))]
     weight_sets = [[w if a in e else None for a, w in enumerate(weights)] for e in sets]
-    return dict(zip(sets, power_table(values, weight_sets, cell_volume, shape)))
+    per, out = max(1, _STACK_POINTS // math.prod(shape)), []
+    for lo in range(0, len(crops), per):
+        chunk = crops[lo : lo + per]
+        # a lone field is transformed as a view, without the copy np.stack makes
+        tables = power_table(chunk[0][None] if len(chunk) == 1 else np.stack(chunk), weight_sets, cell_volume, shape)
+        out.extend({e: t[i] for e, t in zip(sets, tables)} for i in range(len(chunk)))
+    return out
 
 
 def difference_table(
@@ -253,32 +280,47 @@ def difference_table(
     step, past which no circular difference along a near step wraps, so the
     padding moves only rounding.  Other p difference directly, each partial
     difference growing by its own reach, from the last axis of e to the first,
-    so the most repeated one slices whole rows (axis 0); a far step scales the
-    norm by c(m, p) instead of differencing.
+    so the most repeated one slices whole rows (axis 0); an entry whose steps
+    are far on the axes F is the product of their c(m, p) times the entry of
+    e - F at its near steps, each such entry differenced once.
     """
+    return _difference_tables([u], direction_sets, orders, magnitudes, p)[0]
+
+
+def _difference_tables(fields, direction_sets, orders, magnitudes, p) -> list[dict]:
+    # difference_table of each of fields, which share their spacing and extension: the crops of
+    # one extent share one padded shape, and at p = 2 one set of symbol rows and stacked transforms
+    u = fields[0]
     sets = [tuple(sorted(set(int(a) for a in e))) for e in direction_sets]
     orders = [int(m) for m in _as_axis_vector(orders, u.d, "orders")]
-    values, vol, extents = u.values, u.cell_volume, None
-    if u.extension == "zero":
-        # per axis, the indices of the hyperplanes that hold a nonzero value, off one mask
-        mask = values != 0.0
-        nz = [np.flatnonzero(mask.any(axis=tuple(b for b in range(u.d) if b != a))) for a in range(u.d)]
-        if not nz[0].size:
-            return {e: np.zeros([len(magnitudes[a]) for a in e]) for e in sets}
-        values = values[tuple(slice(i[0], i[-1] + 1) for i in nz)]
-        extents = values.shape
-    if p == 2.0:
-        # circular differences on a zero-padded period equal the zero-extended
-        # ones once it exceeds support + reach: padding further changes no value
-        shape = values.shape
+    out, groups = [None] * len(fields), {}
+    for i, f in enumerate(fields):
+        values = f.values
         if u.extension == "zero":
-            shape = [_fast_length(n + m * max((s for s in mags if s < n), default=0))
-                     for n, m, mags in zip(shape, orders, magnitudes)]
-        return _parseval_tables(values, sets, orders, magnitudes, shape, vol, extents)
-    out = {}
-    for e in sets:
-        out[e] = np.empty([len(magnitudes[a]) for a in e])
-        _fill_direct(out[e], values, e, orders, magnitudes, p, vol, u.extension, (), extents)
+            # per axis, the indices of the hyperplanes that hold a nonzero value, off one mask
+            mask = values != 0.0
+            nz = [np.flatnonzero(mask.any(axis=tuple(b for b in range(u.d) if b != a))) for a in range(u.d)]
+            if not nz[0].size:
+                out[i] = {e: np.zeros([len(magnitudes[a]) for a in e]) for e in sets}
+                continue
+            values = values[tuple(slice(j[0], j[-1] + 1) for j in nz)]
+        groups.setdefault(values.shape, []).append((i, values))
+    for extents, members in groups.items():
+        where, crops = zip(*members)
+        extents = extents if u.extension == "zero" else None
+        if p == 2.0:
+            # circular differences on a zero-padded period equal the zero-extended
+            # ones once it exceeds support + reach: padding further changes no value
+            shape = crops[0].shape
+            if extents is not None:
+                shape = [_fast_length(n + m * max((s for s in mags if s < n), default=0))
+                         for n, m, mags in zip(shape, orders, magnitudes)]
+            tables = _parseval_tables(crops, sets, orders, magnitudes, shape, u.cell_volume, extents)
+        else:
+            tables = [_direct_tables(v, sets, orders, magnitudes, p, u.cell_volume, u.extension, extents)
+                      for v in crops]
+        for i, t in zip(where, tables):
+            out[i] = t
     return out
 
 
@@ -288,20 +330,47 @@ def _cleared_factor(m: int, p: float) -> float:
     return lp_norm_values(np.array([comb(m, ell) for ell in range(m + 1)], dtype=float), p, 1.0)
 
 
-def _fill_direct(table, arr, e, orders, magnitudes, p, vol, extension, index, extents, scale=1.0) -> None:
+def _direct_tables(values, sets, orders, magnitudes, p, vol, extension, extents) -> dict:
+    # per axis the steps, near ones (s < extents[axis]) first: per set F of far axes of e, the
+    # block of entries far on F is prod c(m, p) over F, from the last axis of e to the first,
+    # times the near entries of e - F; those are differenced once per set, and the table goes
+    # back to the order of the given steps
+    far = [np.array([extents is not None and s >= extents[a] for s in mags], dtype=bool)
+           for a, mags in enumerate(magnitudes)]
+    order = [np.argsort(f, kind="stable") for f in far]
+    near_mags = [[mags[i] for i in np.flatnonzero(~f)] for mags, f in zip(magnitudes, far)]
+    cores, out = {}, {}
+    for e in sets:
+        far_axes = [a for a in e if far[a].any()]
+        table = np.empty([len(magnitudes[a]) for a in e])
+        for size in range(len(far_axes) + 1):
+            for cleared in itertools.combinations(far_axes, size):
+                rest = tuple(a for a in e if a not in cleared)
+                if rest not in cores:
+                    cores[rest] = np.empty([len(near_mags[a]) for a in rest])
+                    if cores[rest].size:
+                        _fill_direct(cores[rest], values, rest, orders, near_mags, p, vol, extension, ())
+                scale = functools.reduce(lambda c, a: c * _cleared_factor(orders[a], p), reversed(cleared), 1.0)
+                # a view of the block (0-d for the empty set), far steps on the cleared axes
+                block = table[tuple(slice(len(near_mags[a]), None) if a in cleared else slice(len(near_mags[a]))
+                                    for a in e) + (...,)]
+                np.multiply(scale, np.expand_dims(cores[rest], tuple(e.index(a) for a in cleared)), out=block)
+        for a in far_axes:
+            table = np.take(table, np.argsort(order[a]), axis=e.index(a))
+        out[e] = table
+    return out
+
+
+def _fill_direct(table, arr, e, orders, magnitudes, p, vol, extension, index) -> None:
     # depth first from the last axis of e, so each partial difference is made once per
-    # prefix of steps; a step s >= extents[axis] passes arr on undifferenced and
-    # scales the norm by c(m, p)
+    # prefix of steps
     if len(index) == len(e):
-        table[index[::-1]] = scale * lp_norm_values(arr, p, vol)
+        table[index[::-1]] = lp_norm_values(arr, p, vol)
         return
     axis = e[-1 - len(index)]
     for i, s in enumerate(magnitudes[axis]):
-        if extents is not None and s >= extents[axis]:
-            sub, c = arr, _cleared_factor(orders[axis], p)
-        else:
-            sub, c = _diff_values(arr, axis, orders[axis], s, extension), 1.0
-        _fill_direct(table, sub, e, orders, magnitudes, p, vol, extension, index + (i,), extents, scale * c)
+        _fill_direct(table, _diff_values(arr, axis, orders[axis], s, extension), e, orders, magnitudes, p, vol,
+                     extension, index + (i,))
 
 
 def modulus(
@@ -366,14 +435,16 @@ def _dyadic_levels(dx: Sequence[float]) -> tuple[int, ...]:
 
 @functools.lru_cache(maxsize=64)
 def _level_plan(dx: tuple[float, ...]):
-    """Per axis of spacing dx: the sorted steps, the read-only (levels x steps) membership
-    of admissible_cells(2^-k) at every retained level k, and the panels of the integral
-    form as (k, index into the steps).  Panel k is [2^-k-1, 2^-k], probed at the whole-cell
+    """Per axis of spacing dx: the sorted steps, per retained level k the index of the last
+    step admissible at level k or finer, and the panels of the integral form as (k, index
+    into the steps).  The steps of admissible_cells(2^-j) over the levels j >= k are always
+    a prefix of the sorted steps (on every grid swept: 8 to 4,099 cells on widths 1 to 12,
+    and 2^13 to 2^16 cells on 12), so the modulus at level k is a maximum over that prefix;
+    a grid where they are not raises.  Panel k is [2^-k-1, 2^-k], probed at the whole-cell
     step nearest 3/4 of 2^-k, clipped into it: admissible_cells' 3/4 probe at level k on
-    every grid swept (8 to 4,099 cells on widths 1 to 12, and 2^16 cells on 12), so the
-    steps, the union of every level's and every panel's, are the ladder itself and both
-    Besov forms read one difference table.  A too-coarse grid raises."""
-    mags, members, panels = [], [], []
+    every grid swept, so the steps, the union of every level's and every panel's, are the
+    ladder itself and both Besov forms read one difference table.  A too-coarse grid raises."""
+    mags, ends, panels = [], [], []
     for step, kmax in zip(dx, _dyadic_levels(dx)):
         levels = [admissible_cells(2.0**-k, step) for k in range(kmax + 1)]
         probes = []
@@ -383,19 +454,25 @@ def _level_plan(dx: tuple[float, ...]):
             if s_lo <= s_hi:
                 probes.append((k, min(max(int(np.rint(0.75 * 2.0**-k / step)), s_lo), s_hi)))
         mags.append(tuple(sorted(set().union(*levels, (s for _, s in probes)))))
-        member = np.array([[s in cells for s in mags[-1]] for cells in levels])
-        member.flags.writeable = False
-        members.append(member)
+        finer = [set().union(*levels[k:]) for k in range(kmax + 1)]
+        if any(set(mags[-1][: len(cells)]) != cells for cells in finer):
+            raise GridError(f"spacing {step}: the steps of the finer levels are not a prefix of the sorted steps")
+        ends.append(tuple(len(cells) - 1 for cells in finer))
         panels.append(tuple((k, mags[-1].index(s)) for k, s in probes))
-    return tuple(mags), tuple(members), tuple(panels)
+    return tuple(mags), tuple(ends), tuple(panels)
 
 
-def _plan_tables(u: GridFunction, m_diff: int, p: float) -> dict[tuple[int, ...], np.ndarray]:
-    # difference_table of every nonempty direction set at the level plan's steps, formed
-    # once per field, order and p: besov_norm_diff reads it, and so does besov_norm_integral
-    # at p = 2 or once it is formed
-    return _memoized(u, ("tables", m_diff, p), lambda: difference_table(
-        u, all_direction_sets(u.d)[1:], m_diff, _level_plan(u.dx)[0], p))
+def _plan_tables(fields, m_diff: int, p: float) -> list[dict[tuple[int, ...], np.ndarray]]:
+    # difference_table of every nonempty direction set at the level plan's steps, formed once per
+    # field, order and p, for fields of one spacing and extension: besov_norm_diff reads it, and
+    # so does besov_norm_integral at p = 2 or once it is formed
+    key, u = ("tables", m_diff, p), fields[0]
+    mags = _level_plan(u.dx)[0]
+    missing = [f for f in fields if _memo_get(f, key) is None]
+    if missing:
+        for f, tables in zip(missing, _difference_tables(missing, all_direction_sets(u.d)[1:], m_diff, mags, p)):
+            _memoized(f, key, lambda t=tables: t)
+    return [_memo_get(f, key) for f in fields]
 
 
 def _check_besov_params(r: float, p: float, m_diff: int | None = None) -> None:
@@ -414,26 +491,37 @@ def besov_norm_diff(u: GridFunction, r: float, p: float, m_diff: int) -> float:
     Sum over all direction sets e of the dyadically weighted l_p aggregate of
     moduli at scales 2^-k, k in N_0^d(e), truncated at the per-axis level
     count; the l_p sum over k becomes a sup when p = inf.  Requires the
-    difference order to exceed the smoothness r.
+    difference order to exceed the smoothness r.  The modulus at level k is
+    the maximum of the field's difference table over the steps admissible at
+    level k or finer on every axis of e, a prefix of each axis's sorted steps
+    (_level_plan), which keeps the discrete modulus monotone across scales.
+    The batch of one of _besov_norms_diff.
     """
+    return _besov_norms_diff([u], r, p, m_diff)[0]
+
+
+def _besov_norms_diff(fields, r: float, p: float, m_diff: int) -> list[float]:
+    # besov_norm_diff of each field.  Fields of one spacing and extension form their tables
+    # together (_difference_tables) and read their levels off the stacked tables: per axis of
+    # e, a cumulative max along the steps read at each level's prefix end (max is exact, so
+    # every bit is the per-field one); the aggregates stay per field
     _check_besov_params(r, p, m_diff)
-    members = _level_plan(u.dx)[1]
-    tables = _plan_tables(u, m_diff, p)
-    total = lp_norm(u, p)
-    for e in all_direction_sets(u.d)[1:]:
-        # the modulus at exact level k is the table's max over the level's
-        # steps: one masked max per axis of e turns its steps into levels
-        omega = tables[e]
-        for pos, a in enumerate(e):
-            member = members[a].reshape(members[a].shape + (1,) * (len(e) - pos - 1))
-            omega = np.where(member, np.expand_dims(omega, pos), -np.inf).max(axis=pos + 1)
-        # steps admissible at finer scales stay admissible: the modulus at
-        # level k is the max over the upper orthant of exact-level maxima,
-        # which keeps the discrete modulus monotone across scales
-        for pos in range(len(e)):
-            omega = np.flip(np.maximum.accumulate(np.flip(omega, axis=pos), axis=pos), axis=pos)
-        total += _dyadic_aggregate(omega, r * np.indices(omega.shape).sum(axis=0), p)
-    return total
+    totals, groups = [0.0] * len(fields), {}
+    for i, u in enumerate(fields):
+        groups.setdefault((u.dx, u.extension), []).append(i)
+    for (dx, _), where in groups.items():
+        ends = _level_plan(dx)[1]
+        tables = _plan_tables([fields[i] for i in where], m_diff, p)
+        for i in where:
+            totals[i] = lp_norm(fields[i], p)
+        for e in all_direction_sets(len(dx))[1:]:
+            omega = np.stack([t[e] for t in tables])
+            for pos, a in enumerate(e, 1):
+                omega = np.maximum.accumulate(omega, axis=pos).take(ends[a], axis=pos)
+            log2_weights = r * np.indices(omega.shape[1:]).sum(axis=0)
+            for i, aggregate in zip(where, _dyadic_aggregates(omega, log2_weights, p)):
+                totals[i] += aggregate
+    return totals
 
 
 def isotropic_besov_norm(u: GridFunction, r: float, p: float, m_diff: int) -> float:
@@ -469,7 +557,7 @@ def besov_norm_integral(u: GridFunction, r: float, p: float, m_diff: int) -> flo
                      for k, i in axis_panels] for steps, dxv, axis_panels in zip(mags, u.dx, panels)]
     sets = all_direction_sets(u.d)[1:]
     if p == 2.0 or _memo_get(u, ("tables", m_diff, p)) is not None:
-        tables = _plan_tables(u, m_diff, p)
+        tables = _plan_tables([u], m_diff, p)[0]
     else:
         tables = difference_table(u, sets, m_diff, [[steps[i] for i in idx] for steps, idx in zip(mags, rows)], p)
         rows = [range(len(idx)) for idx in rows]

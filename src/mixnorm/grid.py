@@ -132,11 +132,13 @@ class GridFunction:
 
 def _memoized(u: GridFunction, key, make: Callable):
     """make(), formed on the first call for key and kept on u with every array in it
-    read-only: u is immutable, and with_values makes a new field with an empty memo.
-    The one writer of the memo, so what it holds is a pure function of u and key."""
+    read-only (a dict or tuple of arrays, or a float): u is immutable, and with_values
+    makes a new field with an empty memo.  The one writer of the memo, so what it holds
+    is a pure function of u and key."""
     if key not in u._memo:
         value = make()
-        for a in value.values() if isinstance(value, dict) else value:
+        parts = value.values() if isinstance(value, dict) else value if isinstance(value, tuple) else ()
+        for a in parts:
             if isinstance(a, np.ndarray):
                 a.flags.writeable = False
         u._memo[key] = value
@@ -200,9 +202,10 @@ def _check_p(p: float) -> None:
 
 
 def lp_norm(u: GridFunction, p: float) -> float:
-    """Discrete L_p norm: (sum |u|^p * prod dx)^(1/p); max |u| when p = inf."""
+    """Discrete L_p norm: (sum |u|^p * prod dx)^(1/p); max |u| when p = inf.
+    Formed once per field and p, and kept on the field."""
     _check_p(p)
-    return lp_norm_values(u.values, p, u.cell_volume)
+    return _memoized(u, ("lp", p), lambda: lp_norm_values(u.values, p, u.cell_volume))
 
 
 _MAX_CHAIN_POWER = 64
@@ -265,11 +268,16 @@ def _integer_power(a: np.ndarray, k: int) -> np.ndarray:
 
 
 def _dyadic_aggregate(norms: np.ndarray, log2_weights: np.ndarray, p: float) -> float:
-    # l_p norm (max at p = inf) of 2^log2_weights * norms, each term formed as one
-    # exp2: a dyadic weight and a norm may leave the float range, their product not
+    # l_p norm (max at p = inf) of 2^log2_weights * norms
+    return _dyadic_aggregates(norms[None], log2_weights, p)[0]
+
+
+def _dyadic_aggregates(stack: np.ndarray, log2_weights: np.ndarray, p: float) -> list[float]:
+    # _dyadic_aggregate of each stack[i], each term formed as one exp2: a dyadic weight and
+    # a norm may leave the float range, their product not
     with np.errstate(divide="ignore", over="ignore"):
-        terms = np.exp2(log2_weights + np.log2(norms))
-    return lp_norm_values(terms, p, 1.0)
+        terms = np.exp2(log2_weights + np.log2(stack))
+    return [lp_norm_values(t, p, 1.0) for t in terms]
 
 
 def power_table(values: np.ndarray, weight_sets: Sequence[Sequence[np.ndarray | None]],
@@ -284,37 +292,47 @@ def power_table(values: np.ndarray, weight_sets: Sequence[Sequence[np.ndarray | 
     are transformed and read (its rows may stop there), with the mirrored bins counted twice; so
     every row must be mirror-symmetric, w[k] = w[-k mod n].  The spectrum and the contraction are
     two steps, so a field keeps its own-shape spectrum for later tables (GridFunction._power_table).
+    values may lead with axes beyond len(shape) that stack fields: one transform runs over the
+    trailing axes, each field takes its own e, and every table leads with the same axes.
     """
     shape = tuple(values.shape if shape is None else shape)
     return _contract_power(_power_spectrum(values, shape), weight_sets, cell_volume, shape)
 
 
-def _power_spectrum(values: np.ndarray, shape: tuple[int, ...]) -> tuple[int, np.ndarray]:
-    # (e, |rfftn(values, shape) / 2^e|^2), the mirrored bins of the last axis counted twice
-    e = _binary_exponent(values)
-    spec = np.fft.rfftn(values, s=shape, axes=range(len(shape)))
+def _power_spectrum(values: np.ndarray, shape: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
+    # (e, |rfftn(values, shape) / 2^e|^2) over the trailing len(shape) axes, e the binary exponent of
+    # each stacked field's max |values|, the mirrored bins of the last axis counted twice
+    axes = tuple(range(values.ndim - len(shape), values.ndim))
+    e = np.frexp(np.maximum(values.max(axis=axes), -values.min(axis=axes)))[1]
+    spec = np.fft.rfftn(values, s=shape, axes=axes)
     # in place and exact for every e (F * 2.0**-e overflows for e < -1023, and values / 2^e costs a copy)
     parts = spec.view(np.float64)  # the (re, im) pairs of the C-ordered transform
-    np.ldexp(parts, -e, out=parts)
+    np.ldexp(parts, -np.expand_dims(e, axes), out=parts)
     power = spec.real**2 + spec.imag**2
     power[..., 1 : (shape[-1] + 1) // 2] *= 2.0
     return e, power
 
 
-def _contract_power(spectrum: tuple[int, np.ndarray], weight_sets, cell_volume: float,
+def _contract_power(spectrum: tuple[np.ndarray, np.ndarray], weight_sets, cell_volume: float,
                     shape: tuple[int, ...]) -> list[np.ndarray]:
     # the tables of power_table from a _power_spectrum; reads power without writing it
     e, power = spectrum
+    lead = power.shape[: power.ndim - len(shape)]
+    stack = power.reshape((-1,) + power.shape[len(lead):])  # axis 0 runs over the stacked fields
     tables = []
     for weights in weight_sets:
-        t = power
+        t = stack
         for axis, w in enumerate(weights):
-            # the leading axis of t is always the next original axis
+            # axis 1 of t is always the next original axis
             if w is None:
-                t = t.sum(axis=0)
+                t = t.sum(axis=1)
             else:
-                t = np.tensordot(t, np.ascontiguousarray(w[:, : power.shape[axis]]), axes=(0, 1))
-        tables.append(np.ldexp(np.sqrt(cell_volume / math.prod(shape) * t), e))
+                # per field, tensordot(t[i], w, axes=(0, 1)): the same BLAS call, so the same bits
+                w = np.ascontiguousarray(w[:, : stack.shape[axis + 1]])
+                flat = t.reshape(t.shape[:2] + (math.prod(t.shape[2:]),)).transpose(0, 2, 1)
+                t = np.matmul(flat, w.T).reshape(t.shape[:1] + t.shape[2:] + w.shape[:1])
+        t = np.ldexp(np.sqrt(cell_volume / math.prod(shape) * t), np.reshape(e, (-1,) + (1,) * (t.ndim - 1)))
+        tables.append(t.reshape(lead + t.shape[1:]))
     return tables
 
 

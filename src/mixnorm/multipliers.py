@@ -26,7 +26,7 @@ from typing import Sequence
 import numpy as np
 
 from .grid import Box, GridError, GridFunction, _as_shape, crop, lp_norm_values, pointwise_multiply
-from .differences import besov_norm_diff
+from .differences import _besov_norms_diff, besov_norm_diff
 from .families import _check_tensor_d, companion_bump
 from .profiles import smooth_partition_base
 from .spaces import SpaceSpec, space_norm, sup_norm
@@ -202,17 +202,27 @@ def _cropped_translate_product(
     return crop(u, [(gs.start, gs.stop) for gs, _ in sl]).with_values(sub * _profile_block(pou, sl))
 
 
+def _pieces(pou: PartitionOfUnity, u: GridFunction) -> list[tuple[tuple[int, ...], GridFunction]]:
+    # (mu, psi_mu * u on the translate's support) for every translate that meets the support of u
+    pieces = ((mu, _cropped_translate_product(pou, u, mu)) for mu in pou.centers())
+    return [(mu, piece) for mu, piece in pieces if piece is not None]
+
+
 def uniform_norm(u: GridFunction, space: SpaceSpec, pou: PartitionOfUnity) -> float:
-    """max over lattice translates of the space norm of psi_mu * u."""
+    """max over lattice translates of the space norm of psi_mu * u.
+
+    Difference norms read each piece on its crop exactly, and the Besov
+    pieces form their tables as one batch (differences._besov_norms_diff);
+    Fourier norms need each piece on the full grid.
+    """
     if u.extension != "zero":
         raise GridError("uniform norms require zero extension")
-    best = 0.0
-    for mu in pou.centers():
-        piece = _cropped_translate_product(pou, u, mu)
-        if piece is not None:
-            # difference norms read the crop exactly, Fourier norms need the full grid
-            best = max(best, space_norm(piece if space.kind == "besov" else apply_translate(pou, u, mu), space))
-    return best
+    pieces = _pieces(pou, u)
+    if space.kind == "besov":
+        norms = _besov_norms_diff([piece for _, piece in pieces], space.r, space.p, space.m_diff)
+    else:
+        norms = [space_norm(apply_translate(pou, u, mu), space) for mu, _ in pieces]
+    return max([0.0, *norms])
 
 
 def localization_ratio(
@@ -221,21 +231,19 @@ def localization_ratio(
     """Whole-domain Besov norm over the l_p aggregate of localized norms.
 
     The input should be compactly supported in the inner box, where the
-    translates sum to 1.
+    translates sum to 1.  The whole field and its pieces, each on its crop,
+    go through besov_norm_diff as one batch (differences._besov_norms_diff):
+    the pieces of one crop extent share their p = 2 transforms.
     """
     if u.extension != "zero":
         raise GridError("localization requires zero extension")
-    numer = besov_norm_diff(u, r, p, m_diff)
+    pieces = [piece for _, piece in _pieces(pou, u)]
+    numer, *norms = _besov_norms_diff([u, *pieces], r, p, m_diff)
     if numer == 0.0:
         raise GridError("localization ratio undefined for the zero function")
-    pieces = []
-    for mu in pou.centers():
-        piece = _cropped_translate_product(pou, u, mu)
-        if piece is not None:
-            pieces.append(besov_norm_diff(piece, r, p, m_diff))
-    if not pieces:
+    if not norms:
         raise GridError("no translate overlaps the support of u")
-    return numer / lp_norm_values(np.asarray(pieces), p, 1.0)
+    return numer / lp_norm_values(np.asarray(norms), p, 1.0)
 
 
 def pair_terms(f: GridFunction, g: GridFunction, space: SpaceSpec) -> dict:

@@ -172,7 +172,7 @@ def test_equiv_member_forms_one_difference_table_and_no_full_inverse_transform(m
     cfg = ExperimentConfig(experiment="equiv", count=3, resolution=64, seed=11)
     want = [cli_mod._equiv_row(cfg, str(i)) for i in range(cfg.count)]
     tables, inverses = [], []
-    real_table, real_ifftn = differences.difference_table, np.fft.ifftn
+    real_table, real_ifftn = differences._difference_tables, np.fft.ifftn
 
     def table_spy(*args):
         tables.append(args[0])
@@ -182,7 +182,7 @@ def test_equiv_member_forms_one_difference_table_and_no_full_inverse_transform(m
         inverses.append(args[0].shape)
         return real_ifftn(*args, **kwargs)
 
-    monkeypatch.setattr(differences, "difference_table", table_spy)
+    monkeypatch.setattr(differences, "_difference_tables", table_spy)
     monkeypatch.setattr(np.fft, "ifftn", ifftn_spy)
     for i in range(cfg.count):
         tables.clear()

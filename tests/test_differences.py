@@ -31,7 +31,7 @@ from mixnorm import (
 from mixnorm.differences import _dyadic_levels, _fast_length, admissible_cells, ladder_cells
 from mixnorm.families import dilated_member, random_smooth_field
 from mixnorm import differences
-from mixnorm.grid import _dyadic_aggregate, power_table, shift_values
+from mixnorm.grid import _dyadic_aggregate, lp_norm_values, power_table, shift_values
 
 UNIT = Box((0.0,), (1.0,))
 BOX1 = Box((-4.0,), (4.0,))
@@ -382,7 +382,7 @@ def _unsplit_tables(u, sets, m, magnitudes):
     # step takes the closed form), padded past the reach of the largest step
     values, shape = _unsplit_inputs(u, m, magnitudes)
     sets = [tuple(e) for e in sets]
-    return differences._parseval_tables(values, sets, [m] * u.d, magnitudes, shape, u.cell_volume)
+    return differences._parseval_tables([values], sets, [m] * u.d, magnitudes, shape, u.cell_volume)[0]
 
 
 def _stepwise_parseval_tables(u, sets, m, magnitudes):
@@ -431,8 +431,8 @@ def test_parseval_table_past_the_int32_index_bound(m):
 
 @pytest.mark.parametrize("extension", ["zero", "periodic"])
 def test_parseval_table_gathers_more_steps_than_one_block(extension):
-    # past 2^13 bins the kernel gathers the symbol 8 steps at a time: 19 steps
-    # make two full blocks and a partial one, each equal to the per-step symbol
+    # past 2^13 bins the kernel gathers the symbol at most 3 steps at a time: 19
+    # steps make full blocks and a partial one, each equal to the per-step symbol
     rng = np.random.default_rng(110)
     values = np.zeros(20_000)
     values[3:-2] = rng.standard_normal(values.size - 5)
@@ -480,7 +480,7 @@ def test_fast_length_padding_equals_padding_by_the_reach(d, extension, m):
         assert any(_fast_length(n) != n for n in shape)
     else:
         cropped, shape = values, values.shape
-    want = differences._parseval_tables(cropped, sets, [m] * d, mags, shape, u.cell_volume)
+    want = differences._parseval_tables([cropped], sets, [m] * d, mags, shape, u.cell_volume)[0]
     for e in sets:
         np.testing.assert_allclose(got[e], want[e], rtol=1e-12, atol=0.0)
 
@@ -672,9 +672,9 @@ def test_zero_extension_crop_is_the_nonzero_bounding_box(d, monkeypatch):
     # their nonzeros, as np.nonzero gives it
     seen, real = [], differences._parseval_tables
 
-    def spy(values, *rest):
-        seen.append(values)
-        return real(values, *rest)
+    def spy(crops, *rest):
+        seen.extend(crops)
+        return real(crops, *rest)
 
     monkeypatch.setattr(differences, "_parseval_tables", spy)
     shape = TABLE_SHAPES[d]
@@ -744,9 +744,9 @@ def test_p2_kernel_pads_past_the_near_steps_only(field, m):
     u, mags = field
     seen, real = [], differences._parseval_tables
 
-    def spy(values, sets, orders, magnitudes, shape, cell_volume, extents=None):
-        seen.append((values, [list(steps) for steps in magnitudes], list(shape), extents))
-        return real(values, sets, orders, magnitudes, shape, cell_volume, extents)
+    def spy(crops, sets, orders, magnitudes, shape, cell_volume, extents=None):
+        seen.extend((values, [list(steps) for steps in magnitudes], list(shape), extents) for values in crops)
+        return real(crops, sets, orders, magnitudes, shape, cell_volume, extents)
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(differences, "_parseval_tables", spy)
@@ -785,11 +785,11 @@ def test_besov_norms_of_a_fine_dilate_match_the_unsplit_kernel(norm, n, monkeypa
     got = norm(u, 1.0, 2.0, 2)
     calls = []
 
-    def unsplit(u, sets, m, mags, p):
+    def unsplit(fields, sets, m, mags, p):
         calls.append(p)
-        return _unsplit_tables(u, sets, m, mags)
+        return [_unsplit_tables(f, sets, m, mags) for f in fields]
 
-    monkeypatch.setattr(differences, "difference_table", unsplit)
+    monkeypatch.setattr(differences, "_difference_tables", unsplit)
     # u keeps its table, so the oracle runs on a fresh field of the same values
     assert got == pytest.approx(norm(u.with_values(u.values), 1.0, 2.0, 2), rel=1e-13, abs=0.0)
     assert calls == [2.0]
@@ -797,7 +797,7 @@ def test_besov_norms_of_a_fine_dilate_match_the_unsplit_kernel(norm, n, monkeypa
 
 def besov_norm_per_level(u, r, p, m_diff):
     # besov_norm_diff with one gather and one max per level vector: the oracle
-    # of its masked per-axis reduction
+    # of its prefix-max reading
     ks = _dyadic_levels(u.dx)
     scale_sets = [[admissible_cells(2.0**-k, dx) for k in range(kmax + 1)] for dx, kmax in zip(u.dx, ks)]
     mags = [sorted(set().union(*levels)) for levels in scale_sets]
@@ -900,6 +900,12 @@ def besov_norm_integral_oracle(u, r, p, m_diff, plan_steps):
     return total
 
 
+def _table_keys(u):
+    # the difference tables a field keeps, in the order they were formed (its memo also keeps
+    # its L_p norms)
+    return [key for key in u._memo if key[0] == "tables"]
+
+
 @pytest.mark.parametrize("d", [1, 2, 3])
 @pytest.mark.parametrize("extension", ["zero", "periodic"])
 @pytest.mark.parametrize("p", [1.0, 2.0, 3.0, math.inf])
@@ -916,7 +922,7 @@ def test_both_difference_forms_read_one_table_in_either_order(d, extension, p):
         got = {norm: norm(fresh, 1.0, p, 2) for norm in (first, second)}
         assert got[besov_norm_diff] == want_diff, first.__name__
         assert got[besov_norm_integral] == want, first.__name__
-        assert list(fresh._memo) == [("tables", 2, p)]
+        assert _table_keys(fresh) == [("tables", 2, p)]
     # the panel steps alone move only the padding of the p = 2 transform
     assert want == pytest.approx(besov_norm_integral_oracle(u, 1.0, p, 2, plan_steps=False), rel=1e-13, abs=0.0)
 
@@ -928,8 +934,9 @@ def test_field_memo_keeps_read_only_tables_per_order_and_p():
     besov_norm_integral(u, 1.0, 2.0, 2)
     besov_norm_diff(u, 1.0, 3.0, 2)
     besov_norm_diff(u, 1.0, 2.0, 3)
-    assert list(u._memo) == [("tables", 2, 2.0), ("tables", 2, 3.0), ("tables", 3, 2.0)]
-    for (_, m, p), tables in u._memo.items():
+    assert _table_keys(u) == [("tables", 2, 2.0), ("tables", 2, 3.0), ("tables", 3, 2.0)]
+    for _, m, p in _table_keys(u):
+        tables = u._memo[("tables", m, p)]
         want = difference_table(u, sets, m, plan, p)
         assert list(tables) == sets and all(np.array_equal(tables[e], want[e]) for e in sets)
         for table in tables.values():
@@ -944,14 +951,14 @@ def test_integral_alone_differences_only_its_panel_steps_off_p_2(p, monkeypatch)
     # panel steps alone and keeps nothing; p = 2 forms the shared table (one transform)
     u = random_smooth_field(6, BOX2, 64, band_cells=8)
     mags, _, panels = differences._level_plan(u.dx)
-    seen, real = [], differences.difference_table
-    monkeypatch.setattr(differences, "difference_table",
+    seen, real = [], differences._difference_tables
+    monkeypatch.setattr(differences, "_difference_tables",
                         lambda v, sets, m, steps, q: seen.append([list(s) for s in steps]) or real(v, sets, m, steps, q))
     alone = besov_norm_integral(u, 1.0, p, 2)
     if p == 2.0:
-        assert seen == [[list(s) for s in mags]] and list(u._memo) == [("tables", 2, p)]
+        assert seen == [[list(s) for s in mags]] and _table_keys(u) == [("tables", 2, p)]
     else:
-        assert seen == [[[s[i] for _, i in ps] for s, ps in zip(mags, panels)]] and u._memo == {}
+        assert seen == [[[s[i] for _, i in ps] for s, ps in zip(mags, panels)]] and _table_keys(u) == []
     # once the difference form has formed the table, the integral reads its rows: the same bits
     besov_norm_diff(u, 1.0, p, 2)
     seen.clear()
@@ -990,3 +997,162 @@ def test_whole_cell_translation_keeps_periodic_norms(cells):
     for norm in TRANSLATED_NORMS:
         for p in SHIFT_P:
             assert norm(moved, 1.0, p, 2) == pytest.approx(norm(PERIODIC_FIELD, 1.0, p, 2), rel=1e-13)
+
+
+# --- the p = 2 symbol rows -----------------------------------------------------
+
+
+@pytest.mark.parametrize("n, steps, extent", [
+    (43_740, [1, 2, 3, 7, 64, 341, 1365, 2730, 5461], None),
+    (21_870, [5461, 1, 4096, 3, 2730], None),
+    (32_768, list(range(1, 40)), None),
+    # periodic steps at and past the period wrap
+    (1000, [999, 1000, 1001, 2500, 5461, 1], None),
+    # near and far steps in any order: runs of each
+    (640, [5, 300, 2, 700, 1, 299, 301, 3000, 7], 300),
+])
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_symbol_rows_gather_the_symbol_at_s_k_mod_n(n, steps, extent, m):
+    symbol = (4.0 * np.sin(np.pi / n * np.arange(n)) ** 2) ** m
+    for bins in (n // 2 + 1, n):
+        rows = differences._symbol_rows(n, bins, m, steps, extent)
+        k = np.arange(bins)
+        assert rows.shape == (len(steps), bins)
+        for row, s in zip(rows, steps):
+            far = extent is not None and s >= extent
+            assert np.array_equal(row, np.full(bins, float(math.comb(2 * m, m))) if far else symbol[s * k % n]), s
+
+
+# --- far steps at p != 2 ---------------------------------------------------------
+
+
+def _far_step_entry(crop, e, orders, steps, p, vol):
+    # an entry as the recursion over the steps has always formed it: from the last axis of e
+    # to the first, a near step differences and a far one scales by c(m, p)
+    arr, scale = crop, 1.0
+    for a, s in reversed(list(zip(e, steps))):
+        if s >= crop.shape[a]:
+            scale *= differences._cleared_factor(orders[a], p)
+        else:
+            arr = differences._diff_values(arr, a, orders[a], s, "zero")
+    return scale * lp_norm_values(arr, p, vol)
+
+
+def test_far_steps_off_p_2_difference_each_near_entry_once(monkeypatch):
+    # a 4 x 4 support, steps 1..3 on axis 0 and 1..20 on axis 1 (17 of them far): the
+    # near entries of (0,), (1,) and (0, 1) take 3 + 3 + (3 + 9) differences, and every
+    # far entry is c(m, p) times a near entry of the set without its far axes
+    rng = np.random.default_rng(130)
+    values = np.zeros((6, 6))
+    values[1:5, 2:6] = rng.uniform(0.5, 2.0, (4, 4)) * rng.choice([-1.0, 1.0], (4, 4))
+    u = GridFunction(Box((0.0, 0.0), (0.75, 0.75)), values)
+    mags = [[1, 2, 3], list(range(1, 21))]
+    sets = [(0,), (1,), (0, 1)]
+    calls, real = [], differences._diff_values
+    monkeypatch.setattr(differences, "_diff_values", lambda *args: calls.append(args[1]) or real(*args))
+    tables = difference_table(u, sets, 2, mags, 3.0)
+    assert len(calls) <= 18
+    monkeypatch.setattr(differences, "_diff_values", real)
+    crop = values[1:5, 2:6]
+    for e in sets:
+        for idx in itertools.product(*(range(len(mags[a])) for a in e)):
+            steps = [mags[a][i] for a, i in zip(e, idx)]
+            assert tables[e][idx] == _far_step_entry(crop, e, [2, 2], steps, 3.0, u.cell_volume), (e, idx)
+
+
+@pytest.mark.parametrize("p", [1.0, 3.0, math.inf])
+def test_far_steps_in_three_axes_keep_the_recursion_bits(p):
+    # steps far on one, two or all three axes, in no particular order, and an order per axis
+    rng = np.random.default_rng(131)
+    values = np.zeros((7, 6, 5))
+    values[1:4, 2:5, 1:3] = rng.standard_normal((3, 3, 2))
+    u = GridFunction(Box((0.0,) * 3, (7 / 8, 6 / 8, 5 / 8)), values)
+    mags = [[4, 1, 3, 2], [3, 5, 1], [2, 1, 6]]
+    sets = all_direction_sets(3)[1:]
+    tables = difference_table(u, sets, [3, 1, 2], mags, p)
+    crop = values[1:4, 2:5, 1:3]
+    for e in sets:
+        for idx in itertools.product(*(range(len(mags[a])) for a in e)):
+            steps = [mags[a][i] for a, i in zip(e, idx)]
+            assert tables[e][idx] == _far_step_entry(crop, e, [3, 1, 2], steps, p, u.cell_volume), (e, idx)
+
+
+# --- the batched difference norm -------------------------------------------------
+
+
+def _batch_fields(d, extension, seed):
+    # fields on one grid: supports of three extents (three, two and one field each), amplitudes
+    # from 2^-40 to 2^40, and the zero field; periodic fields all transform at the grid's own shape
+    rng = np.random.default_rng(seed)
+    widths, shape = LEVEL_GRIDS[d][0]
+    box = Box((0.0,) * d, widths)
+    fields = []
+    for frac, count in ((1.0, 3), (0.5, 2), (0.25, 1)):
+        extent = [max(2, int(n * frac) - 1) for n in shape]
+        for _ in range(count):
+            lo = [int(rng.integers(0, n - e + 1)) for n, e in zip(shape, extent)]
+            values = np.zeros(shape)
+            values[tuple(slice(a, a + e) for a, e in zip(lo, extent))] = (
+                rng.standard_normal(extent) * 2.0 ** int(rng.integers(-40, 41)))
+            fields.append(GridFunction(box, values, extension))
+    fields.append(GridFunction(box, np.zeros(shape), extension))
+    return fields
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+@pytest.mark.parametrize("extension", ["zero", "periodic"])
+@pytest.mark.parametrize("p", [1.0, 2.0, 3.0, math.inf])
+def test_batched_difference_norms_equal_the_batch_of_one(d, extension, p, monkeypatch):
+    fields = _batch_fields(d, extension, 140 + d)
+    # a field of another spacing joins the batch in a group of its own
+    other = GridFunction(Box((0.0,) * d, (1.0,) * d), np.random.default_rng(150 + d).standard_normal((16,) * d),
+                         extension)
+    want = [besov_norm_diff(f.with_values(f.values), 1.0, p, 2) for f in fields + [other]]
+    assert want[:-1] == [besov_norm_per_level(f, 1.0, p, 2) for f in fields]
+    stacks, real = [], differences.power_table
+
+    def spy(values, weight_sets, cell_volume, shape):
+        stacks.append((values.shape[0], math.prod(shape)))
+        return real(values, weight_sets, cell_volume, shape)
+
+    monkeypatch.setattr(differences, "power_table", spy)
+    # the default bound, then at p = 2 one small enough that the largest group of one extent
+    # spans more than one stack
+    for bound in (differences._STACK_POINTS, None) if p == 2.0 else (differences._STACK_POINTS,):
+        if bound is None:
+            bound = 2 * max(stacks)[1]  # two fields of the largest stack
+        monkeypatch.setattr(differences, "_STACK_POINTS", bound)
+        batch = [f.with_values(f.values) for f in fields] + [other.with_values(other.values)]
+        # a field whose table is already formed keeps it and joins no transform
+        besov_norm_diff(batch[3], 1.0, p, 2)
+        stacks.clear()
+        assert differences._besov_norms_diff(batch, 1.0, p, 2) == want
+        if p == 2.0:
+            # all but the formed field and, under zero extension, the zero field
+            assert sum(size for size, _ in stacks) == len(batch) - 1 - (extension == "zero")
+            assert all(size <= max(1, bound // points) for size, points in stacks)
+        else:
+            assert stacks == []
+    if p == 2.0:
+        assert max(size for size, _ in stacks) == 2 and len(stacks) > len({points for _, points in stacks})
+
+
+# spacings of the prefix-rule sweep: a sample of the plan sweep's grids and every power
+# of two from 2^3 to 2^16 cells on the widest box
+PREFIX_SPACINGS = PLAN_SPACINGS[::5] + [12.0 / 2**j for j in range(3, 17)]
+
+
+def test_finer_level_steps_are_a_prefix_of_the_sorted_steps():
+    swept = 0
+    for dxv in PREFIX_SPACINGS:
+        try:
+            (kmax,) = _dyadic_levels((dxv,))
+        except GridError:
+            continue
+        swept += 1
+        (mags,), (ends,), _ = differences._level_plan.__wrapped__((dxv,))
+        assert len(ends) == kmax + 1
+        for k, end in enumerate(ends):
+            finer = set().union(*(admissible_cells(2.0**-j, dxv) for j in range(k, kmax + 1)))
+            assert set(mags[: end + 1]) == finer, (dxv, k)
+    assert swept > 1000

@@ -271,3 +271,19 @@ def test_lp_norm_values_raises_when_the_norm_overflows():
         warnings.simplefilter("error")
         with pytest.raises(NumericalAnomalyError, match="overflows"):
             lp_norm_values(values, 1.0, 1.0)
+
+
+@pytest.mark.parametrize("p", [1.0, 2.0, 3.0, math.inf])
+def test_a_field_forms_its_lp_norm_once_per_p(p, monkeypatch):
+    # both difference forms and lp_norm read one L_p norm of the field per p, kept on it
+    from mixnorm import besov_norm_diff, besov_norm_integral, grid
+
+    u = sample(lambda x, y: np.exp(-(x**2) - 2.0 * y**2), Box((-4.0, -4.0), (4.0, 4.0)), 64)
+    want = lp_norm_values(u.values, p, u.cell_volume)
+    norms, real = [], grid.lp_norm_values
+    monkeypatch.setattr(grid, "lp_norm_values", lambda values, *rest: norms.append(values is u.values) or real(values, *rest))
+    besov_norm_diff(u, 1.0, p, 2)
+    besov_norm_integral(u, 1.0, p, 2)
+    assert lp_norm(u, p) == want and lp_norm(u, float(p)) == want
+    assert norms.count(True) == 1
+    assert u._memo[("lp", p)] == want

@@ -177,8 +177,9 @@ def test_per_level_loop_scan_flags_index_grids_only():
 
 
 def test_difference_norm_reduces_levels_without_a_per_level_loop():
-    # besov_norm_diff reads every level off its step table by one masked max
-    # per axis; a gather per level vector must not come back
+    # besov_norm_diff reads every level off its step table by one cumulative max
+    # per axis, taken at each level's prefix end; a gather per level vector must
+    # not come back
     assert calls_of(PER_LEVEL_LOOPS, (SRC / "differences.py").read_text()) == []
 
 

@@ -27,6 +27,7 @@ from mixnorm import (
     translate_function,
     uniform_norm,
 )
+from mixnorm.grid import lp_norm_values
 from mixnorm.multipliers import _cropped_translate_product
 from mixnorm.families import base_bump, random_smooth_field
 from mixnorm.profiles import plateau_bump
@@ -329,3 +330,51 @@ def test_tensor_norms_of_a_narrow_companion_match_materialized(monkeypatch):
         assert calls == 2
         fact = t["norm_fg"] / (t["norm_f"] * t["sup_g"] + t["sup_f"] * t["norm_g"])
         assert fact == pytest.approx(direct, rel=1e-10)
+
+
+# --- localized pieces as one batch -----------------------------------------------
+
+
+def _piece_loop(u, pou):
+    # psi_mu * u on its crop for every translate that meets the support of u, one at a time
+    pieces = (_cropped_translate_product(pou, u, mu) for mu in pou.centers())
+    return [piece for piece in pieces if piece is not None]
+
+
+@pytest.mark.parametrize("p", [1.0, 2.0, 3.0, math.inf])
+@pytest.mark.parametrize("width, n", [(1.5, 64), (1.0, 96)])
+def test_localized_norms_equal_the_per_piece_loop(p, width, n):
+    # the batch gives each piece, and the whole field, the bits of its own besov_norm_diff;
+    # 1.5 lattice units per bump make pieces of several crop extents, and at 96 cells the
+    # crops' spacings differ in the last bit, so their level plans and cell volumes do
+    pou = build_partition(width, BOX2, n)
+    u = random_smooth_field((87, 0), BOX2, n, window=(1.0, 2.5))
+    pieces = _piece_loop(u, pou)
+    assert len({(piece.n, piece.dx) for piece in pieces}) > 1
+    norms = [besov_norm_diff(piece, 1.0, p, 2) for piece in pieces]
+    fresh = u.with_values(u.values)
+    want = besov_norm_diff(u, 1.0, p, 2) / lp_norm_values(np.asarray(norms), p, 1.0)
+    assert localization_ratio(fresh, 1.0, p, 2, pou) == want
+    space = SpaceSpec("besov", p, r=1.0, m_diff=2)
+    assert uniform_norm(u.with_values(u.values), space, pou) == max(norms)
+
+
+def test_localization_transforms_each_stack_of_pieces_once(monkeypatch):
+    # one rfftn per stack of same-extent crops, each at most _STACK_POINTS points (or one
+    # field), and every field transformed once: fewer transforms than pieces
+    from mixnorm import differences
+
+    pou = build_partition(1.0, BOX2, 128)
+    u = random_smooth_field((88, 0), BOX2, 128, window=(1.0, 2.5))
+    pieces = _piece_loop(u, pou)
+    stacks, real = [], np.fft.rfftn
+
+    def spy(values, s=None, axes=None, **kwargs):
+        stacks.append((values.shape[0], math.prod(s)))
+        return real(values, s=s, axes=axes, **kwargs)
+
+    monkeypatch.setattr(np.fft, "rfftn", spy)
+    localization_ratio(u, 1.0, 2.0, 2, pou)
+    assert sum(size for size, _ in stacks) == len(pieces) + 1
+    assert all(size <= max(1, differences._STACK_POINTS // points) for size, points in stacks)
+    assert len(stacks) < len(pieces) / 2
