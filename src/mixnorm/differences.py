@@ -31,6 +31,7 @@ from .grid import (
     _dyadic_aggregates,
     _memo_get,
     _memoized,
+    _nonzero_hyperplanes,
     lp_norm,
     lp_norm_values,
     pointwise_multiply,
@@ -297,9 +298,7 @@ def _difference_tables(fields, direction_sets, orders, magnitudes, p) -> list[di
     for i, f in enumerate(fields):
         values = f.values
         if u.extension == "zero":
-            # per axis, the indices of the hyperplanes that hold a nonzero value, off one mask
-            mask = values != 0.0
-            nz = [np.flatnonzero(mask.any(axis=tuple(b for b in range(u.d) if b != a))) for a in range(u.d)]
+            nz = _nonzero_hyperplanes(values)
             if not nz[0].size:
                 out[i] = {e: np.zeros([len(magnitudes[a]) for a in e]) for e in sets}
                 continue
@@ -464,15 +463,17 @@ def _level_plan(dx: tuple[float, ...]):
 
 def _plan_tables(fields, m_diff: int, p: float) -> list[dict[tuple[int, ...], np.ndarray]]:
     # difference_table of every nonempty direction set at the level plan's steps, formed once per
-    # field, order and p, for fields of one spacing and extension: besov_norm_diff reads it, and
-    # so does besov_norm_integral at p = 2 or once it is formed
+    # field, order and p (a grid._Crop keeps none), for fields of one spacing and extension:
+    # besov_norm_diff reads it, and so does besov_norm_integral at p = 2 or once it is formed
     key, u = ("tables", m_diff, p), fields[0]
-    mags = _level_plan(u.dx)[0]
-    missing = [f for f in fields if _memo_get(f, key) is None]
+    out = [_memo_get(f, key) for f in fields]
+    missing = [i for i, tables in enumerate(out) if tables is None]
     if missing:
-        for f, tables in zip(missing, _difference_tables(missing, all_direction_sets(u.d)[1:], m_diff, mags, p)):
-            _memoized(f, key, lambda t=tables: t)
-    return [_memo_get(f, key) for f in fields]
+        made = _difference_tables([fields[i] for i in missing], all_direction_sets(u.d)[1:], m_diff,
+                                  _level_plan(u.dx)[0], p)
+        for i, tables in zip(missing, made):
+            out[i] = _memoized(fields[i], key, lambda t=tables: t)
+    return out
 
 
 def _check_besov_params(r: float, p: float, m_diff: int | None = None) -> None:
@@ -501,7 +502,8 @@ def besov_norm_diff(u: GridFunction, r: float, p: float, m_diff: int) -> float:
 
 
 def _besov_norms_diff(fields, r: float, p: float, m_diff: int) -> list[float]:
-    # besov_norm_diff of each field.  Fields of one spacing and extension form their tables
+    # besov_norm_diff of each field, a GridFunction or a grid._Crop, read as it is (a localized
+    # piece on its window).  Fields of one spacing and extension form their tables
     # together (_difference_tables) and read their levels off the stacked tables: per axis of
     # e, a cumulative max along the steps read at each level's prefix end (max is exact, so
     # every bit is the per-field one); the aggregates stay per field

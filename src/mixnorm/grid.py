@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -130,11 +130,36 @@ class GridFunction:
         return f"GridFunction(d={self.d}, n={self.n}, box=[{self.box.lower}, {self.box.upper}], extension={self.extension!r})"
 
 
-def _memoized(u: GridFunction, key, make: Callable):
+class _Crop(NamedTuple):
+    """A zero-extended field's values on a cell-aligned window, with the spacing crop gives
+    the window: read as a GridFunction, with no box, finiteness check, copy or memo."""
+
+    values: np.ndarray
+    dx: tuple[float, ...]
+    extension = "zero"
+
+    @property
+    def d(self) -> int:
+        return len(self.dx)
+
+    @property
+    def cell_volume(self) -> float:
+        return float(np.prod(self.dx))
+
+
+def _nonzero_hyperplanes(values: np.ndarray) -> list[np.ndarray]:
+    # per axis, the indices of the hyperplanes that hold a nonzero value, off one mask
+    mask = values != 0.0
+    return [np.flatnonzero(mask.any(axis=tuple(b for b in range(mask.ndim) if b != a))) for a in range(mask.ndim)]
+
+
+def _memoized(u: GridFunction | _Crop, key, make: Callable):
     """make(), formed on the first call for key and kept on u with every array in it
     read-only (a dict or tuple of arrays, or a float): u is immutable, and with_values
     makes a new field with an empty memo.  The one writer of the memo, so what it holds
-    is a pure function of u and key."""
+    is a pure function of u and key.  A _Crop keeps nothing: make() on every call."""
+    if not isinstance(u, GridFunction):
+        return make()
     if key not in u._memo:
         value = make()
         parts = value.values() if isinstance(value, dict) else value if isinstance(value, tuple) else ()
@@ -145,9 +170,9 @@ def _memoized(u: GridFunction, key, make: Callable):
     return u._memo[key]
 
 
-def _memo_get(u: GridFunction, key):
+def _memo_get(u: GridFunction | _Crop, key):
     """What _memoized keeps on u for key, or None if it has not been formed."""
-    return u._memo.get(key)
+    return u._memo.get(key) if isinstance(u, GridFunction) else None
 
 
 def require_same_grid(u: GridFunction, v: GridFunction) -> None:
@@ -201,7 +226,7 @@ def _check_p(p: float) -> None:
         raise GridError(f"p must lie in [1, inf], got {p}")
 
 
-def lp_norm(u: GridFunction, p: float) -> float:
+def lp_norm(u: GridFunction | _Crop, p: float) -> float:
     """Discrete L_p norm: (sum |u|^p * prod dx)^(1/p); max |u| when p = inf.
     Formed once per field and p, and kept on the field."""
     _check_p(p)

@@ -25,7 +25,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .grid import Box, GridError, GridFunction, _as_shape, crop, lp_norm_values, pointwise_multiply
+from .grid import (Box, GridError, GridFunction, _as_shape, _Crop, _nonzero_hyperplanes, lp_norm_values,
+                   pointwise_multiply)
 from .differences import _besov_norms_diff, besov_norm_diff
 from .families import _check_tensor_d, companion_bump
 from .profiles import smooth_partition_base
@@ -91,27 +92,21 @@ def build_partition(
             raise GridError(f"axis {axis}: base width is not a whole number of cells")
         width_cells.append(int(round(wc)))
 
-    profiles = []
+    profiles, reach = [], int(math.ceil(base_width)) + 1
     for axis, (cpu, wc) in enumerate(zip(cells_per_unit, width_cells)):
-        offsets = np.arange(-(wc - 1), wc) * dx[axis]
-        raw = smooth_partition_base(offsets, base_width)
-        # periodized translate sum over one lattice period, indexed by residue
-        period = np.zeros(cpu)
-        for res in range(cpu):
-            x = res * dx[axis]
-            mus = range(-int(math.ceil(base_width)) - 1, int(math.ceil(base_width)) + 2)
-            period[res] = float(np.sum(smooth_partition_base(
-                np.asarray([x - mu for mu in mus]), base_width)))
+        cells = np.arange(-(wc - 1), wc)
+        raw = smooth_partition_base(cells * dx[axis], base_width)
+        # periodized translate sum over one lattice period, indexed by residue: row res sums the
+        # bumps of the translates mu at res * dx - mu
+        shifts = (np.arange(cpu) * dx[axis])[:, None] - np.arange(-reach, reach + 1)
+        period = smooth_partition_base(shifts, base_width).sum(axis=1)
         if np.any(period <= 0.0):
             raise GridError("translate sum of the base bump vanishes; widen the bump")
-        residues = (np.arange(-(wc - 1), wc)) % cpu
-        profiles.append(raw / period[residues])
+        profiles.append(raw / period[cells % cpu])
 
-    axis_centers = []
-    for axis in range(box.d):
-        lo = int(math.floor(box.lower[axis] - base_width)) + 1
-        hi = int(math.ceil(box.upper[axis] + base_width)) - 1
-        axis_centers.append(tuple(range(lo, hi + 1)))
+    # the integer translates whose support (mu - base_width, mu + base_width) meets the box
+    axis_centers = [tuple(range(int(math.floor(lo - base_width)) + 1, int(math.ceil(hi + base_width))))
+                    for lo, hi in zip(box.lower, box.upper)]
     return PartitionOfUnity(
         box=box,
         shape=resolution,
@@ -123,25 +118,16 @@ def build_partition(
     )
 
 
-def _center_index(pou: PartitionOfUnity, mu: Sequence[int]) -> list[int]:
-    return [
-        int(round((mu[i] - pou.box.lower[i]) * pou.cells_per_unit[i]))
-        for i in range(pou.d)
-    ]
-
-
-def _support_slices(pou: PartitionOfUnity, mu: Sequence[int]):
-    # per axis: (grid slice, profile slice) of the translate's support
-    out = []
-    for i in range(pou.d):
-        c = _center_index(pou, mu)[i]
-        wc = pou.width_cells[i]
-        g0, g1 = max(0, c - wc + 1), min(pou.shape[i], c + wc)
-        if g0 >= g1:
-            return None
-        p0 = g0 - (c - wc + 1)
-        out.append((slice(g0, g1), slice(p0, p0 + (g1 - g0))))
-    return out
+def _axis_support(pou: PartitionOfUnity, axis: int, m: int):
+    # (grid slice, profile slice) on the axis of the support of the translates centred at
+    # lattice coordinate m, or None when it misses the grid
+    c = int(round((m - pou.box.lower[axis]) * pou.cells_per_unit[axis]))
+    wc = pou.width_cells[axis]
+    g0, g1 = max(0, c - wc + 1), min(pou.shape[axis], c + wc)
+    if g0 >= g1:
+        return None
+    p0 = g0 - (c - wc + 1)
+    return slice(g0, g1), slice(p0, p0 + (g1 - g0))
 
 
 def _profile_block(pou: PartitionOfUnity, sl) -> np.ndarray:
@@ -155,8 +141,8 @@ def _profile_block(pou: PartitionOfUnity, sl) -> np.ndarray:
 def _translate_values(pou: PartitionOfUnity, mu: Sequence[int], u: GridFunction | None = None) -> np.ndarray:
     # psi_mu on the full grid, times the values of u when it is given
     values = np.zeros(pou.shape)
-    sl = _support_slices(pou, mu)
-    if sl is not None:
+    sl = [_axis_support(pou, i, m) for i, m in enumerate(mu)]
+    if None not in sl:
         block = _profile_block(pou, sl)
         grid_sl = tuple(gs for gs, _ in sl)
         values[grid_sl] = block if u is None else u.values[grid_sl] * block
@@ -188,24 +174,43 @@ def partition_deviation(pou: PartitionOfUnity) -> float:
     return float(np.max(np.abs(total[inner] - 1.0)))
 
 
-def _cropped_translate_product(
-    pou: PartitionOfUnity, u: GridFunction, mu: Sequence[int]
-) -> GridFunction | None:
-    # psi_mu * u formed on the translate's support only: crop(apply_translate(...))
+def _meeting_translates(pou: PartitionOfUnity, u: GridFunction) -> list[tuple]:
+    # (mu, per axis the _axis_support of mu) of every translate whose support meets the support of
+    # u, in the order of pou.centers(); each axis's supports are formed once per centre, and those
+    # that miss the nonzero hyperplanes' range on their axis are dropped before any window is read
     _check_partition_grid(pou, u)
-    sl = _support_slices(pou, mu)
-    if sl is None:
-        return None
-    sub = u.values[tuple(gs for gs, _ in sl)]
-    if not np.any(sub):
-        return None
-    return crop(u, [(gs.start, gs.stop) for gs, _ in sl]).with_values(sub * _profile_block(pou, sl))
+    nz = _nonzero_hyperplanes(u.values)
+    if not nz[0].size:
+        return []
+    axes = [[(m, sl) for m in centers if (sl := _axis_support(pou, a, m)) is not None
+             and sl[0].start <= hit[-1] and hit[0] < sl[0].stop]
+            for a, (centers, hit) in enumerate(zip(pou.axis_centers, nz))]
+    translates = (tuple(zip(*combo)) for combo in itertools.product(*axes))
+    return [(mu, sl) for mu, sl in translates if u.values[tuple(gs for gs, _ in sl)].any()]
 
 
-def _pieces(pou: PartitionOfUnity, u: GridFunction) -> list[tuple[tuple[int, ...], GridFunction]]:
-    # (mu, psi_mu * u on the translate's support) for every translate that meets the support of u
-    pieces = ((mu, _cropped_translate_product(pou, u, mu)) for mu in pou.centers())
-    return [(mu, piece) for mu, piece in pieces if piece is not None]
+def _pieces(pou: PartitionOfUnity, u: GridFunction) -> list[tuple[tuple[int, ...], tuple[int, ...], _Crop]]:
+    # (mu, crop origin, psi_mu * u on its crop) of every translate that meets the support of u, in
+    # the order of pou.centers(): the products go straight into one stack per crop extent, each
+    # row with the spacing grid.crop gives its window, which on a grid whose spacing is not a
+    # dyadic fraction differs from u's in the last bit
+    meeting, lower, dx = _meeting_translates(pou, u), pou.box.lower, u.dx
+    extents = {}
+    for j, (_, sl) in enumerate(meeting):
+        extents.setdefault(tuple(gs.stop - gs.start for gs, _ in sl), []).append(j)
+    out = [None] * len(meeting)
+    for extent, members in extents.items():
+        blocks = {}  # psi_mu on its support, by the start of each axis's profile slice
+        for j, row in zip(members, np.empty((len(members),) + extent)):
+            mu, sl = meeting[j]
+            key = tuple(ps.start for _, ps in sl)
+            if key not in blocks:
+                blocks[key] = _profile_block(pou, sl)
+            np.multiply(u.values[tuple(gs for gs, _ in sl)], blocks[key], out=row)
+            spacing = tuple((lower[a] + gs.stop * dx[a] - (lower[a] + gs.start * dx[a])) / (gs.stop - gs.start)
+                            for a, (gs, _) in enumerate(sl))
+            out[j] = (mu, tuple(gs.start for gs, _ in sl), _Crop(row, spacing))
+    return out
 
 
 def uniform_norm(u: GridFunction, space: SpaceSpec, pou: PartitionOfUnity) -> float:
@@ -213,15 +218,15 @@ def uniform_norm(u: GridFunction, space: SpaceSpec, pou: PartitionOfUnity) -> fl
 
     Difference norms read each piece on its crop exactly, and the Besov
     pieces form their tables as one batch (differences._besov_norms_diff);
-    Fourier norms need each piece on the full grid.
+    Fourier norms need each piece on the full grid, formed only for the
+    translates that meet the support of u.
     """
     if u.extension != "zero":
         raise GridError("uniform norms require zero extension")
-    pieces = _pieces(pou, u)
     if space.kind == "besov":
-        norms = _besov_norms_diff([piece for _, piece in pieces], space.r, space.p, space.m_diff)
+        norms = _besov_norms_diff([piece for _, _, piece in _pieces(pou, u)], space.r, space.p, space.m_diff)
     else:
-        norms = [space_norm(apply_translate(pou, u, mu), space) for mu, _ in pieces]
+        norms = [space_norm(apply_translate(pou, u, mu), space) for mu, _ in _meeting_translates(pou, u)]
     return max([0.0, *norms])
 
 
@@ -237,7 +242,7 @@ def localization_ratio(
     """
     if u.extension != "zero":
         raise GridError("localization requires zero extension")
-    pieces = [piece for _, piece in _pieces(pou, u)]
+    pieces = [piece for _, _, piece in _pieces(pou, u)]
     numer, *norms = _besov_norms_diff([u, *pieces], r, p, m_diff)
     if numer == 0.0:
         raise GridError("localization ratio undefined for the zero function")

@@ -314,3 +314,44 @@ def test_declared_numpy_floor_takes_every_fft_out_argument():
     uses = [call for path in MODULES for call in fft_out_calls(path.read_text())]
     floor = re.search(r'"numpy>=(\d+)', (ROOT / "pyproject.toml").read_text())
     assert not uses or int(floor.group(1)) >= 2, uses
+
+
+def dead_functions(sources: dict[str, str]) -> list[str]:
+    """Top-level functions of the modules (file name -> source) that nothing names outside their
+    own body: no call, reference or import in any of the sources, __init__.py's imports (the
+    package's exports) included."""
+    trees = {name: ast.parse(source) for name, source in sources.items()}
+
+    def names(tree) -> list[str]:
+        return [node.id if isinstance(node, ast.Name) else node.attr if isinstance(node, ast.Attribute)
+                else node.name for node in ast.walk(tree) if isinstance(node, (ast.Name, ast.Attribute, ast.alias))]
+
+    uses: dict[str, int] = {}
+    for tree in trees.values():
+        for name in names(tree):
+            uses[name] = uses.get(name, 0) + 1
+    found = []
+    for module, tree in sorted(trees.items()):
+        for fn in tree.body:
+            if isinstance(fn, ast.FunctionDef) and uses.get(fn.name, 0) == names(fn).count(fn.name):
+                found.append(f"{module}: {fn.name} (line {fn.lineno})")
+    return found
+
+
+def test_dead_function_scan_flags_functions_named_only_by_themselves():
+    sources = {
+        "a.py": ("def used(): return 1\n"
+                 "def dead(n): return dead(n - 1) if n else 0\n"
+                 "def _helper(): return 2\n"
+                 "x = _helper\n"
+                 "class C:\n"
+                 "    def method(self): return 0\n"
+                 "def unread(): return C().method()\n"),
+        "b.py": "from .a import used\nimport a\ndef main(): return used() + a.unread\ndef orphan(): return 0\n",
+        "__init__.py": "from .b import main\n",
+    }
+    assert dead_functions(sources) == ["a.py: dead (line 2)", "b.py: orphan (line 4)"]
+
+
+def test_every_function_is_used_or_exported():
+    assert dead_functions({p.name: p.read_text() for p in SRC.glob("*.py")}) == []

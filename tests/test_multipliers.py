@@ -28,9 +28,9 @@ from mixnorm import (
     uniform_norm,
 )
 from mixnorm.grid import lp_norm_values
-from mixnorm.multipliers import _cropped_translate_product
+from mixnorm.multipliers import _pieces
 from mixnorm.families import base_bump, random_smooth_field
-from mixnorm.profiles import plateau_bump
+from mixnorm.profiles import plateau_bump, smooth_partition_base
 
 BOX1 = Box((-4.0,), (4.0,))
 BOX2 = Box((-4.0, -4.0), (4.0, 4.0))
@@ -107,13 +107,27 @@ def test_uniform_norm_bounded_by_whole_norm():
     assert 0.0 < uni <= 2.0 * whole
 
 
+def test_sobolev_uniform_norm_forms_only_the_translates_that_meet_u(monkeypatch):
+    # the products that miss the support of u are zero and add nothing to the max
+    from mixnorm import multipliers
+
+    pou = build_partition(1.0, BOX2, 64)
+    u = random_smooth_field((91, 0), BOX2, 64, window=(0.8, 1.6))
+    space = SpaceSpec("sobolev", 2.0, m=1)
+    want = max(space_norm(apply_translate(pou, u, mu), space) for mu in pou.centers())
+    formed, real = [], multipliers.apply_translate
+    monkeypatch.setattr(multipliers, "apply_translate", lambda pou, u, mu: formed.append(mu) or real(pou, u, mu))
+    assert uniform_norm(u, space, pou) == want
+    assert formed == [mu for mu, _, _ in _pieces(pou, u)] and len(formed) < len(pou.centers())
+
+
 def test_cropped_translate_norm_matches_full_grid():
     # the localized pieces are norm-evaluated on a crop to the translate's
     # support; with zero extension this must be exact
     pou = build_partition(1.0, BOX2, 128)
     u = random_smooth_field((82, 0), BOX2, 128)
     mu = (0, -1)
-    piece = _cropped_translate_product(pou, u, mu)
+    piece = {m: piece for m, _, piece in _pieces(pou, u)}[mu]
     full = apply_translate(pou, u, mu)
     a = besov_norm_diff(piece, 1.0, 2.0, 2)
     b = besov_norm_diff(full, 1.0, 2.0, 2)
@@ -129,18 +143,16 @@ def test_cropped_translate_product_is_the_crop_of_the_full_product(d):
     values = np.random.default_rng(84).standard_normal((64,) * d)
     values[32:] = 0.0
     u = GridFunction(box, values)
-    missed = 0
+    missed, pieces = 0, {mu: (origin, piece) for mu, origin, piece in _pieces(pou, u)}
     for mu in pou.centers():
-        piece = _cropped_translate_product(pou, u, mu)
         full = apply_translate(pou, u, mu)
-        if piece is None:
+        if mu not in pieces:
             missed += 1
             assert not np.any(full.values)
             continue
-        ranges = [(int(np.rint((a - b) / dx)), int(np.rint((c - b) / dx)))
-                  for a, c, b, dx in zip(piece.box.lower, piece.box.upper, box.lower, u.dx)]
-        want = crop(full, ranges)
-        assert piece.box == want.box and piece.extension == want.extension
+        origin, piece = pieces[mu]
+        want = crop(full, [(o, o + k) for o, k in zip(origin, piece.values.shape)])
+        assert piece.dx == want.dx and piece.extension == want.extension
         assert np.array_equal(piece.values, want.values)
     assert 0 < missed < len(pou.centers())
 
@@ -148,7 +160,7 @@ def test_cropped_translate_product_is_the_crop_of_the_full_product(d):
 def test_cropped_translate_product_rejects_another_grid():
     pou = build_partition(1.0, BOX2, 64)
     with pytest.raises(GridError, match="partition grid"):
-        _cropped_translate_product(pou, random_smooth_field((85, 0), BOX2, 128), (0, 0))
+        _pieces(pou, random_smooth_field((85, 0), BOX2, 128))
 
 
 def test_localization_single_bump_single_term():
@@ -336,9 +348,120 @@ def test_tensor_norms_of_a_narrow_companion_match_materialized(monkeypatch):
 
 
 def _piece_loop(u, pou):
-    # psi_mu * u on its crop for every translate that meets the support of u, one at a time
-    pieces = (_cropped_translate_product(pou, u, mu) for mu in pou.centers())
-    return [piece for piece in pieces if piece is not None]
+    # the per-piece path that the piece stacks replace, the oracle of multipliers._pieces: for
+    # each translate mu in turn, (mu, crop(u, support).with_values(psi_mu * u)) when u does not
+    # vanish on the translate's support
+    out = []
+    for mu in pou.centers():
+        sl = []
+        for i in range(pou.d):
+            c = int(round((mu[i] - pou.box.lower[i]) * pou.cells_per_unit[i]))
+            wc = pou.width_cells[i]
+            g0, g1 = max(0, c - wc + 1), min(pou.shape[i], c + wc)
+            if g0 >= g1:
+                break
+            p0 = g0 - (c - wc + 1)
+            sl.append((slice(g0, g1), slice(p0, p0 + (g1 - g0))))
+        else:
+            sub = u.values[tuple(gs for gs, _ in sl)]
+            if np.any(sub):
+                block = pou.profiles[0][sl[0][1]]
+                for i in range(1, pou.d):
+                    block = np.multiply.outer(block, pou.profiles[i][sl[i][1]])
+                out.append((mu, crop(u, [(gs.start, gs.stop) for gs, _ in sl]).with_values(sub * block)))
+    return out
+
+
+def _stack_case(d, n, width, kind):
+    # a partition of width `width` and a field on a grid of n cells along axis 0 (on [-4, 4]);
+    # d = 3 takes 16 cells on [-1, 1] along axes 1 and 2.  kind: "inner" (random values on the
+    # middle three quarters of each axis), "edge" (random values up to the box edge on the side
+    # x_0 < 0), "hole" (random values but on the support of the translate at 0) or "zero"
+    box = Box((-4.0,) + (-1.0,) * (d - 1), (4.0,) + (1.0,) * (d - 1)) if d == 3 else Box((-4.0,) * d, (4.0,) * d)
+    shape = (n,) + (16,) * (d - 1) if d == 3 else (n,) * d
+    pou = build_partition(width, box, shape)
+    values = np.random.default_rng((d, n)).standard_normal(shape)
+    if kind == "inner":
+        values = np.pad(values[tuple(slice(k // 8, k - k // 8) for k in shape)], [(k // 8, k // 8) for k in shape])
+    elif kind == "edge":
+        values[n // 2 :] = 0.0
+    elif kind == "hole":
+        center = [int(round((0 - lo) * k)) for lo, k in zip(box.lower, pou.cells_per_unit)]
+        values[tuple(slice(max(c - wc + 1, 0), c + wc) for c, wc in zip(center, pou.width_cells))] = 0.0
+    elif kind == "zero":
+        values = np.zeros(shape)
+    return pou, GridFunction(box, values)
+
+
+@pytest.mark.parametrize("kind", ["inner", "edge", "hole", "zero"])
+@pytest.mark.parametrize("width", [1.0, 1.5])
+@pytest.mark.parametrize("n", [64, 96, 128])
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_piece_stacks_equal_the_per_piece_loop(d, n, width, kind):
+    # each piece keeps the translate, the crop origin, the spacing crop gives it (at 96 cells the
+    # crops' spacings differ from u's in the last bit) and every bit of its values; the pieces
+    # of one extent are rows of one stack
+    pou, u = _stack_case(d, n, width, kind)
+    got, want = _pieces(pou, u), _piece_loop(u, pou)
+    assert [mu for mu, _, _ in got] == [mu for mu, _ in want]
+    for (_, origin, piece), (_, oracle) in zip(got, want):
+        assert crop(u, [(o, o + k) for o, k in zip(origin, piece.values.shape)]).box == oracle.box
+        assert piece.dx == oracle.dx and piece.extension == oracle.extension
+        assert np.array_equal(piece.values, oracle.values)
+    assert len({id(piece.values.base) for _, _, piece in got}) == len({piece.values.shape for _, _, piece in got})
+    if kind == "hole":
+        assert (0,) * d not in [mu for mu, _, _ in got]
+    if n == 96 and kind != "zero":
+        assert any(piece.dx != u.dx for _, _, piece in got)
+    assert (kind == "zero") == (got == [])
+
+
+def _partition_profiles_loop(base_width, box, resolution):
+    # build_partition's profiles with one smooth_partition_base call per residue: the oracle of
+    # the per-axis call
+    pou = build_partition(base_width, box, resolution)
+    profiles = []
+    for axis, (cpu, wc) in enumerate(zip(pou.cells_per_unit, pou.width_cells)):
+        dx = box.widths[axis] / pou.shape[axis]
+        raw = smooth_partition_base(np.arange(-(wc - 1), wc) * dx, base_width)
+        period = np.zeros(cpu)
+        for res in range(cpu):
+            x = res * dx
+            mus = range(-int(math.ceil(base_width)) - 1, int(math.ceil(base_width)) + 2)
+            period[res] = float(np.sum(smooth_partition_base(np.asarray([x - mu for mu in mus]), base_width)))
+        profiles.append(raw / period[np.arange(-(wc - 1), wc) % cpu])
+    return pou.profiles, profiles
+
+
+@pytest.mark.parametrize("base_width", [0.5, 0.75, 1.0, 1.25, 1.5, 2.0, 3.5])
+@pytest.mark.parametrize("box, resolution", [
+    (BOX1, 64), (BOX1, 96), (BOX2, 128), (BOX2, (64, 96)),
+    (Box((-3.0, -2.5), (5.0, 1.5)), (64, 96)), (Box((-1.0, 0.5, -2.0), (1.0, 2.5, 2.0)), (16, 48, 32)),
+])
+def test_partition_profiles_equal_the_per_residue_loop(base_width, box, resolution):
+    # 3.5 lattice units sum 9 translates per residue, past the 8 terms below which numpy sums in
+    # order; at 0.5 the sum vanishes half way between lattice points, and build_partition raises
+    if base_width == 0.5:
+        with pytest.raises(GridError, match="vanishes"):
+            build_partition(base_width, box, resolution)
+        return
+    got, want = _partition_profiles_loop(base_width, box, resolution)
+    assert all(np.array_equal(a, b) for a, b in zip(got, want, strict=True))
+
+
+def test_localization_makes_no_grid_function_per_piece(monkeypatch):
+    # the pieces go to the batch as crops: the GridFunctions a ratio makes do not grow with
+    # the number of pieces
+    made, real = [], GridFunction.__init__
+    monkeypatch.setattr(GridFunction, "__init__", lambda self, *args: made.append(1) or real(self, *args))
+    counts = []
+    for n, window in ((64, (0.4, 0.8)), (128, (1.5, 2.5))):
+        pou = build_partition(1.0, BOX2, n)
+        u = random_smooth_field((89, 0), BOX2, n, window=window)
+        made.clear()
+        localization_ratio(u, 1.0, 2.0, 2, pou)
+        counts.append((len(_pieces(pou, u)), len(made)))
+    assert counts[0][0] < counts[1][0] and counts[0][1] == counts[1][1]
 
 
 @pytest.mark.parametrize("p", [1.0, 2.0, 3.0, math.inf])
@@ -349,7 +472,7 @@ def test_localized_norms_equal_the_per_piece_loop(p, width, n):
     # crops' spacings differ in the last bit, so their level plans and cell volumes do
     pou = build_partition(width, BOX2, n)
     u = random_smooth_field((87, 0), BOX2, n, window=(1.0, 2.5))
-    pieces = _piece_loop(u, pou)
+    pieces = [piece for _, piece in _piece_loop(u, pou)]
     assert len({(piece.n, piece.dx) for piece in pieces}) > 1
     norms = [besov_norm_diff(piece, 1.0, p, 2) for piece in pieces]
     fresh = u.with_values(u.values)
