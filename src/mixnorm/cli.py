@@ -34,6 +34,7 @@ from .fourier import (NumericalAnomalyError, _check_decay, _check_exponents, _ch
                       _check_samples, _check_sobolev_params, besov_norm_fourier, nikolskij_ratio, peetre_maximal)
 from .sobolev import _check_split, cmix_norm, embedding_ratio, mixed_sup_lp, sobolev_norm_full, sobolev_norm_reduced
 from .spaces import SpaceSpec, sup_norm
+from .profiles import _check_plateau
 from .multipliers import (_algebra_denominator, _check_tensor_space, _moser_denominator, build_partition,
                           localization_ratio, pair_terms, tensor_pair_terms)
 from .families import (_check_band, _check_chirp, _check_dilation, _check_members, dilated_member,
@@ -196,6 +197,7 @@ def _check_count(cfg: ExperimentConfig) -> None:
 def _check_random(cfg: ExperimentConfig) -> None:
     _check_count(cfg)
     _check("band_cells,resolution", _check_band, cfg.band_cells, cfg.resolution)
+    _check("window_plateau,window_support", _check_plateau, cfg.window_plateau, cfg.window_support)
 
 
 def _check_family(cfg: ExperimentConfig, **dims: tuple[int, ...]) -> None:
@@ -265,6 +267,7 @@ def _check_pair(cfg: ExperimentConfig) -> None:
     _check("space", _pair_space, cfg)
     if cfg.family.startswith("tensor_"):
         _check("space", _check_tensor_space, cfg.space)
+        _check("companion_plateau,companion_support", _check_plateau, cfg.companion_plateau, cfg.companion_support)
     _check_family(cfg, tensor_dilated=(2, 3), tensor_oscillatory=(2, 3), random=(2,))
     if cfg.space == "sobolev":
         _check_sobolev(cfg)

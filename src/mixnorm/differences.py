@@ -269,22 +269,21 @@ def difference_table(
     (grid.lp_norm_values and grid.power_table rescale sums that leave it).
     Zero extension reads u extended by zero to all of Z^d, periodic reads it
     on the torus.  A zero-extended field is cropped to the bounding box of its
-    nonzero values, L_a cells along axis a.  A far step s_a >= L_a moves the
-    m_a + 1 translates of the difference apart, so exactly |Delta^{m, e}_s u|_p
-    = c(m_a, p) |Delta^{m, e - a}_s u|_p, with c(m, p) the l_p norm of the
-    binomials C(m, 0..m); the kernels take that closed form for far steps and
-    difference or transform only along the near steps s_a < L_a.
-    p = 2 then goes through one power spectrum for every direction set
-    (Parseval), a far step's symbol row being the constant c(m, 2)^2; a
-    zero-extended field is zero-padded along each axis to the smallest 5-smooth
-    length (the fastest transform lengths) of at least L_a + m_a * largest near
-    step, past which no circular difference along a near step wraps, so the
-    padding moves only rounding.  Other p difference directly, each partial
-    difference growing by its own reach, from the last axis of e to the first,
-    so the most repeated one slices whole rows (axis 0); an entry whose steps
-    are far on the axes F is the product of their c(m, p) times the entry of
-    e - F at its near steps, each such entry differenced once.
+    nonzero values, L_a cells along axis a.  p = 2 goes through one power
+    spectrum for every direction set (Parseval).  A far step s_a >= L_a moves
+    the m_a + 1 translates of the difference apart, so its symbol row is the
+    constant c(m_a, 2)^2 = C(2 m_a, m_a); a zero-extended field is zero-padded
+    along each axis to the smallest 5-smooth length (the fastest transform
+    lengths) of at least L_a + m_a * largest near step s_a < L_a, past which
+    no circular difference along a near step wraps, so the padding moves only
+    rounding.  Other p difference every step directly, each partial difference
+    growing by its own reach, from the last axis of e to the first, so the
+    most repeated one slices whole rows (axis 0).  A step below one cell
+    raises GridError.
     """
+    low = min((s for steps in magnitudes for s in steps), default=1)
+    if low < 1:
+        raise GridError(f"step magnitudes must be at least one cell, got {low}")
     return _difference_tables([u], direction_sets, orders, magnitudes, p)[0]
 
 
@@ -304,59 +303,28 @@ def _difference_tables(fields, direction_sets, orders, magnitudes, p) -> list[di
                 continue
             values = values[tuple(slice(j[0], j[-1] + 1) for j in nz)]
         groups.setdefault(values.shape, []).append((i, values))
-    for extents, members in groups.items():
+    for shape, members in groups.items():
         where, crops = zip(*members)
-        extents = extents if u.extension == "zero" else None
         if p == 2.0:
             # circular differences on a zero-padded period equal the zero-extended
             # ones once it exceeds support + reach: padding further changes no value
-            shape = crops[0].shape
-            if extents is not None:
-                shape = [_fast_length(n + m * max((s for s in mags if s < n), default=0))
-                         for n, m, mags in zip(shape, orders, magnitudes)]
+            extents = None
+            if u.extension == "zero":
+                extents, shape = shape, [_fast_length(n + m * max((s for s in mags if s < n), default=0))
+                                         for n, m, mags in zip(shape, orders, magnitudes)]
             tables = _parseval_tables(crops, sets, orders, magnitudes, shape, u.cell_volume, extents)
         else:
-            tables = [_direct_tables(v, sets, orders, magnitudes, p, u.cell_volume, u.extension, extents)
-                      for v in crops]
+            tables = [_direct_tables(v, sets, orders, magnitudes, p, u.cell_volume, u.extension) for v in crops]
         for i, t in zip(where, tables):
             out[i] = t
     return out
 
 
-@functools.lru_cache(maxsize=64)
-def _cleared_factor(m: int, p: float) -> float:
-    # c(m, p): the l_p norm of the binomials C(m, 0..m), the weights of the m + 1 translates
-    return lp_norm_values(np.array([comb(m, ell) for ell in range(m + 1)], dtype=float), p, 1.0)
-
-
-def _direct_tables(values, sets, orders, magnitudes, p, vol, extension, extents) -> dict:
-    # per axis the steps, near ones (s < extents[axis]) first: per set F of far axes of e, the
-    # block of entries far on F is prod c(m, p) over F, from the last axis of e to the first,
-    # times the near entries of e - F; those are differenced once per set, and the table goes
-    # back to the order of the given steps
-    far = [np.array([extents is not None and s >= extents[a] for s in mags], dtype=bool)
-           for a, mags in enumerate(magnitudes)]
-    order = [np.argsort(f, kind="stable") for f in far]
-    near_mags = [[mags[i] for i in np.flatnonzero(~f)] for mags, f in zip(magnitudes, far)]
-    cores, out = {}, {}
-    for e in sets:
-        far_axes = [a for a in e if far[a].any()]
-        table = np.empty([len(magnitudes[a]) for a in e])
-        for size in range(len(far_axes) + 1):
-            for cleared in itertools.combinations(far_axes, size):
-                rest = tuple(a for a in e if a not in cleared)
-                if rest not in cores:
-                    cores[rest] = np.empty([len(near_mags[a]) for a in rest])
-                    if cores[rest].size:
-                        _fill_direct(cores[rest], values, rest, orders, near_mags, p, vol, extension, ())
-                scale = functools.reduce(lambda c, a: c * _cleared_factor(orders[a], p), reversed(cleared), 1.0)
-                # a view of the block (0-d for the empty set), far steps on the cleared axes
-                block = table[tuple(slice(len(near_mags[a]), None) if a in cleared else slice(len(near_mags[a]))
-                                    for a in e) + (...,)]
-                np.multiply(scale, np.expand_dims(cores[rest], tuple(e.index(a) for a in cleared)), out=block)
-        for a in far_axes:
-            table = np.take(table, np.argsort(order[a]), axis=e.index(a))
-        out[e] = table
+def _direct_tables(values, sets, orders, magnitudes, p, vol, extension) -> dict:
+    # every entry differenced at its own steps, each set's table filled depth first
+    out = {e: np.empty([len(magnitudes[a]) for a in e]) for e in sets}
+    for e, table in out.items():
+        _fill_direct(table, values, e, orders, magnitudes, p, vol, extension, ())
     return out
 
 
@@ -464,7 +432,7 @@ def _level_plan(dx: tuple[float, ...]):
 def _plan_tables(fields, m_diff: int, p: float) -> list[dict[tuple[int, ...], np.ndarray]]:
     # difference_table of every nonempty direction set at the level plan's steps, formed once per
     # field, order and p (a grid._Crop keeps none), for fields of one spacing and extension:
-    # besov_norm_diff reads it, and so does besov_norm_integral at p = 2 or once it is formed
+    # besov_norm_diff and besov_norm_integral both read it
     key, u = ("tables", m_diff, p), fields[0]
     out = [_memo_get(f, key) for f in fields]
     missing = [i for i, tables in enumerate(out) if tables is None]
@@ -542,12 +510,8 @@ def besov_norm_integral(u: GridFunction, r: float, p: float, m_diff: int) -> flo
     [2^-k-1, 2^-k], matching the scale set of the discrete norm; the panel
     mass of the singular weight is used exactly.  Each panel's step is a step
     of the level plan, so the norms are rows of the difference table that
-    besov_norm_diff reads, formed once per field, m_diff and p.  At p = 2 one
-    transform serves every step and the integral forms that table itself, a
-    transform padded past the ladder's steps rather than its own.  At
-    other p each entry is differenced on its own, with the same bits in any
-    step list, so while the table is not yet formed the integral differences
-    at its panel steps alone and keeps nothing.
+    besov_norm_diff reads, formed once per field, m_diff and p by whichever
+    of the two forms comes first.
     """
     _check_besov_params(r, p, m_diff)
     mags, _, panels = _level_plan(u.dx)
@@ -558,11 +522,7 @@ def besov_norm_integral(u: GridFunction, r: float, p: float, m_diff: int) -> flo
     log2_weights = [[-r * math.log2(steps[i] * dxv) if math.isinf(p) else r * (k + 1) + offset
                      for k, i in axis_panels] for steps, dxv, axis_panels in zip(mags, u.dx, panels)]
     sets = all_direction_sets(u.d)[1:]
-    if p == 2.0 or _memo_get(u, ("tables", m_diff, p)) is not None:
-        tables = _plan_tables([u], m_diff, p)[0]
-    else:
-        tables = difference_table(u, sets, m_diff, [[steps[i] for i in idx] for steps, idx in zip(mags, rows)], p)
-        rows = [range(len(idx)) for idx in rows]
+    tables = _plan_tables([u], m_diff, p)[0]
     total = lp_norm(u, p)
     for e in sets:
         norms = tables[e]

@@ -9,6 +9,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from .grid import GridError
+
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(64)
 
 
@@ -67,14 +69,18 @@ def smoothstep(s: np.ndarray | float) -> np.ndarray:
     return np.where(upper, 1.0 - out, out)
 
 
+def _check_plateau(plateau: float, support: float) -> None:
+    if not 0.0 <= plateau < support:
+        raise GridError(f"need 0 <= plateau < support, got {plateau}, {support}")
+
+
 def plateau_bump(x: np.ndarray | float, plateau: float, support: float) -> np.ndarray:
     """Even bump: exactly 1 on [-plateau, plateau], 0 outside (-support, support).
 
     The transition on [plateau, support] is the reversed smoothstep, so the
     profile is C-infinity with sup value exactly 1.
     """
-    if not 0.0 <= plateau < support:
-        raise ValueError(f"need 0 <= plateau < support, got {plateau}, {support}")
+    _check_plateau(plateau, support)
     x = np.atleast_1d(np.asarray(x, dtype=float))
     a = np.abs(x)
     out = np.zeros(a.shape)

@@ -76,6 +76,9 @@ def test_validate_catches_module_preconditions():
         dict(experiment="moser", space="sobolev", p=1.0),
         dict(experiment="algebra", family="tensor_dilated", space="sobolev",
              resolution=1024, box_lo=-6.0, box_hi=6.0, n_max=3),
+        dict(experiment="equiv", resolution=64, count=1, window_plateau=3.0, window_support=2.0),
+        dict(experiment="moser", family="tensor_dilated", resolution=1024, box_lo=-6.0, box_hi=6.0, n_max=3,
+             companion_plateau=4.0, companion_support=3.0),
     ]
     for kwargs in bad:
         with pytest.raises(ValidationError):
@@ -258,6 +261,9 @@ def test_main_exit_codes(tmp_path, monkeypatch):
     assert main(["unknown-exp"]) == 2
     assert main(["equiv", "--resolution", "100"]) == 2
     assert main(["equiv", "--count"]) == 2
+    assert main(["equiv", "--resolution", "64", "--count", "1", "--window_plateau", "3", "--window_support", "2"]) == 2
+    assert main(["moser", "--family", "tensor_dilated", "--resolution", "1024", "--box_lo", "-6", "--box_hi", "6",
+                 "--n_max", "3", "--companion_plateau", "4", "--companion_support", "3"]) == 2
     assert main(["equiv", "--count", "2", "--resolution", "64",
                  "--output", "/nonexistent-dir/x.csv"]) == 4
     assert main(["equiv", "--describe"]) == 0

@@ -508,6 +508,16 @@ def test_table_of_zero_function_is_zero():
     assert tables[(0, 1)].tolist() == [[0.0], [0.0]]
 
 
+@pytest.mark.parametrize("p", [2.0, 3.0])
+@pytest.mark.parametrize("step", [0, -3, -25])
+def test_table_rejects_steps_below_one_cell(step, p):
+    # the tables run over positive magnitudes; at p = 2 a negative step used to wrap
+    # on the zero-padded period and give a wrong norm instead of an error
+    u = _sparse_field(2, "zero", 52)
+    with pytest.raises(GridError, match="at least one cell"):
+        difference_table(u, [(0,)], 2, [[3, step], []], p)
+
+
 @pytest.mark.parametrize("p", [1.0, 2.0, 3.0, math.inf])
 def test_besov_norm_reads_zero_extension_on_the_whole_line(p):
     # cos x cos y reaches the edge of [-4, 4]^2; its differences there read
@@ -700,7 +710,7 @@ def test_zero_extension_crop_is_the_nonzero_bounding_box(d, monkeypatch):
     assert all(np.array_equal(tables[e], np.zeros((len(TABLE_MAGS),) * len(e))) for e in sets)
 
 
-# --- steps that clear the support: the closed form against direct oracles ---
+# --- steps that clear the support against direct oracles --------------------
 
 CLEARING_P = [1.0, 2.0, 3.0, 400.0, math.inf]
 
@@ -947,19 +957,16 @@ def test_field_memo_keeps_read_only_tables_per_order_and_p():
 
 @pytest.mark.parametrize("p", [1.0, 2.0, 3.0, math.inf])
 def test_integral_alone_differences_only_its_panel_steps_off_p_2(p, monkeypatch):
-    # at p != 2 the integral on a field without the shared table differences at its
-    # panel steps alone and keeps nothing; p = 2 forms the shared table (one transform)
+    # at every p the integral on a field without the shared table forms and keeps that
+    # table at the plan's steps, not at its panel steps alone
     u = random_smooth_field(6, BOX2, 64, band_cells=8)
-    mags, _, panels = differences._level_plan(u.dx)
+    mags = differences._level_plan(u.dx)[0]
     seen, real = [], differences._difference_tables
     monkeypatch.setattr(differences, "_difference_tables",
                         lambda v, sets, m, steps, q: seen.append([list(s) for s in steps]) or real(v, sets, m, steps, q))
     alone = besov_norm_integral(u, 1.0, p, 2)
-    if p == 2.0:
-        assert seen == [[list(s) for s in mags]] and _table_keys(u) == [("tables", 2, p)]
-    else:
-        assert seen == [[[s[i] for _, i in ps] for s, ps in zip(mags, panels)]] and _table_keys(u) == []
-    # once the difference form has formed the table, the integral reads its rows: the same bits
+    assert seen == [[list(s) for s in mags]] and _table_keys(u) == [("tables", 2, p)]
+    # the difference form then reads that table, and a second integral reads its rows: the same bits
     besov_norm_diff(u, 1.0, p, 2)
     seen.clear()
     assert besov_norm_integral(u, 1.0, p, 2) == alone and seen == []
@@ -1027,21 +1034,18 @@ def test_symbol_rows_gather_the_symbol_at_s_k_mod_n(n, steps, extent, m):
 
 
 def _far_step_entry(crop, e, orders, steps, p, vol):
-    # an entry as the recursion over the steps has always formed it: from the last axis of e
-    # to the first, a near step differences and a far one scales by c(m, p)
-    arr, scale = crop, 1.0
+    # an entry as the recursion over the steps forms it: from the last axis of e to the
+    # first, every step differences, the far ones that clear the support included
+    arr = crop
     for a, s in reversed(list(zip(e, steps))):
-        if s >= crop.shape[a]:
-            scale *= differences._cleared_factor(orders[a], p)
-        else:
-            arr = differences._diff_values(arr, a, orders[a], s, "zero")
-    return scale * lp_norm_values(arr, p, vol)
+        arr = differences._diff_values(arr, a, orders[a], s, "zero")
+    return lp_norm_values(arr, p, vol)
 
 
 def test_far_steps_off_p_2_difference_each_near_entry_once(monkeypatch):
-    # a 4 x 4 support, steps 1..3 on axis 0 and 1..20 on axis 1 (17 of them far): the
-    # near entries of (0,), (1,) and (0, 1) take 3 + 3 + (3 + 9) differences, and every
-    # far entry is c(m, p) times a near entry of the set without its far axes
+    # a 4 x 4 support, steps 1..3 on axis 0 and 1..20 on axis 1 (17 of them far): depth
+    # first from the last axis of e, the sets (0,), (1,) and (0, 1) take 3 + 20 + (20 + 20 * 3)
+    # differences, far steps differenced like near ones, and each entry is the oracle's
     rng = np.random.default_rng(130)
     values = np.zeros((6, 6))
     values[1:5, 2:6] = rng.uniform(0.5, 2.0, (4, 4)) * rng.choice([-1.0, 1.0], (4, 4))
@@ -1051,7 +1055,7 @@ def test_far_steps_off_p_2_difference_each_near_entry_once(monkeypatch):
     calls, real = [], differences._diff_values
     monkeypatch.setattr(differences, "_diff_values", lambda *args: calls.append(args[1]) or real(*args))
     tables = difference_table(u, sets, 2, mags, 3.0)
-    assert len(calls) <= 18
+    assert calls == [0] * 3 + [1] * 20 + [1, 0, 0, 0] * 20
     monkeypatch.setattr(differences, "_diff_values", real)
     crop = values[1:5, 2:6]
     for e in sets:

@@ -355,3 +355,61 @@ def test_dead_function_scan_flags_functions_named_only_by_themselves():
 
 def test_every_function_is_used_or_exported():
     assert dead_functions({p.name: p.read_text() for p in SRC.glob("*.py")}) == []
+
+
+MIXNORM_ERRORS = {"GridError", "GridMismatchError", "NumericalAnomalyError", "ValidationError"}
+# Python's attribute protocol: assigning or deleting an attribute that cannot be set raises
+# AttributeError, so a frozen class's guards keep it
+ATTRIBUTE_GUARDS = {"__setattr__", "__delattr__"}
+
+
+def foreign_raises(source: str) -> list[str]:
+    """raise statements that re-raise bare or name a class other than mixnorm's errors
+    (an AttributeError in an attribute guard excepted)."""
+    found = {}
+
+    def visit(node, guard: bool) -> None:
+        if isinstance(node, ast.FunctionDef):
+            guard = node.name in ATTRIBUTE_GUARDS
+        if isinstance(node, ast.Raise):
+            exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+            name = None if exc is None else exc.attr if isinstance(exc, ast.Attribute) else ast.unparse(exc)
+            if name not in MIXNORM_ERRORS and not (guard and name == "AttributeError"):
+                found[(node.lineno, node.col_offset)] = f"{name or 'bare raise'} (line {node.lineno})"
+        for child in ast.iter_child_nodes(node):
+            visit(child, guard)
+
+    visit(ast.parse(source), False)
+    return [found[at] for at in sorted(found)]
+
+
+def test_foreign_raise_scan_flags_other_classes_and_bare_raises():
+    source = (
+        "from . import grid\n"
+        "def f(x):\n"
+        "    if x < 0:\n"
+        "        raise ValueError(f'negative {x}')\n"
+        "    if x > 9:\n"
+        "        raise grid.GridError('large')\n"
+        "    try:\n"
+        "        return 1 / x\n"
+        "    except ZeroDivisionError as err:\n"
+        "        raise NumericalAnomalyError(str(err)) from None\n"
+        "    except OverflowError:\n"
+        "        raise\n"
+        "class Frozen:\n"
+        "    def __setattr__(self, name, value):\n"
+        "        raise AttributeError('frozen')\n"
+        "    def set(self):\n"
+        "        raise AttributeError('not a guard')\n"
+        "def g(err):\n"
+        "    raise err\n"
+    )
+    assert foreign_raises(source) == ["ValueError (line 4)", "bare raise (line 12)",
+                                      "AttributeError (line 17)", "err (line 19)"]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_modules_raise_only_mixnorm_errors(path):
+    # the CLI maps each mixnorm error to an exit code; any other class leaves it as a traceback
+    assert foreign_raises(path.read_text()) == []
