@@ -110,6 +110,14 @@ def _same_grid_diff(values: np.ndarray, axis: int, m: int, cells: int, extension
     return out[_along(values.ndim, axis, slice(lo, lo + values.shape[axis]))]
 
 
+def _direction_set(e: Iterable[int], d: int) -> tuple[int, ...]:
+    """e as a sorted tuple of distinct axes; an axis outside 0..d-1 raises GridError."""
+    axes = sorted(set(int(a) for a in e))
+    if axes and not (0 <= axes[0] and axes[-1] < d):
+        raise GridError(f"direction set {axes} out of range for d={d}")
+    return tuple(axes)
+
+
 def _check_difference_order(m: int) -> None:
     if m < 1:
         raise GridError(f"difference order must be >= 1, got {m}")
@@ -121,8 +129,7 @@ def directional_difference(u: GridFunction, axis: int, m: int, h: float) -> Grid
     h is snapped to the nearest whole number of grid cells; a step that snaps
     to zero cells yields the zero function and a DegenerateStepWarning.
     """
-    if not 0 <= axis < u.d:
-        raise GridError(f"axis {axis} out of range for d={u.d}")
+    (axis,) = _direction_set((axis,), u.d)
     _check_difference_order(m)
     cells = snap_step(h, u.dx[axis])
     if cells == 0:
@@ -147,9 +154,7 @@ def mixed_difference(
     order given, so both orderings produce bit-identical results.  The empty
     set is the identity.
     """
-    axes = sorted(set(int(a) for a in e))
-    if axes and not (0 <= axes[0] and axes[-1] < u.d):
-        raise GridError(f"direction set {axes} out of range for d={u.d}")
+    axes = _direction_set(e, u.d)
     if not axes:
         return u
     mv = _as_axis_vector(m, u.d, "m")
@@ -291,7 +296,7 @@ def _difference_tables(fields, direction_sets, orders, magnitudes, p) -> list[di
     # difference_table of each of fields, which share their spacing and extension: the crops of
     # one extent share one padded shape, and at p = 2 one set of symbol rows and stacked transforms
     u = fields[0]
-    sets = [tuple(sorted(set(int(a) for a in e))) for e in direction_sets]
+    sets = [_direction_set(e, u.d) for e in direction_sets]
     orders = [int(m) for m in _as_axis_vector(orders, u.d, "orders")]
     out, groups = [None] * len(fields), {}
     for i, f in enumerate(fields):
@@ -356,7 +361,7 @@ def modulus(
     box, over steps of both signs (boundary handled by the support margin in
     normal use).
     """
-    axes = sorted(set(int(a) for a in e))
+    axes = _direction_set(e, u.d)
     if not axes:
         return lp_norm(u, p)
     orders = [int(v) for v in _as_axis_vector(m, u.d, "m")]
@@ -375,7 +380,7 @@ def modulus(
             )
             return 0.0
     if not interior:
-        best = float(np.max(difference_table(u, [axes], orders, mags, p)[tuple(axes)]))
+        best = float(np.max(difference_table(u, [axes], orders, mags, p)[axes]))
     else:
         best = 0.0
         signed = [[s for mag in mags[a] for s in (mag, -mag)] for a in axes]
@@ -532,6 +537,25 @@ def besov_norm_integral(u: GridFunction, r: float, p: float, m_diff: int) -> flo
     return total
 
 
+def _leibniz_terms(f: GridFunction, g: GridFunction, axes: tuple[int, ...], order: int, h):
+    # (u, C(order, u) * (D^{order-u, axes} f)(. + u <> h) * (D^{u, axes} g)(.)) for every u in
+    # {0..order}^axes, lexicographically, u full length: f is differenced on each axis of axes,
+    # then shifted, and g differenced
+    hv, ext = _as_axis_vector(h, f.d, "h"), f.extension
+    cells = {a: snap_step(float(hv[a]), f.dx[a]) for a in axes}
+    for u_e in itertools.product(range(order + 1), repeat=len(axes)):
+        left, right = f.values, g.values
+        for a, ui in zip(axes, u_e):
+            if order - ui > 0:
+                left = _same_grid_diff(left, a, order - ui, cells[a], ext)
+        for a, ui in zip(axes, u_e):
+            left = shift_values(left, a, ui * cells[a], ext)
+            if ui > 0:
+                right = _same_grid_diff(right, a, ui, cells[a], ext)
+        coeff = math.prod((comb(order, ui) for ui in u_e), start=1.0)
+        yield tuple(dict(zip(axes, u_e)).get(a, 0) for a in range(f.d)), coeff * left * right
+
+
 def leibniz_difference(
     psi: GridFunction, phi: GridFunction, m: int, h: float, axis: int = 0
 ) -> GridFunction:
@@ -541,19 +565,11 @@ def leibniz_difference(
     the direct difference of the product identically on the lattice.
     """
     require_same_grid(psi, phi)
+    axes = _direction_set((axis,), psi.d)
     _check_difference_order(m)
-    cells = snap_step(h, psi.dx[axis])
-    ext = psi.extension
     out = np.zeros_like(psi.values)
-    for j in range(m + 1):
-        left = psi.values
-        if m - j > 0:
-            left = _same_grid_diff(left, axis, m - j, cells, ext)
-        left = shift_values(left, axis, j * cells, ext)
-        right = phi.values
-        if j > 0:
-            right = _same_grid_diff(right, axis, j, cells, ext)
-        out += comb(m, j) * left * right
+    for _, term in _leibniz_terms(psi, phi, axes, m, h):
+        out += term
     return psi.with_values(out)
 
 
@@ -572,30 +588,8 @@ def mixed_leibniz_terms(
     The empty direction set yields the single term f * g.
     """
     require_same_grid(f, g)
-    axes = sorted(set(int(a) for a in e))
+    axes = _direction_set(e, f.d)
     if not axes:
         return [(tuple([0] * f.d), pointwise_multiply(f, g))]
     _check_difference_order(m)
-    hv = _as_axis_vector(h, f.d, "h")
-    cells = {a: snap_step(float(hv[a]), f.dx[a]) for a in axes}
-    ext = f.extension
-    out = []
-    for u_e in itertools.product(range(2 * m + 1), repeat=len(axes)):
-        u_full = [0] * f.d
-        for a, ui in zip(axes, u_e):
-            u_full[a] = ui
-        coeff = 1.0
-        for ui in u_e:
-            coeff *= comb(2 * m, ui)
-        left = f.values
-        for a, ui in zip(axes, u_e):
-            if 2 * m - ui > 0:
-                left = _same_grid_diff(left, a, 2 * m - ui, cells[a], ext)
-        for a, ui in zip(axes, u_e):
-            left = shift_values(left, a, ui * cells[a], ext)
-        right = g.values
-        for a, ui in zip(axes, u_e):
-            if ui > 0:
-                right = _same_grid_diff(right, a, ui, cells[a], ext)
-        out.append((tuple(u_full), f.with_values(coeff * left * right)))
-    return out
+    return [(u, f.with_values(term)) for u, term in _leibniz_terms(f, g, axes, 2 * m, h)]

@@ -30,7 +30,7 @@ import numpy as np
 
 from .grid import (GridError, GridFunction, NumericalAnomalyError, _as_shape, _binary_exponent, _dyadic_aggregate,
                    lp_norm, lp_norm_values)
-from .differences import _as_axis_vector, _check_besov_params, mixed_difference, snap_step
+from .differences import _as_axis_vector, _check_besov_params, _direction_set, mixed_difference, snap_step
 from .profiles import smoothstep
 
 
@@ -447,7 +447,7 @@ def difference_maximal_check(
     band sweeps exhibits the difference-maximal inequality.  P_{b,a} u is
     built once for the whole sweep.
     """
-    axes = sorted(set(int(x) for x in e))
+    axes = _direction_set(e, u.d)
     mv = _as_axis_vector(m, u.d, "m")
     bv = _as_axis_vector(b, u.d, "b")
     _check_band_limited(u, bv)

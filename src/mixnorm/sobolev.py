@@ -13,6 +13,7 @@ order >= 2.
 from __future__ import annotations
 
 import itertools
+import math
 from typing import Sequence
 
 import numpy as np
@@ -84,10 +85,7 @@ def sobolev_norm_reduced(u: GridFunction, m: int, p: float) -> float:
 def cmix_norm(u: GridFunction, m: int) -> float:
     """Sup-norm analogue: sum of sup |D^alpha u| over |alpha|_inf <= m."""
     _check_order(m)
-    total = 0.0
-    for dv in _derivatives(u, itertools.product(range(m + 1), repeat=u.d)):
-        total += float(np.max(np.abs(dv.values)))
-    return total
+    return _derivative_norm_sum(u, m, math.inf, itertools.product(range(m + 1), repeat=u.d))
 
 
 def _check_split(n_split: int, d: int) -> None:

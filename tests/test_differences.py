@@ -15,6 +15,7 @@ from mixnorm import (
     all_direction_sets,
     besov_norm_diff,
     besov_norm_integral,
+    difference_maximal_check,
     difference_table,
     directional_difference,
     isotropic_besov_norm,
@@ -29,7 +30,7 @@ from mixnorm import (
     tensor_product,
 )
 from mixnorm.differences import _dyadic_levels, _fast_length, admissible_cells, ladder_cells
-from mixnorm.families import dilated_member, random_smooth_field
+from mixnorm.families import dilated_member, random_smooth_field, random_trig_field
 from mixnorm import differences
 from mixnorm.grid import _dyadic_aggregate, lp_norm_values, power_table, shift_values
 
@@ -648,25 +649,29 @@ def test_interior_modulus_matches_shift_loop(extension, p):
         assert got == want
 
 
-@pytest.mark.parametrize("extension", ["zero", "periodic"])
-def test_leibniz_expansions_match_shift_loop(extension):
-    f, g = _edge_field(2, extension, 90), _edge_field(2, extension, 91)
+@pytest.mark.parametrize("extension, d", [pytest.param(ext, d, id=ext if d == 2 else f"{ext}-{d}d")
+                                          for d in (2, 3) for ext in ("zero", "periodic")])
+def test_leibniz_expansions_match_shift_loop(extension, d):
+    f, g = _edge_field(d, extension, 90), _edge_field(d, extension, 91)
+    last = d - 1
     for m, cells in itertools.product((1, 2, 3), (2, -3)):
         want = np.zeros(f.n)
         for j in range(m + 1):
-            left = f.values if m == j else _shift_loop_diff(f.values, 1, m - j, cells, extension)
-            left = shift_values(left, 1, j * cells, extension)
-            right = g.values if j == 0 else _shift_loop_diff(g.values, 1, j, cells, extension)
+            left = f.values if m == j else _shift_loop_diff(f.values, last, m - j, cells, extension)
+            left = shift_values(left, last, j * cells, extension)
+            right = g.values if j == 0 else _shift_loop_diff(g.values, last, j, cells, extension)
             want += math.comb(m, j) * left * right
-        got = leibniz_difference(f, g, m, cells * f.dx[1], axis=1)
+        got = leibniz_difference(f, g, m, cells * f.dx[last], axis=last)
         assert np.array_equal(got.values, want)
-    m, cells = 1, (2, -3)
-    for u_e, term in mixed_leibniz_terms(f, g, (0, 1), m, [c * dx for c, dx in zip(cells, f.dx)]):
+    m, cells, axes = 1, (2, -3, 1)[:d], tuple(range(d))
+    terms = mixed_leibniz_terms(f, g, axes, m, [c * dx for c, dx in zip(cells, f.dx)])
+    assert [u_e for u_e, _ in terms] == list(itertools.product(range(2 * m + 1), repeat=d))
+    for u_e, term in terms:
         left, right = f.values, g.values
-        for a in (0, 1):
+        for a in axes:
             if 2 * m - u_e[a] > 0:
                 left = _shift_loop_diff(left, a, 2 * m - u_e[a], cells[a], extension)
-        for a in (0, 1):
+        for a in axes:
             left = shift_values(left, a, u_e[a] * cells[a], extension)
             if u_e[a] > 0:
                 right = _shift_loop_diff(right, a, u_e[a], cells[a], extension)
@@ -674,6 +679,28 @@ def test_leibniz_expansions_match_shift_loop(extension):
         for ui in u_e:
             coeff *= math.comb(2 * m, ui)
         assert np.array_equal(term.values, coeff * left * right)
+
+
+# every entry point that takes a direction set or an axis, called as (u, b, axis) on a 2-d field u
+# of band bound b, so that difference_maximal_check's band check passes
+DIRECTION_SET_CALLS = {
+    "directional_difference": lambda u, b, axis: directional_difference(u, axis, 2, 0.5),
+    "mixed_difference": lambda u, b, axis: mixed_difference(u, (0, axis), 2, 0.5),
+    "modulus": lambda u, b, axis: modulus(u, (axis,), 2, 0.5, 2.0),
+    "difference_table_p2": lambda u, b, axis: difference_table(u, [(0, axis)], 2, [[1, 2]] * 2, 2.0),
+    "difference_table_p3": lambda u, b, axis: difference_table(u, [(0, axis)], 2, [[1, 2]] * 2, 3.0),
+    "difference_maximal_check": lambda u, b, axis: difference_maximal_check(u, (axis,), 2, [0.1], b, 1.0),
+    "leibniz_difference": lambda u, b, axis: leibniz_difference(u, u, 2, 0.5, axis=axis),
+    "mixed_leibniz_terms": lambda u, b, axis: mixed_leibniz_terms(u, u, (axis,), 1, 0.5),
+}
+
+
+@pytest.mark.parametrize("name", sorted(DIRECTION_SET_CALLS))
+@pytest.mark.parametrize("axis", [2, -1])
+def test_direction_sets_out_of_range_raise_everywhere(name, axis):
+    u, b = random_trig_field((92, 0), BOX2, 64, kmax=2, modes=3)
+    with pytest.raises(GridError, match="direction set"):
+        DIRECTION_SET_CALLS[name](u, b, axis)
 
 
 @pytest.mark.parametrize("d", [1, 2, 3])

@@ -413,3 +413,36 @@ def test_foreign_raise_scan_flags_other_classes_and_bare_raises():
 def test_modules_raise_only_mixnorm_errors(path):
     # the CLI maps each mixnorm error to an exit code; any other class leaves it as a traceback
     assert foreign_raises(path.read_text()) == []
+
+
+DIRECTION_SET_IDIOM = "sorted(set(int("
+
+
+def direction_set_sites(source: str) -> list[str]:
+    """Lines holding the direction-set idiom sorted(set(int(...))), each named by the innermost
+    function around it (<module> at top level)."""
+    tree = ast.parse(source)
+    spans = sorted(((fn.lineno, fn.end_lineno, fn.name) for fn in ast.walk(tree)
+                    if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))), key=lambda s: s[1] - s[0])
+    return [f"{next((name for lo, hi, name in spans if lo <= n <= hi), '<module>')} (line {n})"
+            for n, line in enumerate(source.splitlines(), 1) if DIRECTION_SET_IDIOM in line.replace(" ", "")]
+
+
+def test_direction_set_scan_names_the_enclosing_function():
+    source = (
+        "AXES = sorted(set(int(a) for a in (1, 0)))\n"
+        "def _direction_set(e, d):\n"
+        "    return tuple(sorted(set(int(a) for a in e)))\n"
+        "def modulus(u, e):\n"
+        "    def inner(e):\n"
+        "        return sorted( set( int(x) for x in e))\n"
+        "    return sorted(set(e)), inner(e)\n"
+    )
+    assert direction_set_sites(source) == ["<module> (line 1)", "_direction_set (line 3)", "inner (line 6)"]
+
+
+def test_direction_sets_are_normalized_in_one_place():
+    # differences._direction_set sorts, dedups and range-checks every direction set or axis an
+    # entry point takes; an inline copy would skip the range check
+    sites = [f"{path.name}: {site}" for path in MODULES for site in direction_set_sites(path.read_text())]
+    assert [site.split(" (line")[0] for site in sites] == ["differences.py: _direction_set"], sites
