@@ -49,12 +49,11 @@ from .fourier import (
 from .sobolev import (
     cmix_norm,
     derivative,
-    embedding_ratio,
     mixed_sup_lp,
     sobolev_norm_full,
     sobolev_norm_reduced,
 )
-from .spaces import SpaceSpec, space_norm, sup_norm
+from .spaces import SpaceSpec, embedding_ratio, space_norm, sup_norm
 from .multipliers import (
     PartitionOfUnity,
     algebra_ratio,

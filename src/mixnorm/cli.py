@@ -32,8 +32,8 @@ from .grid import Box, GridError, GridFunction, _check_p, lp_norm
 from .differences import _as_axis_vector, _check_besov_params, _dyadic_levels, besov_norm_diff, besov_norm_integral
 from .fourier import (NumericalAnomalyError, _check_decay, _check_exponents, _check_order, _check_power_of_two,
                       _check_samples, _check_sobolev_params, besov_norm_fourier, nikolskij_ratio, peetre_maximal)
-from .sobolev import _check_split, cmix_norm, embedding_ratio, mixed_sup_lp, sobolev_norm_full, sobolev_norm_reduced
-from .spaces import SpaceSpec, sup_norm
+from .sobolev import _check_split, cmix_norm, mixed_sup_lp, sobolev_norm_full, sobolev_norm_reduced
+from .spaces import SpaceSpec, embedding_ratio, sup_norm
 from .profiles import _check_plateau
 from .multipliers import (_algebra_denominator, _check_tensor_space, _moser_denominator, build_partition,
                           localization_ratio, pair_terms, tensor_pair_terms)

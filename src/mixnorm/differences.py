@@ -217,36 +217,26 @@ _INDEX_BLOCK = 2**15
 _STACK_POINTS = 2**15
 
 
-def _symbol_rows(n: int, bins: int, m: int, mags, extent: int | None = None) -> np.ndarray:
+def _symbol_rows(n: int, bins: int, m: int, mags) -> np.ndarray:
     # (steps x bins): the difference symbol |e^{i theta s} - 1|^{2m} = (4 sin^2(theta s / 2))^m of a
-    # length-n transform at theta = 2 pi k / n, k < bins; a step s >= extent clears the support,
-    # and its row is c(m, 2)^2 = C(2m, m)
+    # length-n transform at theta = 2 pi k / n, k < bins, gathered at s k mod n block by block: floor
+    # division by the scalar n beats np.remainder, and the index lies in [0, n), so clip gathers unbuffered
     symbol = (4.0 * np.sin(np.pi / n * np.arange(n)) ** 2) ** m
     mags, k = np.asarray(mags, dtype=np.intp), np.arange(bins)
     rows, block = np.empty((mags.size, bins)), max(1, _INDEX_BLOCK // bins)
-    lo = 0
-    for near, run in itertools.groupby(extent is None or s < extent for s in mags):
-        hi = lo + len(list(run))
-        if not near:
-            rows[lo:hi] = comb(2 * m, m)
-        else:
-            # a run of near steps gathers the symbol at s k mod n, block by block: floor division by
-            # the scalar n beats np.remainder, and the index lies in [0, n), so clip gathers unbuffered
-            for at in range(lo, hi, block):
-                idx = np.multiply.outer(mags[at : min(at + block, hi)], k)
-                idx -= n * (idx // n)
-                symbol.take(idx, out=rows[at : at + idx.shape[0]], mode="clip")
-        lo = hi
+    for at in range(0, mags.size, block):
+        idx = np.multiply.outer(mags[at : at + block], k)
+        idx -= n * (idx // n)
+        symbol.take(idx, out=rows[at : at + idx.shape[0]], mode="clip")
     return rows
 
 
-def _parseval_tables(crops, sets, orders, magnitudes, shape, cell_volume, extents=None) -> list[dict]:
+def _parseval_tables(crops, sets, orders, magnitudes, shape, cell_volume) -> list[dict]:
     # the tables of same-shape values (crops), each zero-padded to shape: one power spectrum per
     # stack of at most _STACK_POINTS transform points (at least one field), contracted per axis
     # with the symbol rows, which are built once.  modulus leaves the axes outside its direction
     # set without steps
-    weights = [_symbol_rows(n, n // 2 + 1 if axis == len(shape) - 1 else n, m, mags,
-                            None if extents is None else extents[axis])
+    weights = [_symbol_rows(n, n // 2 + 1 if axis == len(shape) - 1 else n, m, mags)
                for axis, (n, m, mags) in enumerate(zip(shape, orders, magnitudes))]
     weight_sets = [[w if a in e else None for a, w in enumerate(weights)] for e in sets]
     per, out = max(1, _STACK_POINTS // math.prod(shape)), []
@@ -274,14 +264,14 @@ def difference_table(
     (grid.lp_norm_values and grid.power_table rescale sums that leave it).
     Zero extension reads u extended by zero to all of Z^d, periodic reads it
     on the torus.  A zero-extended field is cropped to the bounding box of its
-    nonzero values, L_a cells along axis a.  p = 2 goes through one power
-    spectrum for every direction set (Parseval).  A far step s_a >= L_a moves
-    the m_a + 1 translates of the difference apart, so its symbol row is the
-    constant c(m_a, 2)^2 = C(2 m_a, m_a); a zero-extended field is zero-padded
-    along each axis to the smallest 5-smooth length (the fastest transform
-    lengths) of at least L_a + m_a * largest near step s_a < L_a, past which
-    no circular difference along a near step wraps, so the padding moves only
-    rounding.  Other p difference every step directly, each partial difference
+    nonzero values, L_a cells along axis a.  A far step s_a >= L_a moves the
+    m_a + 1 translates of the difference apart, as s_a = L_a does, so every
+    far step is taken at s_a = L_a, for every p.  p = 2 goes through one power
+    spectrum for every direction set (Parseval); a zero-extended field is
+    zero-padded along each axis to the smallest 5-smooth length (the fastest
+    transform lengths) of at least L_a + m_a * largest step, past which no
+    circular difference wraps, so the padding moves only rounding.  Other p
+    difference every step directly, each partial difference
     growing by its own reach, from the last axis of e to the first, so the
     most repeated one slices whole rows (axis 0).  A step below one cell
     raises GridError.
@@ -310,16 +300,19 @@ def _difference_tables(fields, direction_sets, orders, magnitudes, p) -> list[di
         groups.setdefault(values.shape, []).append((i, values))
     for shape, members in groups.items():
         where, crops = zip(*members)
+        mags = magnitudes
+        if u.extension == "zero":
+            # a step s >= L moves the m + 1 translates of the difference apart, as s = L does:
+            # the norm is the same, so every far step is taken at the support's extent L
+            mags = [[min(s, n) for s in steps] for n, steps in zip(shape, magnitudes)]
         if p == 2.0:
             # circular differences on a zero-padded period equal the zero-extended
             # ones once it exceeds support + reach: padding further changes no value
-            extents = None
             if u.extension == "zero":
-                extents, shape = shape, [_fast_length(n + m * max((s for s in mags if s < n), default=0))
-                                         for n, m, mags in zip(shape, orders, magnitudes)]
-            tables = _parseval_tables(crops, sets, orders, magnitudes, shape, u.cell_volume, extents)
+                shape = [_fast_length(n + m * max(steps, default=0)) for n, m, steps in zip(shape, orders, mags)]
+            tables = _parseval_tables(crops, sets, orders, mags, shape, u.cell_volume)
         else:
-            tables = [_direct_tables(v, sets, orders, magnitudes, p, u.cell_volume, u.extension) for v in crops]
+            tables = [_direct_tables(v, sets, orders, mags, p, u.cell_volume, u.extension) for v in crops]
         for i, t in zip(where, tables):
             out[i] = t
     return out

@@ -255,20 +255,22 @@ def sobolev_norm_fourier(
     return lp_norm_values(np.ldexp(np.sqrt(acc), e), p, u.cell_volume)
 
 
+def _band_masks(u: GridFunction, b: Sequence[float] | float) -> list[np.ndarray]:
+    # per axis the indicator of |xi| <= b_i over the angular frequencies; every b_i must be positive
+    bv = _as_axis_vector(b, u.d, "b")
+    if not all(bi > 0 for bi in bv):
+        raise GridError(f"band bounds must be positive, got {bv}")
+    return [(np.abs(xi) <= bi).astype(float) for xi, bi in zip(_angular_freqs(u), bv)]
+
+
 def bandlimit(u: GridFunction, b: Sequence[float] | float) -> GridFunction:
     """Zero all spectral content outside the box prod [-b_i, b_i] (angular)."""
-    bv = _as_axis_vector(b, u.d, "b")
-    for bi in bv:
-        if not bi > 0:
-            raise GridError(f"band bounds must be positive, got {bv}")
-    masks = [(np.abs(xi) <= bi).astype(float) for xi, bi in zip(_angular_freqs(u), bv)]
-    return u.with_values(_masked_inverse(np.fft.rfftn(u.values, norm="ortho"), masks, u.n))
+    return u.with_values(_masked_inverse(np.fft.rfftn(u.values, norm="ortho"), _band_masks(u, b), u.n))
 
 
 def band_energy_fraction(u: GridFunction, b: Sequence[float] | float) -> float:
     """Fraction of spectral energy outside the band (0 for band-limited input)."""
-    bv = _as_axis_vector(b, u.d, "b")
-    masks = [(np.abs(xi[None]) <= bi).astype(float) for xi, bi in zip(_angular_freqs(u), bv)]
+    masks = [mask[None] for mask in _band_masks(u, b)]
     inside, total = (float(t.sum()) for t in u._power_table([masks, [None] * u.d], 1.0))
     return 0.0 if total == 0.0 else max(0.0, 1.0 - (inside / total) ** 2)
 

@@ -177,8 +177,11 @@ def partition_deviation(pou: PartitionOfUnity) -> float:
 def _meeting_translates(pou: PartitionOfUnity, u: GridFunction) -> list[tuple]:
     # (mu, per axis the _axis_support of mu) of every translate whose support meets the support of
     # u, in the order of pou.centers(); each axis's supports are formed once per centre, and those
-    # that miss the nonzero hyperplanes' range on their axis are dropped before any window is read
+    # that miss the nonzero hyperplanes' range on their axis are dropped before any window is read.
+    # Every localized norm starts here, so here u must be zero-extended: a piece is read on its crop
     _check_partition_grid(pou, u)
+    if u.extension != "zero":
+        raise GridError("localized norms require zero extension")
     nz = _nonzero_hyperplanes(u.values)
     if not nz[0].size:
         return []
@@ -221,8 +224,6 @@ def uniform_norm(u: GridFunction, space: SpaceSpec, pou: PartitionOfUnity) -> fl
     Fourier norms need each piece on the full grid, formed only for the
     translates that meet the support of u.
     """
-    if u.extension != "zero":
-        raise GridError("uniform norms require zero extension")
     if space.kind == "besov":
         norms = _besov_norms_diff([piece for _, _, piece in _pieces(pou, u)], space.r, space.p, space.m_diff)
     else:
@@ -240,8 +241,6 @@ def localization_ratio(
     go through besov_norm_diff as one batch (differences._besov_norms_diff):
     the pieces of one crop extent share their p = 2 transforms.
     """
-    if u.extension != "zero":
-        raise GridError("localization requires zero extension")
     pieces = [piece for _, _, piece in _pieces(pou, u)]
     numer, *norms = _besov_norms_diff([u, *pieces], r, p, m_diff)
     if numer == 0.0:

@@ -21,7 +21,6 @@ import numpy as np
 from .grid import GridError, GridFunction, _check_p, lp_norm, lp_norm_values
 from .fourier import _angular_freqs, _check_order, _check_sobolev_params, _derivative_symbol, _derivatives, spectral_derivative
 from .differences import _as_axis_vector
-from .spaces import SpaceSpec, space_norm, sup_norm
 
 
 def _central_first(values: np.ndarray, axis: int, dx: float) -> np.ndarray:
@@ -106,11 +105,3 @@ def mixed_sup_lp(u: GridFunction, beta: Sequence[int], n_split: int, p: float) -
     reduced = np.max(np.abs(dv.values), axis=tuple(range(n_split, u.d)))
     return lp_norm_values(reduced, p, float(np.prod(dv.dx[:n_split])))
 
-
-def embedding_ratio(u: GridFunction, space: SpaceSpec) -> float:
-    """sup-norm over space-norm; growth along a dilated family locates the
-    continuous-embedding threshold."""
-    denom = space_norm(u, space)
-    if denom == 0.0:
-        raise GridError("embedding ratio undefined for the zero function")
-    return sup_norm(u) / denom

@@ -1,4 +1,4 @@
-"""Closed enumeration of the norm spaces used by ratio experiments."""
+"""Closed enumeration of the norm spaces used by ratio experiments, and the embedding ratio."""
 
 from __future__ import annotations
 
@@ -6,6 +6,9 @@ import math
 from dataclasses import dataclass
 
 from .grid import GridError, GridFunction, lp_norm
+from .differences import besov_norm_diff
+from .sobolev import sobolev_norm_full
+
 
 @dataclass(frozen=True)
 class SpaceSpec:
@@ -31,13 +34,18 @@ class SpaceSpec:
 
 def space_norm(u: GridFunction, spec: SpaceSpec) -> float:
     if spec.kind == "sobolev":
-        from .sobolev import sobolev_norm_full
-
         return sobolev_norm_full(u, spec.m, spec.p)
-    from .differences import besov_norm_diff
-
     return besov_norm_diff(u, spec.r, spec.p, spec.m_diff)
 
 
 def sup_norm(u: GridFunction) -> float:
     return lp_norm(u, math.inf)
+
+
+def embedding_ratio(u: GridFunction, space: SpaceSpec) -> float:
+    """sup-norm over space-norm; growth along a dilated family locates the
+    continuous-embedding threshold."""
+    denom = space_norm(u, space)
+    if denom == 0.0:
+        raise GridError("embedding ratio undefined for the zero function")
+    return sup_norm(u) / denom

@@ -28,12 +28,14 @@ SRC = Path(__file__).resolve().parents[1] / "src"  # the checkout's package
 
 def test_load_config_file_and_overrides(tmp_path):
     cfg_file = tmp_path / "exp.cfg"
-    cfg_file.write_text("count=5\nresolution=64  # comment\n\n# full line comment\np=inf\n")
-    cfg = load_config("equiv", str(cfg_file), {"count": "7", "seed": "3"})
+    cfg_file.write_text("count=5\nresolution=64  # comment\n\n# full line comment\np=inf\nalpha=2, 0\n")
+    cfg = load_config("equiv", str(cfg_file), {"count": "7", "seed": "3", "beta": "0,1,"})
     assert cfg.count == 7  # override wins
     assert cfg.resolution == 64
     assert math.isinf(cfg.p)
     assert cfg.seed == 3
+    # integer tuples from a file line and from an override, a trailing comma dropped
+    assert cfg.alpha == (2, 0) and cfg.beta == (0, 1)
 
 
 def test_load_config_rejects_unknown_key(tmp_path):
@@ -134,6 +136,14 @@ def test_validate_checks_only_what_the_experiment_reads():
     # the band sweeps form no Besov norm, so r and m_diff are not read
     validate(ExperimentConfig(experiment="peetre", r=3.0, m_diff=2))
     validate(ExperimentConfig(experiment="nikolskij", r=-1.0))
+
+
+@pytest.mark.parametrize("n_max", [2, 3])
+def test_rate_fit_row_needs_four_members(n_max):
+    cfg = ExperimentConfig(experiment="algebra", family="tensor_dilated", d=2, resolution=1024,
+                           box_lo=-6.0, box_hi=6.0, n_min=0, n_max=n_max)
+    members = [row.member for row in run(cfg)]
+    assert members == [str(n) for n in range(n_max + 1)] + (["fit"] if n_max + 1 >= 4 else [])
 
 
 def test_norm_experiment_zero_function():
@@ -267,6 +277,10 @@ def test_main_exit_codes(tmp_path, monkeypatch):
     assert main(["equiv", "--count", "2", "--resolution", "64",
                  "--output", "/nonexistent-dir/x.csv"]) == 4
     assert main(["equiv", "--describe"]) == 0
+    (tmp_path / "e.cfg").write_text("count=2\nresolution=64\noutput=from_file.csv\n")
+    assert main(["equiv", "--config", "e.cfg"]) == 0
+    assert (tmp_path / "from_file.csv").exists()
+    assert main(["equiv", "--config", "missing.cfg"]) == 4
 
 
 def test_main_reports_numerical_anomaly(monkeypatch, tmp_path):

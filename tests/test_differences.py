@@ -379,8 +379,8 @@ def _unsplit_inputs(u, m, magnitudes):
 
 
 def _unsplit_tables(u, sets, m, magnitudes):
-    # differences._parseval_tables with every step's gathered symbol (no extents, so no
-    # step takes the closed form), padded past the reach of the largest step
+    # differences._parseval_tables with every step's gathered symbol at the steps as given,
+    # none clipped to the support's extent, padded past the reach of the largest step
     values, shape = _unsplit_inputs(u, m, magnitudes)
     sets = [tuple(e) for e in sets]
     return differences._parseval_tables([values], sets, [m] * u.d, magnitudes, shape, u.cell_volume)[0]
@@ -775,27 +775,43 @@ def test_tables_with_steps_that_clear_the_support_match_the_direct_oracle(field,
 @settings(max_examples=30, deadline=None)
 @given(field=supported_fields(), m=st.integers(1, 3))
 def test_p2_kernel_pads_past_the_near_steps_only(field, m):
-    # one transform of the crop, padded to _fast_length(L + m * largest step s < L)
-    # per axis, with the crop's extents marking the steps s >= L that clear it; an
-    # axis whose every step clears the support pads to _fast_length(L)
+    # one transform of the crop at the steps clipped to its extent L per axis, padded to
+    # _fast_length(L + m * largest clipped step), so to at least (m + 1) L when a step
+    # clears the support
     u, mags = field
     seen, real = [], differences._parseval_tables
 
-    def spy(crops, sets, orders, magnitudes, shape, cell_volume, extents=None):
-        seen.extend((values, [list(steps) for steps in magnitudes], list(shape), extents) for values in crops)
-        return real(crops, sets, orders, magnitudes, shape, cell_volume, extents)
+    def spy(crops, sets, orders, magnitudes, shape, cell_volume):
+        seen.extend((values, [list(steps) for steps in magnitudes], list(shape)) for values in crops)
+        return real(crops, sets, orders, magnitudes, shape, cell_volume)
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(differences, "_parseval_tables", spy)
         difference_table(u, all_direction_sets(u.d)[1:], m, mags, 2.0)
     crop, _ = _unsplit_inputs(u, m, mags)
-    near = [[s for s in steps if s < n] for steps, n in zip(mags, crop.shape)]
+    clipped = [[min(s, n) for s in steps] for steps, n in zip(mags, crop.shape)]
     assert len(seen) == 1
-    values, kernel_mags, shape, extents = seen[0]
+    values, kernel_mags, shape = seen[0]
     assert np.array_equal(values, crop)
-    assert kernel_mags == [list(steps) for steps in mags]
-    assert tuple(extents) == crop.shape
-    assert shape == [_fast_length(n + m * max(steps, default=0)) for n, steps in zip(crop.shape, near)]
+    assert kernel_mags == clipped
+    assert shape == [_fast_length(n + m * max(steps)) for n, steps in zip(crop.shape, clipped)]
+    assert all(length >= (m + 1) * n for length, n, steps in zip(shape, crop.shape, mags) if max(steps) >= n)
+
+
+@settings(max_examples=60, deadline=None)
+@given(field=supported_fields(), m=st.integers(1, 3), p=st.sampled_from([1.0, 2.0, 3.0, math.inf]))
+def test_steps_that_clear_the_support_read_the_entry_at_its_extent(field, m, p):
+    # every step s >= L on an axis gives the entry of the step L, bit for bit
+    u, mags = field
+    crop, _ = _unsplit_inputs(u, m, mags)
+    sets = all_direction_sets(u.d)[1:]
+    tables = difference_table(u, sets, m, mags, p)
+    at_extent = [[steps.index(n) if s >= n else i for i, s in enumerate(steps)]
+                 for steps, n in zip(mags, crop.shape)]
+    for e in sets:
+        for idx in itertools.product(*(range(len(mags[a])) for a in e)):
+            far = tuple(at_extent[a][i] for a, i in zip(e, idx))
+            assert tables[e][idx] == tables[e][far], (e, idx)
 
 
 @pytest.mark.parametrize("d", [1, 2, 3])
@@ -1036,25 +1052,24 @@ def test_whole_cell_translation_keeps_periodic_norms(cells):
 # --- the p = 2 symbol rows -----------------------------------------------------
 
 
-@pytest.mark.parametrize("n, steps, extent", [
-    (43_740, [1, 2, 3, 7, 64, 341, 1365, 2730, 5461], None),
-    (21_870, [5461, 1, 4096, 3, 2730], None),
-    (32_768, list(range(1, 40)), None),
-    # periodic steps at and past the period wrap
-    (1000, [999, 1000, 1001, 2500, 5461, 1], None),
-    # near and far steps in any order: runs of each
-    (640, [5, 300, 2, 700, 1, 299, 301, 3000, 7], 300),
-])
+@pytest.mark.parametrize("n, steps", [
+    (43_740, [1, 2, 3, 7, 64, 341, 1365, 2730, 5461]),
+    (21_870, [5461, 1, 4096, 3, 2730]),
+    (32_768, list(range(1, 40))),
+    # steps at and past the period wrap
+    (1000, [999, 1000, 1001, 2500, 5461, 1]),
+    (640, [5, 300, 2, 700, 1, 299, 301, 3000, 7]),
+    # the ids of these cases are in use, and so stay fixed
+], ids=["43740-steps0-None", "21870-steps1-None", "32768-steps2-None", "1000-steps3-None", "640-steps4-300"])
 @pytest.mark.parametrize("m", [1, 2, 3])
-def test_symbol_rows_gather_the_symbol_at_s_k_mod_n(n, steps, extent, m):
+def test_symbol_rows_gather_the_symbol_at_s_k_mod_n(n, steps, m):
     symbol = (4.0 * np.sin(np.pi / n * np.arange(n)) ** 2) ** m
     for bins in (n // 2 + 1, n):
-        rows = differences._symbol_rows(n, bins, m, steps, extent)
+        rows = differences._symbol_rows(n, bins, m, steps)
         k = np.arange(bins)
         assert rows.shape == (len(steps), bins)
         for row, s in zip(rows, steps):
-            far = extent is not None and s >= extent
-            assert np.array_equal(row, np.full(bins, float(math.comb(2 * m, m))) if far else symbol[s * k % n]), s
+            assert np.array_equal(row, symbol[s * k % n]), s
 
 
 # --- far steps at p != 2 ---------------------------------------------------------
@@ -1062,17 +1077,17 @@ def test_symbol_rows_gather_the_symbol_at_s_k_mod_n(n, steps, extent, m):
 
 def _far_step_entry(crop, e, orders, steps, p, vol):
     # an entry as the recursion over the steps forms it: from the last axis of e to the
-    # first, every step differences, the far ones that clear the support included
+    # first, every step differences, a far one that clears the support at its extent
     arr = crop
     for a, s in reversed(list(zip(e, steps))):
-        arr = differences._diff_values(arr, a, orders[a], s, "zero")
+        arr = differences._diff_values(arr, a, orders[a], min(s, crop.shape[a]), "zero")
     return lp_norm_values(arr, p, vol)
 
 
 def test_far_steps_off_p_2_difference_each_near_entry_once(monkeypatch):
     # a 4 x 4 support, steps 1..3 on axis 0 and 1..20 on axis 1 (17 of them far): depth
     # first from the last axis of e, the sets (0,), (1,) and (0, 1) take 3 + 20 + (20 + 20 * 3)
-    # differences, far steps differenced like near ones, and each entry is the oracle's
+    # differences, far steps differenced at the extent 4, and each entry is the oracle's
     rng = np.random.default_rng(130)
     values = np.zeros((6, 6))
     values[1:5, 2:6] = rng.uniform(0.5, 2.0, (4, 4)) * rng.choice([-1.0, 1.0], (4, 4))

@@ -307,6 +307,22 @@ def test_nikolskij_rejects_out_of_band():
     assert str(nikolskij.value) == str(maximal.value)
 
 
+BAND_CALLS = {
+    "bandlimit": lambda u, b: bandlimit(u, b),
+    "band_energy_fraction": lambda u, b: band_energy_fraction(u, b),
+    "nikolskij_ratio": lambda u, b: nikolskij_ratio(u, (1, 0), 2.0, 2.0, b),
+    "difference_maximal_check": lambda u, b: difference_maximal_check(u, (0,), 2, [0.1], b, 1.0),
+}
+
+
+@pytest.mark.parametrize("b", [0.0, -1.0])
+@pytest.mark.parametrize("name", sorted(BAND_CALLS))
+def test_band_bounds_must_be_positive_everywhere(name, b):
+    u, _ = random_trig_field((55, 5), BOX2, 64, kmax=2, modes=3)
+    with pytest.raises(GridError, match="band bounds must be positive"):
+        BAND_CALLS[name](u, b)
+
+
 def test_spectral_derivative_identity_and_sine():
     u = sample(lambda x: np.sin(2 * np.pi * x), Box((0.0,), (1.0,)), 128, extension="periodic")
     assert spectral_derivative(u, (0,)) is u

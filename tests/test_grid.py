@@ -64,6 +64,9 @@ def test_sample_sine_quarter_nodes():
 def test_sample_rejects_nonfinite_with_location():
     with pytest.raises(GridError, match="0.5"), np.errstate(divide="ignore"):
         sample(lambda x: 1.0 / (x - 0.5), UNIT, 4)
+    # a field built from values directly checks them too
+    with pytest.raises(GridError, match=r"non-finite value at node index \(2,\)"):
+        GridFunction(UNIT, [0.0, 0.25, math.nan, 0.75])
 
 
 def test_lp_norm_unit_mass_2d():

@@ -39,10 +39,9 @@ def test_module_reads_every_name_it_imports(path):
 
 
 def local_imports(source: str) -> list[str]:
-    """Imports inside functions of a standard-library module, or of a sibling
-    module that the file already imports from at top level."""
+    """Imports inside functions of a standard-library module or of any sibling
+    module: siblings import at top level, so a cycle between them fails at import."""
     tree = ast.parse(source)
-    top = {(node.level, node.module) for node in tree.body if isinstance(node, ast.ImportFrom) and node.level}
     found = {}
     for fn in ast.walk(tree):
         if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
@@ -53,8 +52,7 @@ def local_imports(source: str) -> list[str]:
                     if alias.name.split(".")[0] in sys.stdlib_module_names:
                         found[(node.lineno, alias.name)] = None
             elif isinstance(node, ast.ImportFrom):
-                sibling = node.level and (node.level, node.module) in top
-                if sibling or (not node.level and node.module.split(".")[0] in sys.stdlib_module_names):
+                if node.level or node.module.split(".")[0] in sys.stdlib_module_names:
                     found[(node.lineno, "." * node.level + (node.module or ""))] = None
     return [f"{name} (line {line})" for line, name in sorted(found)]
 
@@ -67,13 +65,15 @@ def test_local_import_scan_flags_stdlib_and_top_level_siblings():
         "    import csv as _csv\n"
         "    from .grid import crop\n"
         "    from .sobolev import norm\n"
+        "    from . import fourier\n"
         "    import numpy\n"
         "    def g():\n"
         "        from itertools import product\n"
         "        return product\n"
-        "    return _csv, crop, norm, numpy, g\n"
+        "    return _csv, crop, norm, fourier, numpy, g\n"
     )
-    assert local_imports(source) == ["csv (line 4)", ".grid (line 5)", "itertools (line 9)"]
+    assert local_imports(source) == ["csv (line 4)", ".grid (line 5)", ".sobolev (line 6)", ". (line 7)",
+                                     "itertools (line 10)"]
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)

@@ -203,6 +203,21 @@ def test_localization_rejects_zero():
         localization_ratio(z, 1.0, 2.0, 2, pou)
 
 
+LOCALIZED_NORMS = {
+    "localization_ratio": lambda u, pou: localization_ratio(u, 1.0, 2.0, 2, pou),
+    "uniform_norm-besov": lambda u, pou: uniform_norm(u, BESOV, pou),
+    "uniform_norm-sobolev": lambda u, pou: uniform_norm(u, SpaceSpec("sobolev", 2.0, m=1), pou),
+}
+
+
+@pytest.mark.parametrize("name", sorted(LOCALIZED_NORMS))
+def test_localized_norms_reject_periodic_fields(name):
+    pou = build_partition(1.0, BOX2, 64)
+    u = random_smooth_field((83, 1), BOX2, 64, window=(0.8, 1.6))
+    with pytest.raises(GridError, match="localized norms require zero extension"):
+        LOCALIZED_NORMS[name](GridFunction(BOX2, u.values, "periodic"), pou)
+
+
 def test_algebra_ratio_resolution_stability():
     vals = []
     for res in (512, 1024):
