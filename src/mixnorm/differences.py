@@ -27,7 +27,6 @@ from .grid import (
     GridError,
     GridFunction,
     _check_p,
-    _dyadic_aggregate,
     _dyadic_aggregates,
     _memo_get,
     _memoized,
@@ -288,6 +287,8 @@ def _difference_tables(fields, direction_sets, orders, magnitudes, p) -> list[di
     u = fields[0]
     sets = [_direction_set(e, u.d) for e in direction_sets]
     orders = [int(m) for m in _as_axis_vector(orders, u.d, "orders")]
+    # Python ints: a numpy integer step has no bit_length for _fast_length
+    magnitudes = [[int(s) for s in steps] for steps in magnitudes]
     out, groups = [None] * len(fields), {}
     for i, f in enumerate(fields):
         values = f.values
@@ -427,21 +428,6 @@ def _level_plan(dx: tuple[float, ...]):
     return tuple(mags), tuple(ends), tuple(panels)
 
 
-def _plan_tables(fields, m_diff: int, p: float) -> list[dict[tuple[int, ...], np.ndarray]]:
-    # difference_table of every nonempty direction set at the level plan's steps, formed once per
-    # field, order and p (a grid._Crop keeps none), for fields of one spacing and extension:
-    # besov_norm_diff and besov_norm_integral both read it
-    key, u = ("tables", m_diff, p), fields[0]
-    out = [_memo_get(f, key) for f in fields]
-    missing = [i for i, tables in enumerate(out) if tables is None]
-    if missing:
-        made = _difference_tables([fields[i] for i in missing], all_direction_sets(u.d)[1:], m_diff,
-                                  _level_plan(u.dx)[0], p)
-        for i, tables in zip(missing, made):
-            out[i] = _memoized(fields[i], key, lambda t=tables: t)
-    return out
-
-
 def _check_besov_params(r: float, p: float, m_diff: int | None = None) -> None:
     """Besov parameters: r > 0, p in [1, inf] and, when given, an integer
     difference order m_diff > r."""
@@ -450,6 +436,54 @@ def _check_besov_params(r: float, p: float, m_diff: int | None = None) -> None:
     if m_diff is not None and not (float(m_diff).is_integer() and m_diff > r):
         raise GridError(f"difference order m_diff={m_diff} must be an integer exceeding r={r}")
     _check_p(p)
+
+
+def _level_maxima(stack, e, dx, r, p):
+    # the difference form's levels: per axis of e, a cumulative max along the steps read at each
+    # level's prefix end (max is exact, so every bit is the per-field one), weighted 2^{r|k|}
+    ends = _level_plan(dx)[1]
+    for pos, a in enumerate(e, 1):
+        stack = np.maximum.accumulate(stack, axis=pos).take(ends[a], axis=pos)
+    return stack, r * np.indices(stack.shape[1:]).sum(axis=0)
+
+
+def _panel_norms(stack, e, dx, r, p):
+    # the integral form's levels: per axis of e, the rows of its panels, weighted |h|^-r at p = inf,
+    # else by the p-th root of twice (+s and -s) the panel mass 2^{rp(k+1)} (1 - 2^{-rp}) / (rp)
+    mags, _, panels = _level_plan(dx)
+    offset = 0.0 if math.isinf(p) else (1.0 + math.log2(-math.expm1(-r * p * math.log(2.0)) / (r * p))) / p
+    for pos, a in enumerate(e, 1):
+        stack = np.take(stack, [i for _, i in panels[a]], axis=pos)
+    log2_weights = [[-r * math.log2(mags[a][i] * dx[a]) if math.isinf(p) else r * (k + 1) + offset
+                     for k, i in panels[a]] for a in e]
+    return stack, functools.reduce(np.add.outer, log2_weights, 0.0)
+
+
+def _besov_norms_diff(fields, r: float, p: float, m_diff: int, levels=_level_maxima) -> list[float]:
+    # a difference Besov norm of each field, a GridFunction or a grid._Crop, read as it is (a
+    # localized piece on its window): besov_norm_diff, or besov_norm_integral with
+    # levels=_panel_norms.  Fields of one spacing and extension form their difference tables at
+    # the level plan's steps together (_difference_tables), once per field, order and p (a
+    # grid._Crop keeps none).  Per nonempty direction set, levels(stack, e, dx, r, p) reads the
+    # level norms and their log2 weights off the stacked tables; each total is ||u||_p plus the
+    # sets' aggregates, added in order
+    _check_besov_params(r, p, m_diff)
+    totals, groups, key = [lp_norm(u, p) for u in fields], {}, ("tables", m_diff, p)
+    for i, u in enumerate(fields):
+        groups.setdefault((u.dx, u.extension), []).append(i)
+    for (dx, _), where in groups.items():
+        group, sets = [fields[i] for i in where], all_direction_sets(len(dx))[1:]
+        tables = [_memo_get(u, key) for u in group]
+        missing = [j for j, t in enumerate(tables) if t is None]
+        if missing:
+            made = _difference_tables([group[j] for j in missing], sets, m_diff, _level_plan(dx)[0], p)
+            for j, t in zip(missing, made):
+                tables[j] = _memoized(group[j], key, lambda t=t: t)
+        for e in sets:
+            omega, log2_weights = levels(np.stack([t[e] for t in tables]), e, dx, r, p)
+            for i, aggregate in zip(where, _dyadic_aggregates(omega, log2_weights, p)):
+                totals[i] += aggregate
+    return totals
 
 
 def besov_norm_diff(u: GridFunction, r: float, p: float, m_diff: int) -> float:
@@ -462,34 +496,9 @@ def besov_norm_diff(u: GridFunction, r: float, p: float, m_diff: int) -> float:
     the maximum of the field's difference table over the steps admissible at
     level k or finer on every axis of e, a prefix of each axis's sorted steps
     (_level_plan), which keeps the discrete modulus monotone across scales.
-    The batch of one of _besov_norms_diff.
+    The batch of one of _besov_norms_diff, the driver of both difference forms.
     """
     return _besov_norms_diff([u], r, p, m_diff)[0]
-
-
-def _besov_norms_diff(fields, r: float, p: float, m_diff: int) -> list[float]:
-    # besov_norm_diff of each field, a GridFunction or a grid._Crop, read as it is (a localized
-    # piece on its window).  Fields of one spacing and extension form their tables
-    # together (_difference_tables) and read their levels off the stacked tables: per axis of
-    # e, a cumulative max along the steps read at each level's prefix end (max is exact, so
-    # every bit is the per-field one); the aggregates stay per field
-    _check_besov_params(r, p, m_diff)
-    totals, groups = [0.0] * len(fields), {}
-    for i, u in enumerate(fields):
-        groups.setdefault((u.dx, u.extension), []).append(i)
-    for (dx, _), where in groups.items():
-        ends = _level_plan(dx)[1]
-        tables = _plan_tables([fields[i] for i in where], m_diff, p)
-        for i in where:
-            totals[i] = lp_norm(fields[i], p)
-        for e in all_direction_sets(len(dx))[1:]:
-            omega = np.stack([t[e] for t in tables])
-            for pos, a in enumerate(e, 1):
-                omega = np.maximum.accumulate(omega, axis=pos).take(ends[a], axis=pos)
-            log2_weights = r * np.indices(omega.shape[1:]).sum(axis=0)
-            for i, aggregate in zip(where, _dyadic_aggregates(omega, log2_weights, p)):
-                totals[i] += aggregate
-    return totals
 
 
 def isotropic_besov_norm(u: GridFunction, r: float, p: float, m_diff: int) -> float:
@@ -509,25 +518,9 @@ def besov_norm_integral(u: GridFunction, r: float, p: float, m_diff: int) -> flo
     mass of the singular weight is used exactly.  Each panel's step is a step
     of the level plan, so the norms are rows of the difference table that
     besov_norm_diff reads, formed once per field, m_diff and p by whichever
-    of the two forms comes first.
+    of the two forms comes first (_besov_norms_diff, their one driver).
     """
-    _check_besov_params(r, p, m_diff)
-    mags, _, panels = _level_plan(u.dx)
-    # per axis: the panels' rows of the table and the log2 of the weight on their L_p norms: |h|^-r
-    # at p = inf, else the p-th root of twice (+s and -s) the panel mass 2^{rp(k+1)} (1 - 2^{-rp}) / (rp)
-    offset = 0.0 if math.isinf(p) else (1.0 + math.log2(-math.expm1(-r * p * math.log(2.0)) / (r * p))) / p
-    rows = [[i for _, i in axis_panels] for axis_panels in panels]
-    log2_weights = [[-r * math.log2(steps[i] * dxv) if math.isinf(p) else r * (k + 1) + offset
-                     for k, i in axis_panels] for steps, dxv, axis_panels in zip(mags, u.dx, panels)]
-    sets = all_direction_sets(u.d)[1:]
-    tables = _plan_tables([u], m_diff, p)[0]
-    total = lp_norm(u, p)
-    for e in sets:
-        norms = tables[e]
-        for pos, a in enumerate(e):
-            norms = np.take(norms, rows[a], axis=pos)
-        total += _dyadic_aggregate(norms, functools.reduce(np.add.outer, [log2_weights[a] for a in e], 0.0), p)
-    return total
+    return _besov_norms_diff([u], r, p, m_diff, _panel_norms)[0]
 
 
 def _leibniz_terms(f: GridFunction, g: GridFunction, axes: tuple[int, ...], order: int, h):

@@ -28,7 +28,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .grid import (GridError, GridFunction, NumericalAnomalyError, _as_shape, _binary_exponent, _dyadic_aggregate,
+from .grid import (GridError, GridFunction, NumericalAnomalyError, _as_shape, _binary_exponent, _dyadic_aggregates,
                    lp_norm, lp_norm_values)
 from .differences import _as_axis_vector, _check_besov_params, _direction_set, mixed_difference, snap_step
 from .profiles import smoothstep
@@ -212,10 +212,15 @@ def _blocks(u: GridFunction, sys: DyadicSystem):
         yield k, _masked_inverse(spec, [w[ki] for w, ki in zip(windows, k)], u.n)
 
 
-def _block_norms(u: GridFunction, sys: DyadicSystem) -> np.ndarray:
-    # L_2 norm of every block, indexed by level, from one power spectrum
-    windows = _checked_windows(u, sys)
-    return u._power_table([[w**2 for w in windows]], u.cell_volume)[0]
+def _fourier_besov(u: GridFunction, r: float, p: float, sys: DyadicSystem) -> float:
+    # the dyadically weighted l_p aggregate of the block L_p norms; at p = 2 the block norms come
+    # from one power spectrum
+    if p == 2.0:
+        norms = u._power_table([[w**2 for w in _checked_windows(u, sys)]], u.cell_volume)[0]
+    else:
+        norms = np.reshape([lp_norm_values(block, p, u.cell_volume) for _, block in _blocks(u, sys)],
+                           [j + 1 for j in sys.j_max])
+    return _dyadic_aggregates(norms[None], r * np.indices(norms.shape).sum(axis=0), p)[0]
 
 
 def besov_norm_fourier(
@@ -224,14 +229,7 @@ def besov_norm_fourier(
     """Littlewood-Paley Besov norm: dyadically weighted l_p aggregate of block
     L_p norms, with the max modification at p = inf; p = 2 forms no block."""
     _check_besov_params(r, p)
-    if sys is None:
-        sys = system_for(u, "smooth")
-    if p == 2.0:
-        norms = _block_norms(u, sys)
-    else:
-        norms = np.reshape([lp_norm_values(block, p, u.cell_volume) for _, block in _blocks(u, sys)],
-                           [j + 1 for j in sys.j_max])
-    return _dyadic_aggregate(norms, r * np.indices(norms.shape).sum(axis=0), p)
+    return _fourier_besov(u, r, p, system_for(u, "smooth") if sys is None else sys)
 
 
 def sobolev_norm_fourier(
@@ -239,14 +237,14 @@ def sobolev_norm_fourier(
 ) -> float:
     """Square-function Sobolev norm: L_p norm of the weighted block square sum.
 
-    The square-function characterization needs 1 < p < infinity; p = 2 forms no block.
+    The square-function characterization needs 1 < p < infinity; at p = 2 it
+    is the Besov norm of smoothness m, which forms no block.
     """
     _check_sobolev_params(m, p)
     if sys is None:
         sys = system_for(u, "smooth")
     if p == 2.0:
-        norms = _block_norms(u, sys)
-        return _dyadic_aggregate(norms, m * np.indices(norms.shape).sum(axis=0), 2.0)
+        return _fourier_besov(u, m, 2.0, sys)
     # the square function of u / 2^e times 2^e: exact scalings that keep every square in range
     e = _binary_exponent(u.values)
     acc = np.zeros(u.n)

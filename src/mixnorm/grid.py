@@ -292,14 +292,9 @@ def _integer_power(a: np.ndarray, k: int) -> np.ndarray:
     return acc
 
 
-def _dyadic_aggregate(norms: np.ndarray, log2_weights: np.ndarray, p: float) -> float:
-    # l_p norm (max at p = inf) of 2^log2_weights * norms
-    return _dyadic_aggregates(norms[None], log2_weights, p)[0]
-
-
 def _dyadic_aggregates(stack: np.ndarray, log2_weights: np.ndarray, p: float) -> list[float]:
-    # _dyadic_aggregate of each stack[i], each term formed as one exp2: a dyadic weight and
-    # a norm may leave the float range, their product not
+    # the l_p norm (max at p = inf) of 2^log2_weights * stack[i] for each i, each term formed as
+    # one exp2: a dyadic weight and a norm may leave the float range, their product not
     with np.errstate(divide="ignore", over="ignore"):
         terms = np.exp2(log2_weights + np.log2(stack))
     return [lp_norm_values(t, p, 1.0) for t in terms]

@@ -32,7 +32,7 @@ from mixnorm import (
 from mixnorm.differences import _dyadic_levels, _fast_length, admissible_cells, ladder_cells
 from mixnorm.families import dilated_member, random_smooth_field, random_trig_field
 from mixnorm import differences
-from mixnorm.grid import _dyadic_aggregate, lp_norm_values, power_table, shift_values
+from mixnorm.grid import _dyadic_aggregates, lp_norm_values, power_table, shift_values
 
 UNIT = Box((0.0,), (1.0,))
 BOX1 = Box((-4.0,), (4.0,))
@@ -865,7 +865,7 @@ def besov_norm_per_level(u, r, p, m_diff):
             omega[kvec] = np.max(tables[e][np.ix_(*(w[k] for w, k in zip(where, kvec)))])
         for pos in range(len(e)):
             omega = np.flip(np.maximum.accumulate(np.flip(omega, axis=pos), axis=pos), axis=pos)
-        total += _dyadic_aggregate(omega, r * np.indices(shape_k).sum(axis=0), p)
+        total += _dyadic_aggregates(omega[None], r * np.indices(shape_k).sum(axis=0), p)[0]
     return total
 
 
@@ -949,7 +949,7 @@ def besov_norm_integral_oracle(u, r, p, m_diff, plan_steps):
         norms = tables[e]
         for pos, a in enumerate(e):
             norms = norms[(slice(None),) * pos + ([mags[a].index(s) for s, _ in panels[a]],)]
-        total += _dyadic_aggregate(norms, functools.reduce(np.add.outer, [weights[a] for a in e], 0.0), p)
+        total += _dyadic_aggregates(norms[None], functools.reduce(np.add.outer, [weights[a] for a in e], 0.0), p)[0]
     return total
 
 
@@ -1123,6 +1123,19 @@ def test_far_steps_in_three_axes_keep_the_recursion_bits(p):
             assert tables[e][idx] == _far_step_entry(crop, e, [3, 1, 2], steps, p, u.cell_volume), (e, idx)
 
 
+@pytest.mark.parametrize("steps", [[1, 2, 3], [1, 2, 3, 10, 12]])
+@pytest.mark.parametrize("extension", ["zero", "periodic"])
+@pytest.mark.parametrize("p", [2.0, 3.0])
+def test_numpy_integer_steps_give_the_tables_of_list_steps(p, extension, steps):
+    # a 10-cell support, with steps below it only and with steps at and beyond its extent
+    values = np.zeros(64)
+    values[20:30] = np.random.default_rng(132).standard_normal(10)
+    u = GridFunction(UNIT, values, extension)
+    want = difference_table(u, [(0,)], 2, [steps], p)[(0,)]
+    got = difference_table(u, [(0,)], 2, [np.array(steps)], p)[(0,)]
+    assert np.array_equal(got, want)
+
+
 # --- the batched difference norm -------------------------------------------------
 
 
@@ -1145,6 +1158,14 @@ def _batch_fields(d, extension, seed):
     return fields
 
 
+# per difference form: its public norm, its level reading in the batched driver and its oracle
+DIFFERENCE_FORMS = [
+    (besov_norm_diff, differences._level_maxima, besov_norm_per_level),
+    (besov_norm_integral, differences._panel_norms,
+     lambda u, r, p, m: besov_norm_integral_oracle(u, r, p, m, plan_steps=True)),
+]
+
+
 @pytest.mark.parametrize("d", [1, 2, 3])
 @pytest.mark.parametrize("extension", ["zero", "periodic"])
 @pytest.mark.parametrize("p", [1.0, 2.0, 3.0, math.inf])
@@ -1153,8 +1174,10 @@ def test_batched_difference_norms_equal_the_batch_of_one(d, extension, p, monkey
     # a field of another spacing joins the batch in a group of its own
     other = GridFunction(Box((0.0,) * d, (1.0,) * d), np.random.default_rng(150 + d).standard_normal((16,) * d),
                          extension)
-    want = [besov_norm_diff(f.with_values(f.values), 1.0, p, 2) for f in fields + [other]]
-    assert want[:-1] == [besov_norm_per_level(f, 1.0, p, 2) for f in fields]
+    want = {}
+    for norm, _, oracle in DIFFERENCE_FORMS:
+        want[norm] = [norm(f.with_values(f.values), 1.0, p, 2) for f in fields + [other]]
+        assert want[norm][:-1] == [oracle(f, 1.0, p, 2) for f in fields], norm.__name__
     stacks, real = [], differences.power_table
 
     def spy(values, weight_sets, cell_volume, shape):
@@ -1168,17 +1191,18 @@ def test_batched_difference_norms_equal_the_batch_of_one(d, extension, p, monkey
         if bound is None:
             bound = 2 * max(stacks)[1]  # two fields of the largest stack
         monkeypatch.setattr(differences, "_STACK_POINTS", bound)
-        batch = [f.with_values(f.values) for f in fields] + [other.with_values(other.values)]
-        # a field whose table is already formed keeps it and joins no transform
-        besov_norm_diff(batch[3], 1.0, p, 2)
-        stacks.clear()
-        assert differences._besov_norms_diff(batch, 1.0, p, 2) == want
-        if p == 2.0:
-            # all but the formed field and, under zero extension, the zero field
-            assert sum(size for size, _ in stacks) == len(batch) - 1 - (extension == "zero")
-            assert all(size <= max(1, bound // points) for size, points in stacks)
-        else:
-            assert stacks == []
+        for norm, levels, _ in DIFFERENCE_FORMS:
+            batch = [f.with_values(f.values) for f in fields] + [other.with_values(other.values)]
+            # a field whose table is already formed keeps it and joins no transform
+            norm(batch[3], 1.0, p, 2)
+            stacks.clear()
+            assert differences._besov_norms_diff(batch, 1.0, p, 2, levels) == want[norm], norm.__name__
+            if p == 2.0:
+                # all but the formed field and, under zero extension, the zero field
+                assert sum(size for size, _ in stacks) == len(batch) - 1 - (extension == "zero")
+                assert all(size <= max(1, bound // points) for size, points in stacks)
+            else:
+                assert stacks == []
     if p == 2.0:
         assert max(size for size, _ in stacks) == 2 and len(stacks) > len({points for _, points in stacks})
 

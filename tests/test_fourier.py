@@ -25,7 +25,7 @@ from mixnorm import (
 )
 from mixnorm.families import random_smooth_field, random_trig_field
 from mixnorm.fourier import _angular_freqs, _axis_windows, _derivative_symbol, band_energy_fraction
-from mixnorm.grid import GridFunction, _dyadic_aggregate, power_table, shift_values
+from mixnorm.grid import GridFunction, _dyadic_aggregates, power_table, shift_values
 from mixnorm.sobolev import sobolev_norm_full, sobolev_norm_reduced
 
 BOX1 = Box((-4.0,), (4.0,))
@@ -553,10 +553,11 @@ def test_memoized_windows_are_read_only_and_match_a_fresh_build(kind, n):
 
 
 def uncached_p2_norms(u):
-    # the four norms from power_table(u.values, ...), which keeps no spectrum
+    # the cached p = 2 norms from power_table(u.values, ...), which keeps no spectrum
     windows = [np.asarray(w) for w in system_for(u, "smooth").axis_windows]
     blocks = power_table(u.values, [[w**2 for w in windows]], u.cell_volume)[0]
-    besov = _dyadic_aggregate(blocks, 0.7 * np.indices(blocks.shape).sum(axis=0), 2.0)
+    levels = np.indices(blocks.shape).sum(axis=0)
+    besov = _dyadic_aggregates(blocks[None], 0.7 * levels, 2.0)[0]
     symbols = [np.array([np.abs(_derivative_symbol(xi, a)) ** 2 for a in range(2)]) for xi in _angular_freqs(u)]
     derivs = power_table(u.values, [symbols], u.cell_volume)[0]
     full = sum(float(derivs[alpha]) for alpha in itertools.product(range(2), repeat=u.d))
@@ -564,7 +565,8 @@ def uncached_p2_norms(u):
     masks = [(np.abs(xi[None]) <= 3.0).astype(float) for xi in _angular_freqs(u)]
     inside, total = (float(t.sum()) for t in power_table(u.values, [masks, [None] * u.d], 1.0))
     return {"besov_fourier": besov, "sobolev_full": full, "sobolev_reduced": reduced,
-            "band_energy": max(0.0, 1.0 - (inside / total) ** 2)}
+            "band_energy": max(0.0, 1.0 - (inside / total) ** 2),
+            **{f"sobolev_fourier_{m}": _dyadic_aggregates(blocks[None], m * levels, 2.0)[0] for m in (1, 2)}}
 
 
 CACHED_P2_NORMS = {
@@ -572,6 +574,8 @@ CACHED_P2_NORMS = {
     "sobolev_full": lambda u: sobolev_norm_full(u, 1, 2.0),
     "sobolev_reduced": lambda u: sobolev_norm_reduced(u, 1, 2.0),
     "band_energy": lambda u: band_energy_fraction(u, 3.0),
+    "sobolev_fourier_1": lambda u: sobolev_norm_fourier(u, 1, 2.0),
+    "sobolev_fourier_2": lambda u: sobolev_norm_fourier(u, 2, 2.0),
 }
 
 
@@ -582,6 +586,10 @@ def test_p2_norms_off_the_cached_spectrum_equal_the_uncached_oracle(shape, exten
     base = random_smooth_field((57, d), Box((-4.0,) * d, (4.0,) * d), shape, band_cells=6)
     u = GridFunction(base.box, base.values, extension)
     oracle = uncached_p2_norms(u)
+    # at p = 2 the square-function Sobolev norm is the Besov norm of smoothness m, bit for bit
+    sys = system_for(u, "smooth")
+    for m in (1, 2):
+        assert sobolev_norm_fourier(u, m, 2.0, sys) == besov_norm_fourier(u, m, 2.0, sys)
     # every order of first use: the slot is filled by whichever norm comes first
     for names in (list(CACHED_P2_NORMS), list(reversed(CACHED_P2_NORMS))):
         fresh = u.with_values(u.values)

@@ -446,3 +446,13 @@ def test_direction_sets_are_normalized_in_one_place():
     # entry point takes; an inline copy would skip the range check
     sites = [f"{path.name}: {site}" for path in MODULES for site in direction_set_sites(path.read_text())]
     assert [site.split(" (line")[0] for site in sites] == ["differences.py: _direction_set"], sites
+
+
+def test_each_characterization_aggregates_its_levels_at_one_site():
+    # grid._dyadic_aggregates is the one dyadic aggregate, called once by the driver of both
+    # difference Besov forms and once by fourier._fourier_besov, which the p = 2 Sobolev norm shares
+    sources = {path.name: path.read_text() for path in sorted(SRC.glob("*.py"))}
+    sites = {name: calls_of({"_dyadic_aggregates", "_dyadic_aggregate"}, source) for name, source in sources.items()}
+    calls = {name: [site.split(" (line")[0] for site in found] for name, found in sites.items() if found}
+    assert calls == {"differences.py": ["_dyadic_aggregates"], "fourier.py": ["_dyadic_aggregates"]}, sites
+    assert [name for name, source in sources.items() if re.search(r"\b_dyadic_aggregate\b", source)] == []
