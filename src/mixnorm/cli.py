@@ -37,8 +37,8 @@ from .spaces import SpaceSpec, embedding_ratio, sup_norm
 from .profiles import _check_plateau
 from .multipliers import (_algebra_denominator, _check_tensor_space, _moser_denominator, build_partition,
                           localization_ratio, pair_terms, tensor_pair_terms)
-from .families import (_check_band, _check_chirp, _check_dilation, _check_members, dilated_member,
-                       oscillatory_member, random_smooth_field, random_trig_field, rate_fit, rate_model)
+from .families import (_check_band, _check_chirp, _check_dilation, _check_members, _check_window,
+                       dilated_member, oscillatory_member, random_smooth_field, random_trig_field, rate_fit, rate_model)
 
 
 class ValidationError(ValueError):
@@ -198,6 +198,8 @@ def _check_random(cfg: ExperimentConfig) -> None:
     _check_count(cfg)
     _check("band_cells,resolution", _check_band, cfg.band_cells, cfg.resolution)
     _check("window_plateau,window_support", _check_plateau, cfg.window_plateau, cfg.window_support)
+    _check("window_support,box_lo,box_hi", _check_window, cfg.box(), (cfg.resolution,) * cfg.d,
+           (cfg.window_plateau, cfg.window_support))
 
 
 def _check_family(cfg: ExperimentConfig, **dims: tuple[int, ...]) -> None:

@@ -8,7 +8,6 @@ dyadic dilations are exact in floating point.
 from __future__ import annotations
 
 import functools
-import math
 import warnings
 from dataclasses import dataclass, field
 from typing import Sequence
@@ -216,6 +215,7 @@ def oscillatory_family(
 
 
 MATERIALIZE_LIMIT = 2**24  # grid nodes per tensor member
+_ONE_THREAD_PRODUCT = 2**18  # multiply-adds that OpenBLAS keeps on one thread (65536 x its threshold 4)
 
 
 def _check_tensor_d(d: int) -> None:
@@ -300,6 +300,62 @@ def _check_band(band_cells: int, n: int) -> None:
         raise GridError(f"band {band_cells} exceeds the Nyquist range of {n} samples")
 
 
+def _check_window(box: Box, shape: Sequence[int], window: tuple[float, float] | None) -> None:
+    # a window must leave some node of every axis inside its support |x| < support
+    if window is None:
+        return
+    for a, n in enumerate(shape):
+        if not np.any(np.abs(_axis_nodes(box.lower[a], box.widths[a], n)) < window[1]):
+            raise GridError(f"window support {window[1]:g} holds no node of axis {a} on "
+                            f"[{box.lower[a]:g}, {box.upper[a]:g}) at {n} samples")
+
+
+def _axis_nodes(lower: float, width: float, n: int) -> np.ndarray:
+    # the nodes of one axis as GridFunction.nodes forms them
+    return lower + width / n * np.arange(n)
+
+
+@functools.lru_cache(maxsize=8)
+def _axis_window(lower: float, width: float, n: int, window) -> tuple[int, np.ndarray]:
+    # (first, w): the window factor w(x_j) on the rows j = first, first + 1, .. inside its support
+    # (every row, w = 1, without a window), read-only; the support is one run of rows
+    x, first, stop = _axis_nodes(lower, width, n), 0, n
+    if window is not None:
+        inside = np.flatnonzero(np.abs(x) < window[1])
+        first, stop = int(inside[0]), int(inside[-1]) + 1
+    w = np.ones(n) if window is None else plateau_bump(x[first:stop], *window)
+    w.flags.writeable = False
+    return first, w
+
+
+@functools.lru_cache(maxsize=8)
+def _unit_roots(n: int) -> np.ndarray:
+    # e^{2 pi i t / n}, t = 0..n-1, read-only
+    angle = 2.0 * np.pi / n * np.arange(n)
+    roots = np.cos(angle) + 1j * np.sin(angle)
+    roots.flags.writeable = False
+    return roots
+
+
+def _axis_factor(first: int, w: np.ndarray, n: int, kappa: np.ndarray) -> np.ndarray:
+    # E[j, kappa] = w(x_j) e^{2 pi i kappa j / n} on rows j = first.., the phase read off the unit
+    # roots at (j kappa) mod n
+    return w[:, None] * _unit_roots(n)[np.multiply.outer(np.arange(first, first + len(w)), kappa) % n]
+
+
+def _product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    # a @ b of two matrices, in tiles of at most _ONE_THREAD_PRODUCT multiply-adds: OpenBLAS runs
+    # a product that small on one thread, so the bits do not depend on the BLAS thread count
+    (m, k), n = a.shape, b.shape[1]
+    cols = min(n, max(1, _ONE_THREAD_PRODUCT // k))
+    rows = max(1, _ONE_THREAD_PRODUCT // (k * cols))
+    out = np.empty((m, n), np.result_type(a, b))
+    for i in range(0, m, rows):
+        for j in range(0, n, cols):
+            np.matmul(a[i : i + rows], b[:, j : j + cols], out=out[i : i + rows, j : j + cols])
+    return out
+
+
 def random_smooth_field(
     seed_key,
     box: Box,
@@ -316,19 +372,26 @@ def random_smooth_field(
     sampling).  band_fraction, when given, converts to cells against the
     smallest axis.  The field is normalized by its spectral L2 mass and, if
     window is given, multiplied by the plateau bump prod_i plateau_bump(x_i),
-    which confines the support with margin.
+    which confines the support with margin; some node of every axis must lie
+    inside the window's support.
 
-    The values are ifftn of the coefficient array, bit for bit, formed by its
-    1-d inverse transforms in ifftn's order, last axis first, on the pencils
-    that hold a coefficient only: before axis a is transformed (in place),
-    the block is embedded at kappa mod n along a, and every pencil off it
-    stays zero.  Each window factor is sampled at the nodes as
-    GridFunction.nodes forms them.
+    The values are the real part of the inverse DFT of the coefficients,
+    evaluated as a separable sum on the window's support only (every node
+    without a window): with E_a[j, kappa] = w_a(x_j) e^{2 pi i kappa j / n_a},
+    w_a the window factor sampled at the nodes as GridFunction.nodes forms
+    them, the support block is Re(E_0 (sym / mass) E_1^T), and likewise in
+    d = 1 and 3.  The last axes are contracted in complex, axis 0 in real
+    over kappa_0 >= 0 (the block is hermitian along it), and no FFT runs.
+    Nodes outside the support are exactly 0, and the rest agree with ifftn
+    of the full coefficient array to about 1e-15 of max |u|.  Every matrix
+    product is cut small enough for OpenBLAS to run it on one thread, so the
+    bits do not depend on the BLAS thread count.
     """
     shape = _as_shape(shape, box.d)
     if band_fraction is not None:
         band_cells = int(band_fraction * min(shape) / 2.0)
     _check_band(band_cells, min(shape))
+    _check_window(box, shape, window)
     rng = np.random.default_rng(seed_key)
     d = box.d
     side = 2 * band_cells + 1
@@ -336,21 +399,30 @@ def random_smooth_field(
     # hermitian part of the draw: real field, resolution-independent content
     flip = tuple(slice(None, None, -1) for _ in range(d))
     sym = 0.5 * (draw + np.conj(draw[flip]))
-    kappa = np.arange(-band_cells, band_cells + 1)
-    block = sym
-    for axis in reversed(range(d)):
-        coeffs = np.zeros(block.shape[:axis] + (shape[axis],) + block.shape[axis + 1:], dtype=complex)
-        coeffs[(slice(None),) * axis + (kappa % shape[axis],)] = block
-        block = np.fft.ifft(coeffs, axis=axis, out=coeffs)
     mass = float(np.sqrt(np.sum(np.abs(sym) ** 2)))
-    values = block.real * (np.prod(shape) / mass)
-    if window is not None:
-        plateau, support = window
-        values *= math.prod(
-            plateau_bump(box.lower[a] + box.widths[a] / n * np.arange(n), plateau, support).reshape(
-                [-1 if i == a else 1 for i in range(d)])
-            for a, n in enumerate(shape)
-        )
+    window = None if window is None else tuple(window)  # a cache key
+    windows = [_axis_window(box.lower[a], box.widths[a], n, window) for a, n in enumerate(shape)]
+    kappa = np.arange(-band_cells, band_cells + 1)
+    block = sym / mass
+    for a in reversed(range(1, d)):
+        factor = _axis_factor(*windows[a], shape[a], kappa)
+        moved = np.moveaxis(block, a, -1)
+        block = np.moveaxis(_product(moved.reshape(-1, side), factor.T).reshape(moved.shape[:-1] + (-1,)), -1, a)
+    # axis 0 in real.  The block is hermitian along it (kappa_0 -> -kappa_0 conjugates it, up to
+    # rounding), so Re(E_0 block) reads kappa_0 >= 0 only, each kappa_0 > 0 twice.  It is the
+    # (Re, Im) pairs of E_0's float view against the interleaved (Re, -Im) of that half block,
+    # formed in slabs of rows that each make one small product
+    half = 2.0 * block[band_cells:]
+    half[0] = block[band_cells]
+    pairs = np.stack([half.real, -half.imag], axis=1).reshape(2 * (band_cells + 1), -1)
+    values = np.zeros(shape)
+    first, w = windows[0]
+    rest = tuple(slice(f, f + len(v)) for f, v in windows[1:])
+    step = max(1, _ONE_THREAD_PRODUCT // pairs.size)
+    for lo in range(first, first + len(w), step):
+        factor = _axis_factor(lo, w[lo - first : lo - first + step], shape[0], kappa[band_cells:])
+        slab = (slice(lo, lo + len(factor)),) + rest
+        values[slab] = _product(factor.view(np.float64), pairs).reshape(values[slab].shape)
     return GridFunction(box, values, "zero")
 
 
@@ -383,7 +455,7 @@ def random_trig_field(
     # (modes x n) factor per axis, contracted over the modes at once
     factors = []
     for axis, n in enumerate(shape):
-        nodes = box.lower[axis] + box.widths[axis] / n * np.arange(n)
+        nodes = _axis_nodes(box.lower[axis], box.widths[axis], n)
         factors.append(np.exp(1j * np.multiply.outer(scale * base[axis] * kappas[:, axis], nodes)))
     axes = "abc"[:d]
     spec = "j," + ",".join("j" + a for a in axes) + "->" + axes

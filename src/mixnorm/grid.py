@@ -273,12 +273,15 @@ def lp_norm_values(values: np.ndarray, p: float, cell_volume: float) -> float:
 
 
 def _powered_sum(values: np.ndarray, p: float, cell_volume: float) -> float:
+    return float(_powers(values, p).sum() * cell_volume)
+
+
+def _powers(values: np.ndarray, p: float) -> np.ndarray:
+    # |values|^p, elementwise
     a = np.abs(values)
     if 1 <= p <= _MAX_CHAIN_POWER and p == int(p):
-        a = _integer_power(a, int(p))
-    else:
-        np.power(a, p, out=a)
-    return float(a.sum() * cell_volume)
+        return _integer_power(a, int(p))
+    return np.power(a, p, out=a)
 
 
 def _integer_power(a: np.ndarray, k: int) -> np.ndarray:
@@ -297,7 +300,16 @@ def _dyadic_aggregates(stack: np.ndarray, log2_weights: np.ndarray, p: float) ->
     # one exp2: a dyadic weight and a norm may leave the float range, their product not
     with np.errstate(divide="ignore", over="ignore"):
         terms = np.exp2(log2_weights + np.log2(stack))
-    return [lp_norm_values(t, p, 1.0) for t in terms]
+    rows = terms.reshape(len(terms), -1)
+    # every row's plain sum (max at p = inf) in one reduction, with lp_norm_values's bits; a row
+    # outside its plain range goes through lp_norm_values, which rescales or raises
+    if math.isinf(p):
+        return [float(top) if top < math.inf else lp_norm_values(t, p, 1.0)
+                for top, t in zip(rows.max(axis=1), terms)]
+    with np.errstate(over="ignore"):
+        totals = _powers(rows, p).sum(axis=1)
+    return [float(total) ** (1.0 / p) if 2.0**-900 <= total < math.inf else lp_norm_values(t, p, 1.0)
+            for total, t in zip(totals, terms)]
 
 
 def power_table(values: np.ndarray, weight_sets: Sequence[Sequence[np.ndarray | None]],

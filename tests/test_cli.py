@@ -81,6 +81,10 @@ def test_validate_catches_module_preconditions():
         dict(experiment="equiv", resolution=64, count=1, window_plateau=3.0, window_support=2.0),
         dict(experiment="moser", family="tensor_dilated", resolution=1024, box_lo=-6.0, box_hi=6.0, n_max=3,
              companion_plateau=4.0, companion_support=3.0),
+        dict(experiment="equiv", box_lo=3.0, box_hi=5.0, resolution=64, count=1),
+        dict(experiment="trace", box_lo=3.0, box_hi=5.0, resolution=64, count=1),
+        dict(experiment="equiv", box_lo=2.0, box_hi=6.0, resolution=64, count=1),
+        dict(experiment="trace", box_lo=2.0, box_hi=6.0, resolution=64, count=1),
     ]
     for kwargs in bad:
         with pytest.raises(ValidationError):
@@ -176,8 +180,8 @@ def test_run_rows_deterministic_and_worker_independent(tmp_path, monkeypatch):
 
 
 def test_equiv_member_forms_one_difference_table_and_no_full_inverse_transform(monkeypatch):
-    # both difference forms read one table per member, and the random field
-    # transforms only the pencils that hold its coefficients
+    # both difference forms read one table per member, and the random field is
+    # summed on its window's support with no inverse transform at all
     import numpy as np
 
     from mixnorm import cli as cli_mod, differences
@@ -185,7 +189,7 @@ def test_equiv_member_forms_one_difference_table_and_no_full_inverse_transform(m
     cfg = ExperimentConfig(experiment="equiv", count=3, resolution=64, seed=11)
     want = [cli_mod._equiv_row(cfg, str(i)) for i in range(cfg.count)]
     tables, inverses = [], []
-    real_table, real_ifftn = differences._difference_tables, np.fft.ifftn
+    real_table, real_ifftn, real_ifft = differences._difference_tables, np.fft.ifftn, np.fft.ifft
 
     def table_spy(*args):
         tables.append(args[0])
@@ -195,8 +199,13 @@ def test_equiv_member_forms_one_difference_table_and_no_full_inverse_transform(m
         inverses.append(args[0].shape)
         return real_ifftn(*args, **kwargs)
 
+    def ifft_spy(*args, **kwargs):
+        inverses.append(args[0].shape)
+        return real_ifft(*args, **kwargs)
+
     monkeypatch.setattr(differences, "_difference_tables", table_spy)
     monkeypatch.setattr(np.fft, "ifftn", ifftn_spy)
+    monkeypatch.setattr(np.fft, "ifft", ifft_spy)
     for i in range(cfg.count):
         tables.clear()
         assert cli_mod._equiv_row(cfg, str(i)) == want[i]
@@ -274,6 +283,9 @@ def test_main_exit_codes(tmp_path, monkeypatch):
     assert main(["equiv", "--resolution", "64", "--count", "1", "--window_plateau", "3", "--window_support", "2"]) == 2
     assert main(["moser", "--family", "tensor_dilated", "--resolution", "1024", "--box_lo", "-6", "--box_hi", "6",
                  "--n_max", "3", "--companion_plateau", "4", "--companion_support", "3"]) == 2
+    for experiment in ("equiv", "trace"):  # a window that holds no node
+        for lo, hi in (("3", "5"), ("2", "6")):
+            assert main([experiment, "--box_lo", lo, "--box_hi", hi, "--resolution", "64", "--count", "1"]) == 2
     assert main(["equiv", "--count", "2", "--resolution", "64",
                  "--output", "/nonexistent-dir/x.csv"]) == 4
     assert main(["equiv", "--describe"]) == 0

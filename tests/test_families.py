@@ -1,8 +1,13 @@
 import math
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from mixnorm import (
     Box,
@@ -295,13 +300,11 @@ def test_random_smooth_field_deterministic_and_windowed():
     assert not np.any(a.values[outside][:, None] * np.ones((1, 64)))
 
 
-@pytest.mark.parametrize("shape", [(96,), (64, 48), (40, 48, 36)])
-def test_random_smooth_field_matches_offset_loop_and_meshgrid_window(shape):
-    d, band = len(shape), 8
-    box = Box((-4.0,) * d, (4.0,) * d)
-    u = random_smooth_field((12, d), box, shape, band_cells=band)
-    # reference: one coefficient per offset in a Python loop, window sampled on the meshgrid
-    rng = np.random.default_rng((12, d))
+def ifftn_field(seed_key, box, shape, band, window):
+    """random_smooth_field's oracle: one coefficient per offset in a Python loop, the real part of
+    ifftn of the full coefficient array, the window sampled on the meshgrid."""
+    d = box.d
+    rng = np.random.default_rng(seed_key)
     side = 2 * band + 1
     draw = rng.standard_normal((side,) * d) + 1j * rng.standard_normal((side,) * d)
     sym = 0.5 * (draw + np.conj(draw[(slice(None, None, -1),) * d]))
@@ -309,8 +312,105 @@ def test_random_smooth_field_matches_offset_loop_and_meshgrid_window(shape):
     for offset in np.ndindex(*(side,) * d):
         coeffs[tuple((o - band) % n for o, n in zip(offset, shape))] = sym[offset]
     values = np.fft.ifftn(coeffs).real * (np.prod(shape) / float(np.sqrt(np.sum(np.abs(sym) ** 2))))
-    win = sample(lambda *xs: math.prod(plateau_bump(x, 1.5, 2.0) for x in xs), box, shape)
-    assert np.array_equal(u.values, values * win.values)
+    if window is None:
+        return values
+    return values * sample(lambda *xs: math.prod(plateau_bump(x, *window) for x in xs), box, shape).values
+
+
+def assert_matches_oracle(u, want):
+    # the support-restricted sum agrees with ifftn to rounding, and is exactly 0 off the window
+    assert np.max(np.abs(u.values - want)) <= 1e-13 * np.max(np.abs(want))
+    assert np.all(u.values[want == 0] == 0)
+
+
+@pytest.mark.parametrize("shape", [(96,), (64, 48), (40, 48, 36)])
+def test_random_smooth_field_matches_offset_loop_and_meshgrid_window(shape):
+    d, band = len(shape), 8
+    box = Box((-4.0,) * d, (4.0,) * d)
+    u = random_smooth_field((12, d), box, shape, band_cells=band)
+    assert_matches_oracle(u, ifftn_field((12, d), box, shape, band, (1.5, 2.0)))
+
+
+@st.composite
+def field_cases(draw):
+    # (box, shape, band_cells, window): anisotropic shapes and boxes, no window, the default
+    # window, or a window whose support edge is a node of axis 0
+    d = draw(st.integers(1, 3))
+    band = draw(st.integers(1, 3 if d == 3 else 8))
+    top = 20 if d == 3 else 48
+    # at least 8 nodes on a width of 8 leave a node inside every support of at least 1
+    shape = tuple(draw(st.lists(st.integers(max(2 * band + 1, 8), top), min_size=d, max_size=d)))
+    lower = tuple(draw(st.lists(st.sampled_from([-4.0, -3.0]), min_size=d, max_size=d)))
+    box = Box(lower, tuple(lo + 8.0 for lo in lower))
+    kind = draw(st.sampled_from(["none", "default", "node"]))
+    if kind == "none":
+        window = None
+    elif kind == "default":
+        window = (1.5, 2.0)
+    else:
+        nodes = box.lower[0] + box.widths[0] / shape[0] * np.arange(shape[0])
+        edge = float(draw(st.sampled_from([x for x in nodes if 1.0 <= x <= 3.0])))
+        window = (edge / 2.0, edge)
+    return box, shape, band, window
+
+
+@settings(max_examples=40, deadline=None)
+@given(case=field_cases(), seed=st.integers(0, 2**16))
+def test_random_smooth_field_matches_ifftn_on_every_shape_and_window(case, seed):
+    box, shape, band, window = case
+    u = random_smooth_field(seed, box, shape, band_cells=band, window=window)
+    assert_matches_oracle(u, ifftn_field(seed, box, shape, band, window))
+
+
+@pytest.mark.parametrize("shape", [(48,), (32, 24), (16, 12, 20)])
+@pytest.mark.parametrize("window", [None, (1.5, 2.0)])
+def test_random_smooth_field_is_one_continuum_function_at_every_resolution(shape, window):
+    # node j at n samples is node 2j at 2n, and both sample the same function there
+    d = len(shape)
+    box = Box((-4.0,) * d, (4.0,) * d)
+    coarse = random_smooth_field((14, d), box, shape, band_cells=5, window=window).values
+    fine = random_smooth_field((14, d), box, tuple(2 * n for n in shape), band_cells=5, window=window).values
+    shared = fine[(slice(None, None, 2),) * d]
+    assert np.max(np.abs(shared - coarse)) <= 1e-13 * np.max(np.abs(fine))
+
+
+BLAS_SCRIPT = """
+import hashlib
+from mixnorm import Box
+from mixnorm.families import random_smooth_field
+for i, (shape, window) in enumerate([((512, 512), (1.5, 2.0)), ((256, 256), (0.5, 3.5)), ((300, 170), None),
+                                     ((4096,), (1.5, 2.0)), ((40, 72, 36), (1.5, 2.0))]):
+    u = random_smooth_field((7, i), Box((-4.0,) * len(shape), (4.0,) * len(shape)), shape, window=window)
+    print(hashlib.sha256(u.values.tobytes()).hexdigest())
+"""
+
+
+def test_random_smooth_field_bits_do_not_depend_on_blas_threads():
+    # every matrix product of the field is small enough that OpenBLAS runs it on one thread;
+    # untiled, the 512^2 field and the wide-window 256^2 field took other bits on two threads
+    env = {"PATH": "/usr/bin:/bin", "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+    if "PYTHONDONTWRITEBYTECODE" in os.environ:  # keep src/ free of bytecode when asked
+        env["PYTHONDONTWRITEBYTECODE"] = os.environ["PYTHONDONTWRITEBYTECODE"]
+    hashes = []
+    for threads in ("1", "2"):
+        proc = subprocess.run([sys.executable, "-c", BLAS_SCRIPT], capture_output=True, text=True,
+                              env={**env, "OPENBLAS_NUM_THREADS": threads, "OMP_NUM_THREADS": threads})
+        assert proc.returncode == 0, proc.stderr
+        hashes.append(proc.stdout.split())
+    assert len(hashes[0]) == 5 and hashes[0] == hashes[1]
+
+
+def test_random_smooth_field_needs_a_node_inside_the_window():
+    for lo, hi in ((3.0, 5.0), (2.0, 6.0)):
+        box = Box((-4.0, lo), (4.0, hi))
+        with pytest.raises(GridError, match="holds no node of axis 1"):
+            random_smooth_field(1, box, 64)
+        with pytest.raises(GridError, match="holds no node of axis 1"):
+            families._check_window(box, (64, 64), (1.5, 2.0))
+        families._check_window(box, (64, 64), None)
+        assert np.any(random_smooth_field(1, box, 64, window=None).values)
+    # a support edge on a node leaves that node out, and the node below it in
+    families._check_window(Box((2.0,), (6.0,)), (64,), (1.5, 2.0625))
 
 
 @pytest.mark.parametrize("d", [1, 2, 3])
